@@ -364,6 +364,30 @@ void BM_WindowRoll(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowRoll);
 
+// The storm-shaped feed: default 5 s windows and capacity, no objectives,
+// and sim time advancing about 14 windows per served attempt, as on an
+// overload storm, so nearly every window closes empty. BM_WindowRoll
+// never crosses an empty window.
+void BM_WindowRollSparse(benchmark::State& state) {
+  std::vector<double> values(4096);
+  Rng rng(29);
+  const LognormalDistribution latency(70.0, 0.6);
+  for (double& v : values) {
+    v = latency.Sample(rng);
+  }
+  obs::SloPipeline pipeline{obs::SloConfig()};
+  double now = 0.0;
+  size_t i = 0;
+  for (auto _ : state) {
+    now += 70.0;  // 14 windows of 5 s
+    pipeline.OnArrival(now);
+    pipeline.OnResponse(now, values[i++ & 4095], true);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WindowRollSparse);
+
 void BM_CalibrationSearch(benchmark::State& state) {
   WorkloadProfile profile;
   profile.service_rate_per_second = 1.0 / 70.0;

@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -71,10 +72,20 @@ void AtomicMaxDouble(std::atomic<uint64_t>& slot, double v) {
 
 }  // namespace
 
-std::string StableDouble(double value) {
+// to_chars with a precision formats exactly as printf does with the
+// matching conversion (general, precision 17 is %.17g), without printf's
+// format parsing and locale machinery.
+void AppendStableDouble(std::string& out, double value) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out.append(buf, result.ptr);
+}
+
+std::string StableDouble(double value) {
+  std::string out;
+  AppendStableDouble(out, value);
+  return out;
 }
 
 // ---------------------------------------------------------------- Counter

@@ -39,8 +39,11 @@ enum class Determinism : uint8_t {
   kTiming = 1,  // wall-clock derived; excluded from deterministic exports
 };
 
-// Byte-stable decimal rendering of a double (%.17g: bit-exact round trip).
+// Byte-stable decimal rendering of a double: the bytes of printf's
+// %.17g (bit-exact round trip), produced by std::to_chars.
 std::string StableDouble(double value);
+// Appends StableDouble(value) to `out` without a temporary string.
+void AppendStableDouble(std::string& out, double value);
 
 // The repo-wide nearest-rank rule: 1-based rank of the sample a quantile
 // estimator should return for fraction `q` over `count` samples. Shared by

@@ -1,6 +1,7 @@
 #include "src/obs/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -101,6 +102,14 @@ double QuantileSketch::Quantile(double q) const {
     }
   }
   return max_;
+}
+
+bool QuantileSketch::IsFresh(double relative_accuracy) const {
+  return count_ == 0 && zero_count_ == 0 && rejected_ == 0 && !has_bounds_ &&
+         buckets_.empty() && std::bit_cast<uint64_t>(min_) == 0 &&
+         std::bit_cast<uint64_t>(max_) == 0 &&
+         std::bit_cast<uint64_t>(relative_accuracy_) ==
+             std::bit_cast<uint64_t>(relative_accuracy);
 }
 
 std::string QuantileSketch::Serialize() const {

@@ -53,6 +53,10 @@ class QuantileSketch {
   // exact [min, max] envelope. Empty sketch returns 0.0.
   double Quantile(double q) const;
 
+  // True when Serialize() would equal that of a freshly constructed
+  // QuantileSketch(relative_accuracy), bit for bit.
+  bool IsFresh(double relative_accuracy) const;
+
   uint64_t count() const { return count_; }
   uint64_t rejected() const { return rejected_; }
   double min() const { return has_bounds_ ? min_ : 0.0; }

@@ -1,10 +1,12 @@
 #include "src/obs/slo.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
@@ -80,17 +82,77 @@ bool Violates(double value, SloOp op, double threshold) {
   return false;
 }
 
+// The bounds of every window the pipeline opens.
+void SetBounds(SloWindow& window, uint64_t index, double window_seconds) {
+  window.index = index;
+  window.begin = static_cast<double>(index) * window_seconds;
+  window.end = window.begin + window_seconds;
+}
+
 SloWindow MakeWindow(uint64_t index, const SloConfig& config) {
   SloWindow window(config.sketch_relative_accuracy);
-  window.index = index;
-  window.begin = static_cast<double>(index) * config.window_seconds;
-  window.end = window.begin + config.window_seconds;
+  SetBounds(window, index, config.window_seconds);
   return window;
 }
 
-// "value or '-'" rendering for optional gauges.
-std::string OptValue(bool has, double value) {
-  return has ? StableDouble(value) : std::string("-");
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void AppendU64(std::string& out, uint64_t value) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// One timeline window: `w <index> begin <b> ...` as text, or the same
+// fields in the same order as one jsonl object.
+void AppendWindow(std::string& out, const SloWindow& w, bool json) {
+  auto key = [&out, json](const char* name) {
+    out += json ? ",\"" : " ";
+    out += name;
+    out += json ? "\":" : " ";
+  };
+  auto gauge = [&](const char* name, bool has, double value) {
+    key(name);
+    if (has) {
+      AppendStableDouble(out, value);
+    } else {
+      out += json ? "null" : "-";
+    }
+  };
+  out += json ? "{\"w\":" : "w ";
+  AppendU64(out, w.index);
+  key("begin");
+  AppendStableDouble(out, w.begin);
+  key("end");
+  AppendStableDouble(out, w.end);
+  const std::pair<const char*, uint64_t> counts[] = {
+      {"arrivals", w.arrivals}, {"responses", w.responses},
+      {"good", w.good},         {"bad", w.bad},
+      {"shed", w.shed},         {"engages", w.engages},
+      {"aborts", w.aborts},     {"timeouts", w.timeouts}};
+  for (const auto& [name, count] : counts) {
+    key(name);
+    AppendU64(out, count);
+  }
+  const std::pair<const char*, double> quantiles[] = {
+      {"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}};
+  for (const auto& [name, q] : quantiles) {
+    key(name);
+    AppendStableDouble(out, w.response.Quantile(q));
+  }
+  key("mean");
+  AppendStableDouble(out, w.responses == 0 ? 0.0
+                                           : w.response_sum /
+                                                 static_cast<double>(
+                                                     w.responses));
+  gauge("queue_depth", w.has_queue_depth, w.queue_depth);
+  gauge("budget", w.has_budget, w.budget_level);
+  key("viol");
+  AppendU64(out, w.violation_mask);
+  key("alert");
+  AppendU64(out, w.alert_mask);
+  out += json ? "}\n" : "\n";
 }
 
 }  // namespace
@@ -348,6 +410,15 @@ void SloPipeline::Advance(double now) {
       static_cast<uint64_t>(now / config_.window_seconds);
   while (open_.index < target) {
     CloseWindow();
+    // Every window before `target` is now empty. With no objective or
+    // anomaly detector to evaluate them they change only the counts, so
+    // the rest of the gap closes in one step.
+    if (open_.index < target && config_.objectives.empty() &&
+        config_.anomalies.empty()) {
+      windows_closed_ += target - open_.index;
+      SetBounds(open_, target, config_.window_seconds);
+      DropExpiredWindows();
+    }
   }
 }
 
@@ -428,25 +499,31 @@ void SloPipeline::Finish(double end_time) {
   }
 }
 
-double SloPipeline::BurnRate(size_t objective, double horizon_seconds) const {
+double SloPipeline::BurnRate(size_t objective, double horizon_seconds,
+                             const SloWindow& closing) const {
   const uint64_t horizon_windows = std::max<uint64_t>(
       1, static_cast<uint64_t>(
              std::ceil(horizon_seconds / config_.window_seconds)));
-  const size_t available =
-      std::min<size_t>(closed_.size(), static_cast<size_t>(horizon_windows));
-  if (available == 0) {
-    return 0.0;
-  }
+  // windows_closed_ already counts `closing`, so the horizon never runs
+  // past the retained range. Implicit windows carry no mask bits.
+  const uint64_t available =
+      std::min(windows_closed_ - windows_dropped_, horizon_windows);
+  const uint64_t first = closing.index + 1 - available;
   const uint32_t bit = 1u << objective;
   uint64_t evaluated = 0;
   uint64_t bad = 0;
-  for (size_t i = closed_.size() - available; i < closed_.size(); ++i) {
-    if (closed_[i].evaluated_mask & bit) {
+  auto tally = [&](const SloWindow& w) {
+    if (w.evaluated_mask & bit) {
       ++evaluated;
-      if (closed_[i].violation_mask & bit) {
+      if (w.violation_mask & bit) {
         ++bad;
       }
     }
+  };
+  tally(closing);
+  for (auto it = closed_.rbegin(); it != closed_.rend() && it->index >= first;
+       ++it) {
+    tally(*it);
   }
   if (evaluated == 0) {
     return 0.0;
@@ -503,9 +580,8 @@ void SloPipeline::EvaluateAnomalies(const SloWindow& window) {
 }
 
 void SloPipeline::CloseWindow() {
-  EvaluateObjectives(open_);
-  closed_.push_back(std::move(open_));
-  SloWindow& window = closed_.back();
+  SloWindow& window = open_;
+  EvaluateObjectives(window);
   ++windows_closed_;
   // Alert state machine: a burn-rate pair pages when both its windows
   // exceed the pair threshold; either pair paging keeps the alert active.
@@ -519,10 +595,12 @@ void SloPipeline::CloseWindow() {
       }
     }
     const SloBurnConfig& burn = config_.burn;
-    const double fast = std::min(BurnRate(i, burn.fast_short_seconds),
-                                 BurnRate(i, burn.fast_long_seconds));
-    const double slow = std::min(BurnRate(i, burn.slow_short_seconds),
-                                 BurnRate(i, burn.slow_long_seconds));
+    const double fast =
+        std::min(BurnRate(i, burn.fast_short_seconds, window),
+                 BurnRate(i, burn.fast_long_seconds, window));
+    const double slow =
+        std::min(BurnRate(i, burn.slow_short_seconds, window),
+                 BurnRate(i, burn.slow_long_seconds, window));
     const bool paging =
         fast > burn.fast_threshold || slow > burn.slow_threshold;
     if (paging && !state.alert_active) {
@@ -548,12 +626,62 @@ void SloPipeline::CloseWindow() {
     ++alert_windows_;
   }
   EvaluateAnomalies(window);
-  const size_t retain = RetainedWindowFloor();
-  while (closed_.size() > retain) {
-    closed_.pop_front();
-    ++windows_dropped_;
+  const uint64_t next = window.index + 1;
+  if (IsImplicit(window)) {
+    SetBounds(open_, next, config_.window_seconds);
+  } else {
+    closed_.push_back(std::move(open_));
+    open_ = MakeWindow(next, config_);
   }
-  open_ = MakeWindow(window.index + 1, config_);
+  DropExpiredWindows();
+}
+
+void SloPipeline::DropExpiredWindows() {
+  const uint64_t retain = RetainedWindowFloor();
+  if (windows_closed_ - windows_dropped_ > retain) {
+    windows_dropped_ = windows_closed_ - retain;
+  }
+  const uint64_t first = FirstRetainedIndex();
+  while (!closed_.empty() && closed_.front().index < first) {
+    closed_.pop_front();
+  }
+}
+
+// True when `w` is exactly the window ForEachRetained synthesizes for its
+// index (SetBounds' bounds, nothing else set), so storing it would change
+// no export.
+bool SloPipeline::IsImplicit(const SloWindow& w) const {
+  const double seconds = config_.window_seconds;
+  return (w.arrivals | w.responses | w.good | w.bad | w.shed | w.engages |
+          w.aborts | w.timeouts) == 0 &&
+         (w.evaluated_mask | w.violation_mask | w.alert_mask) == 0 &&
+         !w.has_queue_depth && !w.has_budget &&
+         SameBits(w.response_sum, 0.0) && SameBits(w.queue_depth, 0.0) &&
+         SameBits(w.budget_level, 0.0) &&
+         SameBits(w.begin, static_cast<double>(w.index) * seconds) &&
+         SameBits(w.end, w.begin + seconds) &&
+         w.response.IsFresh(config_.sketch_relative_accuracy);
+}
+
+template <typename Visit>
+void SloPipeline::ForEachRetained(Visit&& visit) const {
+  SloWindow implicit(config_.sketch_relative_accuracy);
+  auto stored = closed_.begin();
+  for (uint64_t index = FirstRetainedIndex(); index < open_.index; ++index) {
+    if (stored != closed_.end() && stored->index == index) {
+      visit(*stored++);
+    } else {
+      SetBounds(implicit, index, config_.window_seconds);
+      visit(implicit);
+    }
+  }
+}
+
+std::vector<SloWindow> SloPipeline::timeline() const {
+  std::vector<SloWindow> windows;
+  windows.reserve(windows_closed_ - windows_dropped_);
+  ForEachRetained([&windows](const SloWindow& w) { windows.push_back(w); });
+  return windows;
 }
 
 size_t SloPipeline::RetainedWindowFloor() const {
@@ -632,68 +760,15 @@ std::string SloPipeline::FormatTimeline() const {
          std::to_string(config_.timeline_capacity) + "\n";
   out += "windows " + std::to_string(windows_closed_) + " dropped " +
          std::to_string(windows_dropped_) + "\n";
-  char buf[64];
-  for (const SloWindow& w : closed_) {
-    std::snprintf(buf, sizeof(buf), "w %llu",
-                  static_cast<unsigned long long>(w.index));
-    out += buf;
-    out += " begin " + StableDouble(w.begin) + " end " + StableDouble(w.end);
-    out += " arrivals " + std::to_string(w.arrivals);
-    out += " responses " + std::to_string(w.responses);
-    out += " good " + std::to_string(w.good);
-    out += " bad " + std::to_string(w.bad);
-    out += " shed " + std::to_string(w.shed);
-    out += " engages " + std::to_string(w.engages);
-    out += " aborts " + std::to_string(w.aborts);
-    out += " timeouts " + std::to_string(w.timeouts);
-    out += " p50 " + StableDouble(w.response.Quantile(0.50));
-    out += " p90 " + StableDouble(w.response.Quantile(0.90));
-    out += " p99 " + StableDouble(w.response.Quantile(0.99));
-    const double mean =
-        w.responses == 0
-            ? 0.0
-            : w.response_sum / static_cast<double>(w.responses);
-    out += " mean " + StableDouble(mean);
-    out += " queue_depth " + OptValue(w.has_queue_depth, w.queue_depth);
-    out += " budget " + OptValue(w.has_budget, w.budget_level);
-    out += " viol " + std::to_string(w.violation_mask);
-    out += " alert " + std::to_string(w.alert_mask);
-    out += "\n";
-  }
+  ForEachRetained(
+      [&out](const SloWindow& w) { AppendWindow(out, w, /*json=*/false); });
   return out;
 }
 
 std::string SloPipeline::FormatTimelineJsonl() const {
   std::string out;
-  for (const SloWindow& w : closed_) {
-    const double mean =
-        w.responses == 0
-            ? 0.0
-            : w.response_sum / static_cast<double>(w.responses);
-    out += "{\"w\":" + std::to_string(w.index);
-    out += ",\"begin\":" + StableDouble(w.begin);
-    out += ",\"end\":" + StableDouble(w.end);
-    out += ",\"arrivals\":" + std::to_string(w.arrivals);
-    out += ",\"responses\":" + std::to_string(w.responses);
-    out += ",\"good\":" + std::to_string(w.good);
-    out += ",\"bad\":" + std::to_string(w.bad);
-    out += ",\"shed\":" + std::to_string(w.shed);
-    out += ",\"engages\":" + std::to_string(w.engages);
-    out += ",\"aborts\":" + std::to_string(w.aborts);
-    out += ",\"timeouts\":" + std::to_string(w.timeouts);
-    out += ",\"p50\":" + StableDouble(w.response.Quantile(0.50));
-    out += ",\"p90\":" + StableDouble(w.response.Quantile(0.90));
-    out += ",\"p99\":" + StableDouble(w.response.Quantile(0.99));
-    out += ",\"mean\":" + StableDouble(mean);
-    out += ",\"queue_depth\":";
-    out += w.has_queue_depth ? StableDouble(w.queue_depth)
-                             : std::string("null");
-    out += ",\"budget\":";
-    out += w.has_budget ? StableDouble(w.budget_level) : std::string("null");
-    out += ",\"viol\":" + std::to_string(w.violation_mask);
-    out += ",\"alert\":" + std::to_string(w.alert_mask);
-    out += "}\n";
-  }
+  ForEachRetained(
+      [&out](const SloWindow& w) { AppendWindow(out, w, /*json=*/true); });
   return out;
 }
 
@@ -750,10 +825,10 @@ std::string SloPipeline::FormatWatch() const {
   std::string out;
   out += "# msprint watch (p99 per window; '!' = active alert)\n";
   double max_p99 = 0.0;
-  for (const SloWindow& w : closed_) {
+  ForEachRetained([&max_p99](const SloWindow& w) {
     max_p99 = std::max(max_p99, w.response.Quantile(0.99));
-  }
-  for (const SloWindow& w : closed_) {
+  });
+  ForEachRetained([&out, max_p99](const SloWindow& w) {
     const double p99 = w.response.Quantile(0.99);
     const size_t bar =
         max_p99 > 0.0
@@ -765,7 +840,7 @@ std::string SloPipeline::FormatWatch() const {
       out += " !alert " + std::to_string(w.alert_mask);
     }
     out += "\n";
-  }
+  });
   return out;
 }
 
@@ -857,10 +932,8 @@ std::string SloPipeline::SaveState() const {
     wire::PutU32(out, w.alert_mask);
   };
   put_window(open_);
-  wire::PutU64(out, closed_.size());
-  for (const SloWindow& w : closed_) {
-    put_window(w);
-  }
+  wire::PutU64(out, windows_closed_ - windows_dropped_);
+  ForEachRetained(put_window);
   return out;
 }
 
@@ -988,21 +1061,33 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     return w;
   };
   pipeline.open_ = get_window();
+  // The closed ring is what SaveState writes: exactly the retained range,
+  // contiguous and ending just before the open window. Windows equal to
+  // their implicit form are not stored.
   const uint64_t num_closed = cursor.GetCount(100, "slo closed windows");
-  pipeline.closed_.clear();
-  uint64_t previous_index = 0;
-  for (uint64_t i = 0; i < num_closed; ++i) {
-    SloWindow w = get_window();
-    if (i > 0 && w.index <= previous_index) {
-      throw std::invalid_argument("SloPipeline: window order violated");
-    }
-    previous_index = w.index;
-    pipeline.closed_.push_back(std::move(w));
-  }
-  if (!pipeline.closed_.empty() &&
-      pipeline.open_.index <= pipeline.closed_.back().index) {
+  if (pipeline.windows_dropped_ > pipeline.windows_closed_ ||
+      num_closed != pipeline.windows_closed_ - pipeline.windows_dropped_) {
     throw std::invalid_argument(
-        "SloPipeline: open window behind the closed ring");
+        "SloPipeline: closed ring length disagrees with window counts");
+  }
+  if (num_closed > pipeline.RetainedWindowFloor()) {
+    throw std::invalid_argument("SloPipeline: closed ring over capacity");
+  }
+  if (num_closed > pipeline.open_.index) {
+    throw std::invalid_argument(
+        "SloPipeline: closed ring reaches before window 0");
+  }
+  pipeline.closed_.clear();
+  for (uint64_t index = pipeline.FirstRetainedIndex();
+       index < pipeline.open_.index; ++index) {
+    SloWindow w = get_window();
+    if (w.index != index) {
+      throw std::invalid_argument(
+          "SloPipeline: closed ring not contiguous up to the open window");
+    }
+    if (!pipeline.IsImplicit(w)) {
+      pipeline.closed_.push_back(std::move(w));
+    }
   }
   cursor.ExpectEnd();
   return pipeline;

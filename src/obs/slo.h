@@ -84,8 +84,8 @@ struct SloConfig {
   double window_seconds = 5.0;
   double sketch_relative_accuracy = 0.01;
   // Closed windows retained for the timeline export; older windows are
-  // dropped (and counted) once the ring exceeds this plus what the burn
-  // horizons need.
+  // dropped (and counted) once the ring exceeds this or what the burn
+  // horizons need, whichever is larger.
   size_t timeline_capacity = 4096;
   SloBurnConfig burn;
   std::vector<SloObjective> objectives;  // at most kMaxObjectives
@@ -184,7 +184,9 @@ class SloPipeline {
   uint64_t windows_dropped() const { return windows_dropped_; }
   uint64_t alert_windows() const { return alert_windows_; }
   uint64_t anomaly_count() const;
-  const std::deque<SloWindow>& timeline() const { return closed_; }
+  // The retained closed windows, oldest first, with the empty windows the
+  // pipeline stores implicitly materialized.
+  std::vector<SloWindow> timeline() const;
   const std::vector<SloObjectiveState>& objective_states() const {
     return objective_states_;
   }
@@ -215,13 +217,27 @@ class SloPipeline {
  private:
   void Advance(double now);
   void CloseWindow();
+  void DropExpiredWindows();
   void EvaluateObjectives(SloWindow& window);
   void EvaluateAnomalies(const SloWindow& window);
-  double BurnRate(size_t objective, double horizon_seconds) const;
+  // Burn rate over the newest horizon of the retained range, which ends
+  // with `closing`, the window being closed.
+  double BurnRate(size_t objective, double horizon_seconds,
+                  const SloWindow& closing) const;
   size_t RetainedWindowFloor() const;
+  uint64_t FirstRetainedIndex() const {
+    return open_.index - (windows_closed_ - windows_dropped_);
+  }
+  bool IsImplicit(const SloWindow& window) const;
+  // Calls visit(window) for every retained closed window, oldest first.
+  template <typename Visit>
+  void ForEachRetained(Visit&& visit) const;
 
   SloConfig config_;
   SloWindow open_;
+  // Closed windows carrying data or a mask bit, oldest first. Every other
+  // window of the retained range [FirstRetainedIndex(), open_.index) is
+  // implicit: empty, with no mask bits and the bounds MakeWindow gives.
   std::deque<SloWindow> closed_;
   std::vector<SloObjectiveState> objective_states_;
   std::vector<SloAnomalyState> anomaly_states_;

@@ -176,7 +176,11 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
   const size_t capacity =
       config.retry.enabled ? n * config.retry.max_attempts : n;
 
-  std::vector<Query> queries(n);
+  // The attempt records and the arena block below outlive the run: the
+  // next run on this thread reuses them, so back-to-back runs stay on
+  // pages already faulted in (DESIGN.md §12). Both are reset before use.
+  thread_local std::vector<Query> queries;
+  queries.assign(n, Query());
   queries.reserve(capacity);
   {
     // Built lazily per sampled workload; indexed by WorkloadId value.
@@ -238,7 +242,7 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
   // Every ancillary per-query array comes out of one arena reservation;
   // the FIFO is a monotone index ring (each attempt enqueues at most
   // once), so the event loop below does zero heap traffic.
-  RunArena arena;
+  thread_local RunArena arena;
   arena.Reserve(RunArena::BytesFor<uint64_t>(capacity) +
                 RunArena::BytesFor<double>(capacity) * 5 +
                 RunArena::BytesFor<uint8_t>(capacity) * 2 +

@@ -29,6 +29,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/recorder.h"
+#include "src/obs/slo.h"
 #include "src/obs/span.h"
 #include "src/online/advisor.h"
 #include "src/persist/persist.h"
@@ -951,6 +952,92 @@ TEST(DeterminismTest, EventEngineMatchesCommittedGolden) {
   ASSERT_EQ(got.size(), want.size())
       << "export size diverged from the committed pre-overhaul golden";
   EXPECT_EQ(got, want);
+}
+
+// ------------------------------------------------- testbed storage reuse
+//
+// Testbed::Run keeps its attempt records and arena block for the next run
+// on the same thread. No run may see what an earlier one left there: each
+// run below, made after bigger and smaller runs on this thread, must equal
+// the same run made first on a fresh thread, trace and exports alike.
+
+std::string FormatRunTrace(const RunTrace& trace) {
+  std::string out;
+  for (const Query& q : trace.queries) {
+    out += std::to_string(q.id) + " req=" + std::to_string(q.request_id) +
+           " attempt=" + std::to_string(q.attempt) +
+           " workload=" + std::to_string(static_cast<int>(q.workload)) +
+           " arrival=" + GoldenDouble(q.arrival) +
+           " size=" + GoldenDouble(q.size) +
+           " service=" + GoldenDouble(q.service_time) +
+           " start=" + GoldenDouble(q.start) +
+           " depart=" + GoldenDouble(q.depart) +
+           " sprint_begin=" + GoldenDouble(q.sprint_begin) +
+           " sprint_seconds=" + GoldenDouble(q.sprint_seconds) +
+           " first_arrival=" + GoldenDouble(q.first_arrival) + " flags=" +
+           (q.timed_out ? "t" : "-") + (q.sprinted ? "s" : "-") +
+           (q.shed ? "x" : "-") + (q.abandoned ? "a" : "-") + "\n";
+  }
+  for (double v : {trace.mean_response_time, trace.mean_queueing_delay,
+                   trace.mean_processing_time, trace.fraction_sprinted,
+                   trace.fraction_timed_out, trace.total_sprint_seconds,
+                   trace.makespan, trace.mean_unsprinted_processing_time,
+                   trace.goodput_per_second}) {
+    out += GoldenDouble(v) + "\n";
+  }
+  for (size_t v : {trace.shed_count, trace.abandoned_count, trace.retry_count,
+                   trace.served_count, trace.goodput_count,
+                   trace.badput_count}) {
+    out += std::to_string(v) + "\n";
+  }
+  return out + FormatFaultTrace(trace.fault_trace);
+}
+
+// The run detached, then attached to every sink, rendered as text.
+std::string RunDetachedAndAttached(const TestbedConfig& config) {
+  std::string out = "== detached\n" + FormatRunTrace(Testbed::Run(config));
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder recorder;
+  obs::SpanCollector spans;
+  obs::SloPipeline slo;
+  RunTrace attached;
+  {
+    obs::ObsSession session(&metrics, &recorder, &spans, &slo);
+    attached = Testbed::Run(config);
+  }
+  return out + "== attached\n" + FormatRunTrace(attached) +
+         metrics.Snapshot().ToText() + recorder.FormatTail() +
+         obs::FormatAttribution(
+             obs::Attribute(spans.TakeSpans(), obs::AttributionOptions{})) +
+         slo.FormatTimeline() + slo.FormatSummary();
+}
+
+std::string RunOnFreshThread(const TestbedConfig& config) {
+  std::string out;
+  std::thread([&] { out = RunDetachedAndAttached(config); }).join();
+  return out;
+}
+
+TEST(DeterminismTest, TestbedStorageReuseLeavesNoTrace) {
+  // The baseline storm side retries up to 4 attempts per request, so its
+  // attempt records and arena span 4x the original queries.
+  const TestbedConfig storm =
+      robust::MakeStormTestbedConfig(robust::StormConfig{},
+                                     /*hardened=*/false);
+  ASSERT_TRUE(storm.retry.enabled);
+  ASSERT_EQ(storm.retry.max_attempts, 4u);
+  TestbedConfig plain;
+  plain.num_queries = 150;
+  plain.warmup_queries = 10;
+  plain.seed = 5;
+
+  const std::string fresh_storm = RunOnFreshThread(storm);
+  const std::string fresh_plain = RunOnFreshThread(plain);
+  ASSERT_NE(fresh_storm.find(" attempt=4 "), std::string::npos)
+      << "storm side never reached its last attempt";
+  EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
+  EXPECT_EQ(RunDetachedAndAttached(plain), fresh_plain);
+  EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
 }
 
 }  // namespace

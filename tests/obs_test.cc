@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -129,6 +133,48 @@ TEST(MetricsRegistryTest, SnapshotRenderingIsByteStable) {
 TEST(StableDoubleTest, RoundTripsExactly) {
   for (double v : {0.1, 1.0 / 3.0, 1e-300, 123456.789, 0.0}) {
     EXPECT_EQ(std::stod(StableDouble(v)), v) << StableDouble(v);
+  }
+}
+
+// StableDouble renders through std::to_chars; every export's bytes were
+// defined by printf's %.17g, so the two must agree on every double.
+std::string PrintfG17(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+TEST(StableDoubleTest, MatchesPrintfG17) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, inf, -inf, nan, -nan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), DBL_MAX, -DBL_MAX,
+      9007199254740992.0 - 1.0, 9007199254740992.0, 9007199254740992.0 + 2.0,
+      0.1 + 0.2, 1.0 / 3.0, 5e-324, 1e-5, 1e-4, 123456.789};
+  for (int e = -320; e <= 308; ++e) {
+    values.push_back(std::pow(10.0, e));
+  }
+  for (double v : values) {
+    EXPECT_EQ(StableDouble(v), PrintfG17(v)) << PrintfG17(v);
+  }
+  // Random bit patterns cover every exponent, both signs and NaN payloads.
+  std::mt19937_64 rng(20261016);
+  size_t mismatches = 0;
+  std::string appended;
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    const std::string want = PrintfG17(v);
+    if (StableDouble(v) != want) {
+      ADD_FAILURE() << "bits " << std::bit_cast<uint64_t>(v) << ": "
+                    << StableDouble(v) << " vs " << want;
+      if (++mismatches == 10) break;
+    }
+    appended.clear();
+    AppendStableDouble(appended, v);
+    ASSERT_EQ(appended, want);
   }
 }
 

@@ -12,17 +12,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/common/checksum.h"
 #include "src/common/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/recorder.h"
 #include "src/obs/sketch.h"
 #include "src/obs/slo.h"
+#include "src/obs/wire.h"
 #include "src/robust/storm.h"
 #include "src/sim/queue_simulator.h"
 #include "src/testbed/testbed.h"
@@ -321,8 +330,9 @@ TEST(SloPipelineTest, SignalValuesMatchDefinitions) {
   pipeline.OnBudgetLevel(0.9, 12.5);
   pipeline.Finish(1.0);
 
-  ASSERT_GE(pipeline.timeline().size(), 1u);
-  const SloWindow& w = pipeline.timeline()[0];
+  const auto timeline = pipeline.timeline();
+  ASSERT_GE(timeline.size(), 1u);
+  const SloWindow& w = timeline[0];
   double value = 0.0;
   ASSERT_TRUE(w.SignalValue(SloSignal::kGoodputRatio, 1.0, &value));
   EXPECT_DOUBLE_EQ(value, 1.0 / 3.0);  // good / (good + bad + shed)
@@ -620,6 +630,247 @@ TEST(SloStateTest, RestoreFailsClosedOnCorruption) {
                std::invalid_argument);
   EXPECT_THROW(SloPipeline::RestoreState(bytes + "zz"),
                std::invalid_argument);
+}
+
+// Locates `fields` (little-endian wire encodings), which must occur in
+// `bytes` exactly once.
+size_t FindFields(const std::string& bytes, const std::string& fields) {
+  const size_t at = bytes.find(fields);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(bytes.rfind(fields), at) << "fields occur more than once";
+  return at;
+}
+
+std::string U64(uint64_t v) {
+  std::string out;
+  wire::PutU64(out, v);
+  return out;
+}
+
+std::string F64(double v) {
+  std::string out;
+  wire::PutF64(out, v);
+  return out;
+}
+
+// Each window record starts with its index and bounds.
+std::string WindowHead(uint64_t index) {
+  return U64(index) + F64(index * 5.0) + F64(index * 5.0 + 5.0);
+}
+
+// SaveState writes the closed ring as the whole retained range, contiguous
+// and ending just before the open window. Restore refuses any other shape:
+// the pipeline keeps only non-empty windows and derives the rest from the
+// range, so a misshapen ring would render a timeline that disagrees with
+// its own header.
+TEST(SloStateTest, RestoreRejectsMisshapenClosedRing) {
+  SloConfig config;
+  config.timeline_capacity = 100;  // above the 73-window burn floor
+  SloPipeline pipeline(config);
+  for (int w = 0; w < 150; ++w) {
+    pipeline.OnResponse(w * 5.0 + 1.0, 0.5, true);
+  }
+  // Window 149 is open; 0..148 closed, 49 dropped, 49..148 retained.
+  ASSERT_EQ(pipeline.windows_closed(), 149u);
+  ASSERT_EQ(pipeline.windows_dropped(), 49u);
+  const std::string good = pipeline.SaveState();
+  EXPECT_EQ(SloPipeline::RestoreState(good).SaveState(), good);
+
+  auto patched = [&good](const std::string& from, const std::string& to) {
+    std::string bytes = good;
+    bytes.replace(FindFields(bytes, from), to.size(), to);
+    return bytes;
+  };
+  // Indices increase but skip: the first retained window claims index 10.
+  EXPECT_THROW(
+      SloPipeline::RestoreState(patched(WindowHead(49), U64(10))),
+      std::invalid_argument);
+  // The ring ends at 148 but the open window claims 155.
+  EXPECT_THROW(
+      SloPipeline::RestoreState(patched(WindowHead(149), U64(155))),
+      std::invalid_argument);
+  // 100 windows in the ring, but the counts say 101.
+  EXPECT_THROW(SloPipeline::RestoreState(
+                   patched(U64(149) + U64(49), U64(150) + U64(49))),
+               std::invalid_argument);
+  // Counts and ring agree, but 100 windows exceed an 80-window capacity.
+  EXPECT_THROW(SloPipeline::RestoreState(
+                   patched(F64(5.0) + F64(0.01) + U64(100),
+                           F64(5.0) + F64(0.01) + U64(80))),
+               std::invalid_argument);
+}
+
+// --- golden across window gaps -----------------------------------------
+//
+// tests/golden/slo_windows.txt pins every SLO export byte for byte across
+// gaps of empty windows. It was generated by the pipeline that built and
+// stored every closed window, and the pipeline that stores only windows
+// with data or mask bits must reproduce it. Each data window holds one
+// response, so every printed window quantile is that exact sample. Exports
+// up to kGoldenFullBytes are recorded in full, longer ones as their length
+// and CRC-32.
+//
+// Regenerate (only when intentionally changing export bytes) with
+// MSPRINT_UPDATE_GOLDEN=1 ./build/tests/slo_test
+
+constexpr size_t kGoldenFullBytes = 8192;
+constexpr double kGoldenWindow = 5.0;  // SloConfig's default
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    out += kDigits[static_cast<unsigned char>(bytes[i]) >> 4];
+    out += kDigits[static_cast<unsigned char>(bytes[i]) & 15];
+    if (i % 64 == 63 || i + 1 == bytes.size()) out += '\n';
+  }
+  return out;
+}
+
+void AppendGolden(std::string& out, const std::string& name,
+                  const std::string& text, bool full) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(text));
+  out += "-- " + name + " bytes " + std::to_string(text.size()) + " crc32 " +
+         crc + "\n";
+  if (full && text.size() <= kGoldenFullBytes) out += text;
+}
+
+void AppendGoldenExports(std::string& out, const std::string& label,
+                         const SloPipeline& pipeline, bool full) {
+  AppendGolden(out, label + " timeline", pipeline.FormatTimeline(), full);
+  AppendGolden(out, label + " jsonl", pipeline.FormatTimelineJsonl(), full);
+  AppendGolden(out, label + " watch", pipeline.FormatWatch(), full);
+  AppendGolden(out, label + " summary", pipeline.FormatSummary(), full);
+  AppendGolden(out, label + " state", Hex(pipeline.SaveState()), full);
+}
+
+// One data window: an arrival and a single response, plus sheds, sprint
+// engages and aborts, timeouts and gauges cycling with the ordinal.
+void FeedGoldenWindow(SloPipeline& pipeline, uint64_t index, int k) {
+  const double t = (static_cast<double>(index) + 0.25) * kGoldenWindow;
+  pipeline.OnArrival(t);
+  pipeline.OnResponse(t + 0.5, 0.5 + 0.75 * (k % 9), k % 4 != 3);
+  if (k % 3 == 0) pipeline.OnShed(t + 1.0);
+  if (k % 2 == 0) pipeline.OnSprintEngage(t + 1.5);
+  if (k % 5 == 1) {
+    pipeline.OnSprintAbort(t + 2.0);
+    pipeline.OnTimeout(t + 2.0);
+  }
+  if (k % 2 == 1) pipeline.OnQueueDepth(t + 2.5, k % 6);
+  if (k % 3 != 2) pipeline.OnBudgetLevel(t + 3.0, 10.0 - 0.5 * k);
+}
+
+// Exports of every config x capacity case, the uninterrupted pipeline in
+// full and a pipeline saved and restored inside the last long gap as
+// digests; `resumed_matches` reports whether the two agree.
+std::string SloGoldenExport(bool* resumed_matches) {
+  const std::vector<std::pair<std::string, std::string>> configs = {
+      {"default", ""},
+      // p99 is never evaluated on an empty window; engage_rate and
+      // arrival_rate are, and arrival_rate > 0.1 fails on every one.
+      {"objectives",
+       "burn fast 5 10 14.4\n"
+       "burn slow 10 30 6\n"
+       "objective p99 < 3 budget 0.05\n"
+       "objective engage_rate < 0.1 budget 0.25\n"
+       "objective arrival_rate > 0.1 budget 0.1\n"
+       "anomaly arrival_rate alpha 0.3 z 2 warmup 2\n"
+       "anomaly p99 alpha 0.5 z 1.5 warmup 1\n"},
+      // Alerts outlive the data into the gaps, then clear.
+      {"p99",
+       "burn fast 5 10 14.4\n"
+       "burn slow 10 30 6\n"
+       "objective p99 < 3 budget 0.05\n"
+       "anomaly queue_depth alpha 0.3 z 1 warmup 1\n"},
+  };
+  *resumed_matches = true;
+  std::string out = "# msprint slo golden v1\n";
+  for (const auto& [name, objectives] : configs) {
+    for (const uint64_t capacity : {1, 7, 4096}) {
+      SloConfig config = ParseSloObjectives(objectives);
+      config.timeline_capacity = capacity;
+      const double longest = std::max(config.burn.fast_long_seconds,
+                                      config.burn.slow_long_seconds);
+      const uint64_t retained = std::max<uint64_t>(
+          capacity,
+          static_cast<uint64_t>(std::ceil(longest / kGoldenWindow)) + 1);
+      // Empty windows between consecutive data windows; the pipeline is
+      // saved and restored just before the second long gap.
+      const std::vector<uint64_t> gaps = {
+          0, 1, capacity - 1, capacity, retained - 1, retained,
+          3 * retained + 5, 3 * retained + 5, 0};
+      const size_t split = 7;
+
+      FlightRecorder recorder(1 << 16);
+      SloPipeline uninterrupted(config);
+      SloPipeline first(config);
+      std::string split_state;
+      std::optional<SloPipeline> resumed;
+      uint64_t index = 0;
+      for (size_t k = 0; k <= gaps.size(); ++k) {
+        if (k == split) {
+          split_state = first.SaveState();
+          resumed.emplace(SloPipeline::RestoreState(split_state));
+        }
+        {
+          ObsSession session(nullptr, &recorder);
+          FeedGoldenWindow(uninterrupted, index, static_cast<int>(k));
+        }
+        FeedGoldenWindow(resumed ? *resumed : first, index,
+                         static_cast<int>(k));
+        if (k < gaps.size()) index += 1 + gaps[k];
+      }
+      const double end = (static_cast<double>(index) + 3.0) * kGoldenWindow;
+      {
+        ObsSession session(nullptr, &recorder);
+        uninterrupted.Finish(end);
+      }
+      resumed->Finish(end);
+
+      const std::string label =
+          name + " capacity " + std::to_string(capacity);
+      out += "== " + label + " retained " + std::to_string(retained) +
+             " data windows " + std::to_string(gaps.size() + 1) + "\n";
+      AppendGoldenExports(out, "final", uninterrupted, /*full=*/true);
+      AppendGolden(out, "final events", recorder.FormatTail(), true);
+      AppendGolden(out, "split state", Hex(split_state), true);
+      AppendGoldenExports(out, "resumed", *resumed, /*full=*/false);
+      *resumed_matches =
+          *resumed_matches &&
+          resumed->FormatTimeline() == uninterrupted.FormatTimeline() &&
+          resumed->FormatTimelineJsonl() ==
+              uninterrupted.FormatTimelineJsonl() &&
+          resumed->FormatWatch() == uninterrupted.FormatWatch() &&
+          resumed->FormatSummary() == uninterrupted.FormatSummary() &&
+          resumed->SaveState() == uninterrupted.SaveState();
+    }
+  }
+  return out;
+}
+
+TEST(SloGoldenTest, ExportsAcrossGapsMatchCommittedGolden) {
+  bool resumed_matches = false;
+  const std::string got = SloGoldenExport(&resumed_matches);
+  EXPECT_TRUE(resumed_matches)
+      << "a pipeline restored inside a gap diverged from the uninterrupted one";
+  const std::string path =
+      std::string(MSPRINT_SOURCE_DIR) + "/tests/golden/slo_windows.txt";
+  if (const char* update = std::getenv("MSPRINT_UPDATE_GOLDEN");
+      update != nullptr && update[0] != '\0' && update[0] != '0') {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got;
+    out.close();
+    GTEST_SKIP() << "golden rewritten: " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " (generate with MSPRINT_UPDATE_GOLDEN=1)";
+  const std::string want((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_EQ(got.size(), want.size()) << "golden size diverged";
+  EXPECT_EQ(got, want);
 }
 
 // --- testbed integration ------------------------------------------------
