@@ -1,5 +1,5 @@
-// Shared discrete-event queue for the three event engines (queue
-// simulator, multi-class simulator, ground-truth testbed).
+// Shared discrete-event queue for the two event engines (queue simulator,
+// ground-truth testbed).
 //
 // This replaces the per-engine `std::priority_queue<Event>` heaps with a
 // two-mode structure:

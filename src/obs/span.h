@@ -18,8 +18,8 @@
 //
 // Determinism rules mirror the flight recorder (DESIGN.md §10/§11): spans
 // are built only from serial deterministic code (the testbed event loop's
-// post-run sweep, the queue simulator when SimConfig::record_spans is
-// set), with sim-time stamps. Under those rules the recorded span stream —
+// post-run sweep, the queue simulator's into its SimConfig::span_sink),
+// with sim-time stamps. Under those rules the recorded span stream —
 // and every attribution/diff export derived from it — is byte-identical
 // for any MSPRINT_THREADS. The component taxonomy is append-only: exported
 // names feed CI obs-diff baselines.

@@ -407,7 +407,7 @@ Measurement RunOneSim(const Scenario& scenario) {
         continue;
       }
       events.push_back({q.arrival, SloEventKind::kArrival, 0.0, false});
-      // The sim's live loop reports every completed response as good.
+      // The simulator has no badput notion: every response is good.
       events.push_back(
           {q.depart, SloEventKind::kResponse, q.ResponseTime(), true});
     }

@@ -8,7 +8,6 @@
 #include "src/core/event_queue.h"
 #include "src/core/run_arena.h"
 #include "src/obs/obs.h"
-#include "src/obs/slo.h"
 
 namespace msprint {
 
@@ -37,6 +36,7 @@ enum class EventType : uint32_t { kArrival, kDeparture, kTimeout };
 // loop touches only the columns an event actually needs, instead of
 // dragging a whole SimQuery record through the cache per access.
 struct QueryColumns {
+  uint32_t* klass;  // null unless there are two or more classes
   double* arrival;
   double* service_time;
   double* start;
@@ -53,11 +53,24 @@ struct QueryColumns {
 
 SimResult SimulateQueue(const SimConfig& config,
                         std::vector<SimQuery>* trace_out) {
-  if (config.service == nullptr) {
-    throw std::invalid_argument("SimConfig.service must be set");
+  // An empty class list is one class built from the top-level fields.
+  const SimClass single{1.0, config.service, config.timeout_seconds,
+                        config.sprint_speedup};
+  const SimClass* classes =
+      config.classes.empty() ? &single : config.classes.data();
+  const size_t num_classes = std::max<size_t>(1, config.classes.size());
+  double total_weight = 0.0;
+  for (size_t c = 0; c < num_classes; ++c) {
+    if (classes[c].service == nullptr) {
+      throw std::invalid_argument("SimConfig.service must be set");
+    }
+    if (classes[c].sprint_speedup <= 0.0 || classes[c].arrival_weight <= 0.0) {
+      throw std::invalid_argument("invalid SimConfig");
+    }
+    total_weight += classes[c].arrival_weight;
   }
   if (config.num_queries == 0 || config.slots < 1 ||
-      config.sprint_speedup <= 0.0 || config.arrival_rate_per_second <= 0.0) {
+      config.arrival_rate_per_second <= 0.0) {
     throw std::invalid_argument("invalid SimConfig");
   }
 
@@ -77,12 +90,15 @@ SimResult SimulateQueue(const SimConfig& config,
 
   // One block reservation covers every per-run array; the event loop
   // below allocates nothing.
+  const bool multi_class = num_classes > 1;
   RunArena arena;
   arena.Reserve(RunArena::BytesFor<double>(n) * 6 +
                 RunArena::BytesFor<uint64_t>(n) +
+                (multi_class ? RunArena::BytesFor<uint32_t>(n) : 0) +
                 RunArena::BytesFor<uint8_t>(n) * 3 +
                 RunArena::BytesFor<size_t>(n));
   QueryColumns q;
+  q.klass = multi_class ? arena.AllocateUninit<uint32_t>(n) : nullptr;
   q.arrival = arena.AllocateUninit<double>(n);      // pre-gen writes all
   q.service_time = arena.AllocateUninit<double>(n);  // pre-gen writes all
   q.start = arena.Allocate<double>(n);
@@ -100,6 +116,26 @@ SimResult SimulateQueue(const SimConfig& config,
   size_t fifo_head = 0;
   size_t fifo_tail = 0;
 
+  // The class of a query: the only class unless the column exists.
+  auto class_of = [&](size_t query) -> const SimClass& {
+    return classes[q.klass != nullptr ? q.klass[query] : 0];
+  };
+
+  // Draws query i's class (by arrival weight, when there is a choice) and
+  // then its service time.
+  auto draw_class_and_service = [&](size_t i) {
+    if (q.klass != nullptr) {
+      double u = rng.NextDouble() * total_weight;
+      uint32_t c = 0;
+      while (c + 1 < num_classes && (u -= classes[c].arrival_weight) >= 0.0) {
+        ++c;
+      }
+      q.klass[i] = c;
+    }
+    q.service_time[i] = std::max(1e-9, class_of(i).service->Sample(rng)) *
+                        config.service_time_scale;
+  };
+
   // Pre-generate arrivals and service times, as Algorithm 1 does ("these
   // properties are set before simulation begins").
   if (config.arrival_trace != nullptr) {
@@ -109,8 +145,7 @@ SimResult SimulateQueue(const SimConfig& config,
         throw std::invalid_argument("arrival trace must be ascending");
       }
       q.arrival[i] = trace[i];
-      q.service_time[i] = std::max(1e-9, config.service->Sample(rng)) *
-                          config.service_time_scale;
+      draw_class_and_service(i);
     }
   } else {
     const auto interarrival = MakeDistribution(
@@ -119,20 +154,13 @@ SimResult SimulateQueue(const SimConfig& config,
     for (size_t i = 0; i < n; ++i) {
       t += interarrival->Sample(rng);
       q.arrival[i] = t;
-      q.service_time[i] = std::max(1e-9, config.service->Sample(rng)) *
-                          config.service_time_scale;
+      draw_class_and_service(i);
     }
   }
 
   SprintBudget budget(config.budget_capacity_seconds,
                       config.budget_refill_seconds);
   robust::AdmissionController admission(config.admission, config.slots);
-
-  // Streaming SLO pipeline: opt-in (record_timeline) because simulations
-  // also run on pool workers while a pipeline is attached, and the
-  // pipeline — like the flight recorder — is serial-only.
-  obs::SloPipeline* slo =
-      config.record_timeline ? obs::ActiveSlo() : nullptr;
 
   // Same-timestamp events pop in push order (the EventQueue (time, seq)
   // contract); each engine action below relies on that explicit tiebreak.
@@ -154,11 +182,9 @@ SimResult SimulateQueue(const SimConfig& config,
     if (config.admission.Enabled()) {
       admission.OnDispatch(now, now - q.arrival[query]);
     }
-    if (slo != nullptr) {
-      slo->OnQueueDepth(now, static_cast<double>(fifo_tail - fifo_head));
-    }
+    const SimClass& klass = class_of(query);
     q.start[query] = now;
-    const double timeout_at = q.arrival[query] + config.timeout_seconds;
+    const double timeout_at = q.arrival[query] + klass.timeout_seconds;
     const bool timeout_already_fired = timeout_at <= now;
     if (timeout_already_fired) {
       q.timed_out[query] = 1;
@@ -166,11 +192,8 @@ SimResult SimulateQueue(const SimConfig& config,
         // Whole execution sprints (the marginal-rate case of Section 2).
         q.sprinted[query] = 1;
         q.sprint_begin[query] = now;
-        if (slo != nullptr) {
-          slo->OnSprintEngage(now);
-        }
-        schedule_departure(query, now + q.service_time[query] /
-                                      config.sprint_speedup);
+        schedule_departure(query,
+                           now + q.service_time[query] / klass.sprint_speedup);
         return;
       }
     }
@@ -192,11 +215,6 @@ SimResult SimulateQueue(const SimConfig& config,
       q.sprint_seconds[query] = now - q.sprint_begin[query];
       budget.ConsumeAllowingDebt(now, q.sprint_seconds[query]);
     }
-    if (slo != nullptr) {
-      // The simulator has no badput notion: every served query is good.
-      slo->OnResponse(now, now - q.arrival[query], /*good=*/true);
-      slo->OnBudgetLevel(now, budget.Available(now));
-    }
     ++free_slots;
   };
 
@@ -209,16 +227,10 @@ SimResult SimulateQueue(const SimConfig& config,
       case EventType::kArrival: {
         if (config.admission.Enabled() &&
             !admission.Admit(now, fifo_tail - fifo_head,
-                             config.timeout_seconds)) {
+                             class_of(query).timeout_seconds)) {
           q.shed[query] = 1;  // turned away: never enqueues, never runs
-          if (slo != nullptr) {
-            slo->OnShed(now);
-          }
         } else {
           fifo[fifo_tail++] = query;
-          if (slo != nullptr) {
-            slo->OnArrival(now);
-          }
         }
         if (++next_arrival < n) {
           events.Push(q.arrival[next_arrival],
@@ -242,18 +254,13 @@ SimResult SimulateQueue(const SimConfig& config,
           break;
         }
         q.timed_out[query] = 1;
-        if (slo != nullptr) {
-          slo->OnTimeout(now);
-        }
         if (budget.Available(now) > kBudgetEpsilon) {
           // Equation 1: remaining work finishes at the sprint speedup.
           q.sprinted[query] = 1;
           q.sprint_begin[query] = now;
-          if (slo != nullptr) {
-            slo->OnSprintEngage(now);
-          }
           const double remaining = q.depart[query] - now;
-          schedule_departure(query, now + remaining / config.sprint_speedup);
+          schedule_departure(
+              query, now + remaining / class_of(query).sprint_speedup);
         }
         break;
       }
@@ -276,6 +283,13 @@ SimResult SimulateQueue(const SimConfig& config,
   size_t sprinted = 0;
   size_t timed_out = 0;
   size_t served = 0;
+  // Per-class accumulators, kept only when there are two or more classes.
+  struct ClassTally {
+    StreamingStats rt;
+    StreamingStats qd;
+    size_t sprinted = 0;
+  };
+  std::vector<ClassTally> tallies(multi_class ? num_classes : 0);
   for (size_t i = first; i < n; ++i) {
     if (q.shed[i]) {
       ++result.shed_count;  // never ran: no response time to report
@@ -283,9 +297,10 @@ SimResult SimulateQueue(const SimConfig& config,
     }
     ++served;
     const double response = q.depart[i] - q.arrival[i];
+    const double queueing = q.start[i] - q.arrival[i];
     result.response_times.push_back(response);
     rt_stats.Add(response);
-    qd_stats.Add(q.start[i] - q.arrival[i]);
+    qd_stats.Add(queueing);
     if (q.sprinted[i]) {
       ++sprinted;
       result.total_sprint_seconds += q.sprint_seconds[i];
@@ -294,6 +309,12 @@ SimResult SimulateQueue(const SimConfig& config,
       ++timed_out;
     }
     result.makespan = std::max(result.makespan, q.depart[i]);
+    if (multi_class) {
+      ClassTally& tally = tallies[q.klass[i]];
+      tally.rt.Add(response);
+      tally.qd.Add(queueing);
+      tally.sprinted += q.sprinted[i];
+    }
   }
   // Fractions are over *served* queries; with admission disabled this is
   // exactly the historical n - first denominator.
@@ -302,8 +323,13 @@ SimResult SimulateQueue(const SimConfig& config,
   result.mean_queueing_delay = qd_stats.mean();
   result.fraction_sprinted = count > 0.0 ? sprinted / count : 0.0;
   result.fraction_timed_out = count > 0.0 ? timed_out / count : 0.0;
-  if (slo != nullptr) {
-    slo->Finish(result.makespan);
+  for (const ClassTally& tally : tallies) {
+    const size_t completed = tally.rt.count();
+    result.per_class.push_back(
+        {completed, tally.rt.mean(), tally.qd.mean(),
+         completed > 0 ? static_cast<double>(tally.sprinted) /
+                             static_cast<double>(completed)
+                       : 0.0});
   }
 
   // Counters only: simulations run on pool workers (replications, SA
@@ -317,38 +343,29 @@ SimResult SimulateQueue(const SimConfig& config,
     obs::Count("sim/shed", result.shed_count);
   }
 
-  // Span recording needs the explicit opt-in on top of an attached
-  // collector: simulations also run on pool workers while an ObsSession is
-  // live, and spans — like flight-recorder events — may only come from
-  // serial deterministic call sites. An explicit span_sink bypasses the
-  // global session entirely (whatif reruns on workers collect locally).
-  {
-    obs::SpanCollector* span_sink =
-        config.span_sink != nullptr
-            ? config.span_sink
-            : (config.record_spans ? obs::ActiveSpans() : nullptr);
-    if (span_sink != nullptr) {
-      std::vector<obs::SpanInputs> inputs;
-      inputs.reserve(n - first);
-      for (size_t i = first; i < n; ++i) {
-        if (q.shed[i]) {
-          continue;  // no milestones: the query never entered the system
-        }
-        obs::SpanInputs in;
-        in.id = i;
-        in.arrival = q.arrival[i];
-        in.start = q.start[i];
-        in.depart = q.depart[i];
-        // The simulator models no phases, interference or faults: the
-        // whole decomposition is queue wait + service + sprint delta.
-        in.service_time = q.service_time[i];
-        in.sprint_begin = q.sprinted[i] ? q.sprint_begin[i] : -1.0;
-        in.sprinted = q.sprinted[i] != 0;
-        in.timed_out = q.timed_out[i] != 0;
-        inputs.push_back(in);
+  // Spans go only to the explicit sink, never to the global session, so
+  // a run on a pool worker cannot race a serial collector.
+  if (config.span_sink != nullptr) {
+    std::vector<obs::SpanInputs> inputs;
+    inputs.reserve(n - first);
+    for (size_t i = first; i < n; ++i) {
+      if (q.shed[i]) {
+        continue;  // no milestones: the query never entered the system
       }
-      span_sink->RecordBatch(obs::BuildQuerySpanBatch(inputs));
+      obs::SpanInputs in;
+      in.id = i;
+      in.arrival = q.arrival[i];
+      in.start = q.start[i];
+      in.depart = q.depart[i];
+      // The simulator models no phases, interference or faults: the whole
+      // decomposition is queue wait + service + sprint delta.
+      in.service_time = q.service_time[i];
+      in.sprint_begin = q.sprinted[i] ? q.sprint_begin[i] : -1.0;
+      in.sprinted = q.sprinted[i] != 0;
+      in.timed_out = q.timed_out[i] != 0;
+      inputs.push_back(in);
     }
+    config.span_sink->RecordBatch(obs::BuildQuerySpanBatch(inputs));
   }
 
   if (trace_out != nullptr) {

@@ -13,6 +13,12 @@
 // of magnitude faster — what makes the paper's ">900 predictions per
 // minute" practical. A literal tick-loop shim (tick_simulator.h) is kept
 // for conformance testing.
+//
+// The same loop runs the Section 5 extension: "only small modifications to
+// the simulator are needed to support multiple sprint rates and timeouts".
+// Query classes (SimConfig::classes) carry their own arrival weight,
+// service time, timeout and sprint speedup and share one FIFO queue, the
+// slots and one sprint budget.
 
 #ifndef MSPRINT_SRC_SIM_QUEUE_SIMULATOR_H_
 #define MSPRINT_SRC_SIM_QUEUE_SIMULATOR_H_
@@ -31,6 +37,17 @@ namespace msprint {
 namespace obs {
 class SpanCollector;
 }  // namespace obs
+
+// One query class of a multi-class run. A class's timeout counts from
+// arrival; if it fires while the query is queued, the whole execution
+// sprints at the class speedup (budget permitting); if it fires
+// mid-execution, the remaining work finishes at the class speedup.
+struct SimClass {
+  double arrival_weight = 1.0;            // share of the arrival stream
+  const Distribution* service = nullptr;  // sustained-rate service time
+  double timeout_seconds = 60.0;
+  double sprint_speedup = 1.0;            // mu_e / mu for this class
+};
 
 // Everything the predictive simulator needs to know. Note there is no
 // workload or mechanism here: the simulator sees only rates, a timeout and
@@ -75,30 +92,23 @@ struct SimConfig {
   // response-time statistics (counted in SimResult::shed_count).
   robust::AdmissionConfig admission;
 
-  // When true AND a span collector is attached (obs::ActiveSpans), the
-  // post-warmup queries are recorded as attribution spans. Off by default
-  // because simulations also run on pool workers (replications, SA chains)
-  // while an ObsSession is live, and span recording — like the flight
-  // recorder — is reserved for serial deterministic paths; only serial
-  // call sites (e.g. `msprint explain --profile`) should set this.
-  bool record_spans = false;
-
-  // When true AND an SLO pipeline is attached (obs::ActiveSlo), the event
-  // loop feeds it windowed signals (arrivals, responses, sheds, sprint
-  // engages, budget level) at sim timestamps. Same opt-in rationale as
-  // record_spans: the pipeline is serial-only, so only serial call sites
-  // may set this.
-  bool record_timeline = false;
-
   // Counterfactual perturbation hook (src/obs/whatif; DESIGN.md §16):
   // multiplies every sampled service time. The 1.0 default is a bitwise
   // identity, so unperturbed configs replay byte-identically.
   double service_time_scale = 1.0;
 
-  // When set, post-warmup spans are recorded here regardless of
-  // record_spans — the whatif executor's way of collecting spans on pool
-  // workers without touching the process-global ObsSession.
+  // When set, every served post-warmup query is recorded here as an
+  // attribution span (DESIGN.md §11). This is the simulator's only sink:
+  // it never reads the process-global ObsSession's span collector or SLO
+  // pipeline, so runs on pool workers stay race-free.
   obs::SpanCollector* span_sink = nullptr;
+
+  // Query classes. Empty means one class built from `service`,
+  // `timeout_seconds` and `sprint_speedup` above; otherwise those three
+  // are ignored. With two or more classes each query's class is drawn by
+  // arrival weight between its interarrival and service draws; one class
+  // draws no class variate, so it replays the empty list bit for bit.
+  std::vector<SimClass> classes;
 };
 
 // Per-query record emitted by a simulation.
@@ -116,6 +126,14 @@ struct SimQuery {
   double QueueingDelay() const { return start - arrival; }
 };
 
+// Post-warmup statistics of one query class, over its served queries.
+struct SimClassStats {
+  size_t completed = 0;
+  double mean_response_time = 0.0;
+  double mean_queueing_delay = 0.0;
+  double fraction_sprinted = 0.0;
+};
+
 struct SimResult {
   std::vector<double> response_times;  // post-warmup
   double mean_response_time = 0.0;
@@ -125,6 +143,9 @@ struct SimResult {
   double total_sprint_seconds = 0.0;
   double makespan = 0.0;  // departure time of the last query
   size_t shed_count = 0;  // post-warmup arrivals the controller turned away
+  // One entry per class when SimConfig::classes holds two or more; empty
+  // otherwise, since the fields above then describe the one class.
+  std::vector<SimClassStats> per_class;
 
   double MedianResponseTime() const;
   double PercentileResponseTime(double q) const;

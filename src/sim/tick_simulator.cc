@@ -14,7 +14,8 @@ constexpr double kBudgetEpsilon = 1e-9;
 SimResult SimulateQueueTicked(const TickSimConfig& config,
                               std::vector<SimQuery>* trace_out) {
   const SimConfig& base = config.base;
-  if (base.service == nullptr || base.slots != 1 || base.num_queries == 0) {
+  if (base.service == nullptr || base.slots != 1 || base.num_queries == 0 ||
+      !base.classes.empty()) {
     throw std::invalid_argument("tick simulator requires G/G/1 config");
   }
   const double tick = config.tick_seconds;

@@ -18,7 +18,7 @@
 namespace msprint {
 
 struct TickSimConfig {
-  SimConfig base;              // slots must be 1
+  SimConfig base;              // slots must be 1; no classes
   double tick_seconds = 1e-3;  // clock resolution
 };
 

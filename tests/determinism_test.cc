@@ -34,7 +34,6 @@
 #include "src/online/advisor.h"
 #include "src/persist/persist.h"
 #include "src/robust/storm.h"
-#include "src/sim/multiclass_simulator.h"
 #include "src/sim/queue_simulator.h"
 #include "src/testbed/testbed.h"
 
@@ -408,11 +407,10 @@ TEST(DeterminismTest, SpanAttributionByteIdenticalForAnyPoolSize) {
   const WorkloadProfile profile = DummyProfile();
 
   // The explain pipeline: drive an advisor (multi-chain exploration fans
-  // out on the pool), simulate under its recommendation with span
-  // recording opted in, and render the attribution report. Spans come only
-  // from the serial simulator path with sim-time stamps, so the full
-  // report — histograms, critical path, top-K span trees — must be
-  // byte-identical for any pool size.
+  // out on the pool), simulate under its recommendation with spans going
+  // to an explicit sink, and render the attribution report. Spans carry
+  // sim-time stamps only, so the full report — histograms, critical path,
+  // top-K span trees — must be byte-identical for any pool size.
   auto run = [&](ThreadPool* pool) {
     AdvisorConfig config;
     config.rate_window_seconds = 400.0;
@@ -431,7 +429,6 @@ TEST(DeterminismTest, SpanAttributionByteIdenticalForAnyPoolSize) {
     const auto rec = advisor.Recommend(t);
 
     obs::SpanCollector collector;
-    obs::ObsSession session(nullptr, nullptr, &collector);
     const EmpiricalDistribution service(profile.service_time_samples);
     SimConfig sim;
     sim.arrival_rate_per_second = 0.01;
@@ -441,7 +438,7 @@ TEST(DeterminismTest, SpanAttributionByteIdenticalForAnyPoolSize) {
     sim.num_queries = 800;
     sim.warmup_queries = 80;
     sim.seed = 9;
-    sim.record_spans = true;
+    sim.span_sink = &collector;
     SimulateQueue(sim);
     return obs::FormatAttribution(
         obs::Attribute(collector.TakeSpans(), obs::AttributionOptions{}));
@@ -867,12 +864,12 @@ std::string EventEngineGoldenExport() {
   config.num_queries = 400;
   config.warmup_queries = 40;
   config.seed = 20260808;
-  config.record_spans = true;
 
   {
     obs::MetricsRegistry metrics;
     obs::SpanCollector spans;
-    obs::ObsSession session(&metrics, nullptr, &spans);
+    obs::ObsSession session(&metrics, nullptr);
+    config.span_sink = &spans;
     std::vector<SimQuery> trace;
     const SimResult result = SimulateQueue(config, &trace);
 
@@ -901,28 +898,29 @@ std::string EventEngineGoldenExport() {
            obs::FormatAttribution(obs::Attribute(spans.Spans(), options));
   }
 
-  // --- multiclass simulator (shared budget, per-class policies).
+  // --- two query classes (shared budget, per-class policies).
   const EmpiricalDistribution fast({8.0, 10.5, 12.25, 15.0});
   const EmpiricalDistribution slow({80.0, 95.5, 120.25, 150.0});
-  MultiClassSimConfig mc;
+  SimConfig mc;
   mc.arrival_rate_per_second = 1.0 / 30.0;
   mc.arrival_kind = DistributionKind::kUniform;
-  mc.classes.push_back({"fast", 3.0, &fast, 20.0, 1.4});
-  mc.classes.push_back({"slow", 1.0, &slow, 140.0, 2.0});
+  mc.classes = {{3.0, &fast, 20.0, 1.4}, {1.0, &slow, 140.0, 2.0}};
   mc.budget_capacity_seconds = 25.0;
   mc.budget_refill_seconds = 120.0;
   mc.slots = 2;
   mc.num_queries = 300;
   mc.warmup_queries = 30;
   mc.seed = 77;
-  const MultiClassSimResult mres = SimulateMultiClassQueue(mc);
+  const SimResult mres = SimulateQueue(mc);
   out += "== multiclass/result\n";
   out += "mean_response_time " + GoldenDouble(mres.mean_response_time) + "\n";
   out += "total_sprint_seconds " + GoldenDouble(mres.total_sprint_seconds) +
          "\n";
   out += "makespan " + GoldenDouble(mres.makespan) + "\n";
-  for (const auto& klass : mres.per_class) {
-    out += "class " + klass.name + " completed=" +
+  const char* const class_names[] = {"fast", "slow"};
+  for (size_t c = 0; c < mres.per_class.size(); ++c) {
+    const SimClassStats& klass = mres.per_class[c];
+    out += std::string("class ") + class_names[c] + " completed=" +
            std::to_string(klass.completed) + " mean_response=" +
            GoldenDouble(klass.mean_response_time) + " mean_queueing=" +
            GoldenDouble(klass.mean_queueing_delay) + " fraction_sprinted=" +

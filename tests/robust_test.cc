@@ -121,7 +121,9 @@ TEST(AdmissionTest, DeserializeFailsClosedOnCorruption) {
   controller.Serialize(w);
   const std::string bytes = w.bytes();
   {
-    Reader r(bytes.substr(0, bytes.size() / 2));
+    // Reader keeps a view: the truncated copy must outlive it.
+    const std::string truncated = bytes.substr(0, bytes.size() / 2);
+    Reader r(truncated);
     EXPECT_THROW(AdmissionController::Deserialize(r), persist::PersistError);
   }
   {
@@ -244,7 +246,8 @@ TEST(RetryTest, DeserializeFailsClosedOnCorruption) {
   Writer w;
   model.Serialize(w);
   const std::string bytes = w.bytes();
-  Reader r(bytes.substr(0, bytes.size() - 3));
+  const std::string truncated = bytes.substr(0, bytes.size() - 3);
+  Reader r(truncated);
   EXPECT_THROW(RetryModel::Deserialize(r), persist::PersistError);
 }
 

@@ -213,29 +213,44 @@ TEST(SpanRecordingTest, TwoArgObsSessionMasksSpans) {
   EXPECT_EQ(ActiveSpans(), &outer);
 }
 
-TEST(SpanRecordingTest, SimulatorRequiresExplicitOptIn) {
+// The simulator's only span sink is SimConfig::span_sink. A collector
+// attached through ObsSession sees nothing, with or without a sink set;
+// the sink gets one identity-holding span per served post-warmup query.
+TEST(SpanRecordingTest, SimulatorRecordsOnlyIntoExplicitSink) {
   const ExponentialDistribution service(1.0 / 60.0);
   SimConfig config;
-  config.arrival_rate_per_second = 0.01;
+  config.arrival_rate_per_second = 0.015;
   config.service = &service;
   config.sprint_speedup = 1.4;
   config.timeout_seconds = 70.0;
   config.num_queries = 400;
   config.warmup_queries = 40;
   config.seed = 3;
+  // A short queue cap sheds some arrivals, which never get a span.
+  config.admission.policy = robust::AdmissionPolicy::kQueueCap;
+  config.admission.queue_cap = 2;
 
-  SpanCollector collector;
-  ObsSession session(nullptr, nullptr, &collector);
+  SpanCollector attached;
+  ObsSession session(nullptr, nullptr, &attached);
   SimulateQueue(config);
-  EXPECT_EQ(collector.recorded(), 0u) << "sim recorded without opt-in";
+  SpanCollector sink;
+  config.span_sink = &sink;
+  std::vector<SimQuery> trace;
+  const SimResult result = SimulateQueue(config, &trace);
+  EXPECT_EQ(attached.recorded(), 0u) << "sim recorded into the session";
+  ASSERT_GT(result.shed_count, 0u);
 
-  config.record_spans = true;
-  const SimResult result = SimulateQueue(config);
-  const std::vector<QuerySpan> spans = collector.TakeSpans();
+  std::vector<uint64_t> served;
+  for (size_t i = config.warmup_queries; i < trace.size(); ++i) {
+    if (!trace[i].shed) served.push_back(i);
+  }
+  const std::vector<QuerySpan> spans = sink.TakeSpans();
+  ASSERT_EQ(spans.size(), served.size());
   ASSERT_EQ(spans.size(), result.response_times.size());
-  for (const QuerySpan& span : spans) {
-    ASSERT_TRUE(span.IdentityHolds()) << "query " << span.id;
-    EXPECT_EQ(span.num_phases, 0u);  // the simulator models no phases
+  for (size_t k = 0; k < spans.size(); ++k) {
+    EXPECT_EQ(spans[k].id, served[k]);
+    ASSERT_TRUE(spans[k].IdentityHolds()) << "query " << spans[k].id;
+    EXPECT_EQ(spans[k].num_phases, 0u);  // the simulator models no phases
   }
 }
 

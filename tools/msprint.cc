@@ -789,8 +789,8 @@ int CmdTrace(const Flags& flags) {
 }
 
 // Attribution for a seeded run: collect spans from the serial testbed (or
-// the serial simulator under the advisor's recommended policy) and print
-// the byte-stable attribution report or a Chrome trace of nested spans.
+// the simulator under the advisor's recommended policy) and print the
+// byte-stable attribution report or a Chrome trace of nested spans.
 int CmdExplain(const Flags& flags) {
   obs::AttributionOptions options;
   options.top_k = flags.GetSize("top", 5);
@@ -804,8 +804,8 @@ int CmdExplain(const Flags& flags) {
   std::string policy_comment;
   if (flags.Has("profile")) {
     // Train, drive the advisor to a standing recommendation, then replay
-    // the recommended policy through the timeout-aware simulator —
-    // serially, so span recording keeps the determinism contract.
+    // the recommended policy through the timeout-aware simulator, whose
+    // spans go straight to the collector.
     const WorkloadProfile profile =
         LoadProfileFromFile(flags.GetString("profile"));
     const AdvisorConfig config = AdvisorConfigFromFlags(flags);
@@ -835,8 +835,7 @@ int CmdExplain(const Flags& flags) {
     SimConfig sim =
         BuildSimConfig(profile, input, service, speedup, sim_queries,
                        sim_queries / 10, flags.GetSize("seed", 1));
-    sim.record_spans = true;
-    obs::ObsSession session(nullptr, nullptr, &collector);
+    sim.span_sink = &collector;
     (void)SimulateQueue(sim);
     policy_comment =
         "# policy rung=" +
