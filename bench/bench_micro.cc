@@ -58,6 +58,20 @@ void BM_SimRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimRun)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// BM_SimRun's config on two slots: one slot runs as the single-slot
+// recursion, so this keeps the event loop's own number.
+void BM_SimRunEventLoop(benchmark::State& state) {
+  const LognormalDistribution service(70.0, 0.2);
+  SimConfig config =
+      MicroSimConfig(service, static_cast<size_t>(state.range(0)));
+  config.slots = 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SimulateQueue(config).mean_response_time);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimRunEventLoop)->Arg(10000);
+
 // Event-queue microbenchmarks: a sim-shaped churn (hold `live` events,
 // alternate push/pop with jittered times) at the two operating points —
 // flat mode (live set like the engines': a handful of events) and calendar

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "src/common/thread_pool.h"
 
@@ -28,21 +30,58 @@ SimConfig BuildSimConfig(const WorkloadProfile& profile,
   return config;
 }
 
+namespace {
+
+// Replication `rep`'s simulation at `speedup`. Common random numbers: the
+// seed depends only on the replication index, so the response-time curve
+// is monotone in the speedup rather than jittered by resampling.
+SimConfig ReplicationConfig(const WorkloadProfile& profile,
+                            const ModelInput& input,
+                            const Distribution& service, double speedup,
+                            const CalibrationConfig& config, size_t rep) {
+  return BuildSimConfig(profile, input, service, speedup, config.sim_queries,
+                        config.sim_warmup, DeriveSeed(config.seed, rep));
+}
+
+// Every replication's draws. They do not depend on the speedup, so one
+// draw per replication serves every speedup a row evaluates.
+std::vector<SimDraws> DrawReplications(const WorkloadProfile& profile,
+                                       const ModelInput& input,
+                                       const Distribution& service,
+                                       const CalibrationConfig& config) {
+  std::vector<SimDraws> draws;
+  draws.reserve(config.sim_replications);
+  for (size_t rep = 0; rep < config.sim_replications; ++rep) {
+    draws.push_back(DrawSimQueries(
+        ReplicationConfig(profile, input, service, 1.0, config, rep)));
+  }
+  return draws;
+}
+
+// Mean simulated response time at `speedup`, replaying `draws`.
+double ReplayedResponseTime(const WorkloadProfile& profile,
+                            const ModelInput& input,
+                            const Distribution& service, double speedup,
+                            const CalibrationConfig& config,
+                            const std::vector<SimDraws>& draws) {
+  StreamingStats stats;
+  for (size_t rep = 0; rep < draws.size(); ++rep) {
+    const SimConfig sim =
+        ReplicationConfig(profile, input, service, speedup, config, rep);
+    stats.Add(SimulateQueue(sim, draws[rep]).mean_response_time);
+  }
+  return stats.mean();
+}
+
+}  // namespace
+
 double SimulatedResponseTime(const WorkloadProfile& profile,
                              const ModelInput& input,
                              const Distribution& service, double speedup,
                              const CalibrationConfig& config) {
-  StreamingStats stats;
-  for (size_t rep = 0; rep < config.sim_replications; ++rep) {
-    // Common random numbers across speedups: the seed depends only on the
-    // replication index, so the response-time curve is monotone in the
-    // speedup rather than jittered by resampling.
-    const SimConfig sim = BuildSimConfig(
-        profile, input, service, speedup, config.sim_queries,
-        config.sim_warmup, DeriveSeed(config.seed, rep));
-    stats.Add(SimulateQueue(sim).mean_response_time);
-  }
-  return stats.mean();
+  return ReplayedResponseTime(profile, input, service, speedup, config,
+                              DrawReplications(profile, input, service,
+                                               config));
 }
 
 double CalibrateEffectiveSpeedup(const WorkloadProfile& profile,
@@ -51,11 +90,20 @@ double CalibrateEffectiveSpeedup(const WorkloadProfile& profile,
                                  const CalibrationConfig& config) {
   const ModelInput input = ModelInput::FromRow(row);
   const double observed = row.observed_mean_response_time;
+  if (!(observed > 0.0)) {
+    // The relative error below divides by it; a zero or negative mean
+    // would silently clamp the row to a search bound.
+    throw std::invalid_argument(
+        "CalibrateEffectiveSpeedup: observed mean response time must be "
+        "positive");
+  }
   const double marginal = std::max(1.0, profile.MarginalSpeedup());
+  const std::vector<SimDraws> draws =
+      DrawReplications(profile, input, service, config);
 
   auto error_at = [&](double speedup) {
-    const double rt =
-        SimulatedResponseTime(profile, input, service, speedup, config);
+    const double rt = ReplayedResponseTime(profile, input, service, speedup,
+                                           config, draws);
     return (rt - observed) / observed;  // >0: sim too slow -> raise speedup
   };
 

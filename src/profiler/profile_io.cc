@@ -188,6 +188,11 @@ WorkloadProfile ParseProfileBody(std::istream& is) {
         profile.marginal_rate_per_second >> profile.total_profiling_hours)) {
     throw std::runtime_error("profile parse error in meta");
   }
+  if (!(profile.service_rate_per_second > 0.0) ||
+      !(profile.marginal_rate_per_second > 0.0)) {
+    throw std::runtime_error(
+        "profile meta: service and marginal rates must be positive");
+  }
 
   Expect(is, "platform");
   std::string mechanism_name;
@@ -219,11 +224,14 @@ WorkloadProfile ParseProfileBody(std::istream& is) {
   if (!(is >> n_samples)) {
     throw std::runtime_error("profile parse error in samples");
   }
-  profile.service_time_samples.resize(n_samples);
+  // Containers grow as values parse, so a count that overstates the
+  // values below it fails as a parse error instead of allocating for it.
   for (size_t i = 0; i < n_samples; ++i) {
-    if (!(is >> profile.service_time_samples[i])) {
+    double sample = 0.0;
+    if (!(is >> sample)) {
       throw std::runtime_error("profile parse error reading sample");
     }
+    profile.service_time_samples.push_back(sample);
   }
 
   Expect(is, "rows");
@@ -231,9 +239,8 @@ WorkloadProfile ParseProfileBody(std::istream& is) {
   if (!(is >> n_rows)) {
     throw std::runtime_error("profile parse error in rows");
   }
-  profile.rows.resize(n_rows);
   for (size_t i = 0; i < n_rows; ++i) {
-    ProfileRow& row = profile.rows[i];
+    ProfileRow row;
     std::string kind_name;
     if (!(is >> row.utilization >> kind_name >> row.timeout_seconds >>
           row.refill_seconds >> row.budget_fraction >>
@@ -244,6 +251,14 @@ WorkloadProfile ParseProfileBody(std::istream& is) {
       throw std::runtime_error("profile parse error reading row");
     }
     row.arrival_kind = ParseDistributionKind(kind_name);
+    // Calibration measures its error relative to this mean.
+    if (!(row.observed_mean_response_time > 0.0)) {
+      throw std::runtime_error(
+          "profile row " + std::to_string(i + 1) + " of " +
+          std::to_string(n_rows) +
+          ": observed mean response time must be positive");
+    }
+    profile.rows.push_back(row);
   }
   return profile;
 }

@@ -11,8 +11,11 @@
 // event-driven (arrivals, departures, in-flight timeouts), which preserves
 // the algorithm's externally visible semantics exactly while running orders
 // of magnitude faster — what makes the paper's ">900 predictions per
-// minute" practical. A literal tick-loop shim (tick_simulator.h) is kept
-// for conformance testing.
+// minute" practical. One slot with admission off (every model-facing
+// simulation) skips the event queue altogether: query i starts at
+// max(arrival_i, depart_{i-1}), computed with the event loop's exact
+// operations. A literal tick-loop shim (tick_simulator.h) is kept for
+// conformance testing.
 //
 // The same loop runs the Section 5 extension: "only small modifications to
 // the simulator are needed to support multiple sprint rates and timeouts".
@@ -151,8 +154,37 @@ struct SimResult {
   double PercentileResponseTime(double q) const;
 };
 
-// Runs one replication. Also exposes the raw per-query trace when
-// `trace_out` is non-null (used by tests and the Fig 1 timeline bench).
+// A run's random inputs, pre-generated as Algorithm 1 does ("these
+// properties are set before simulation begins"): query i arrives at
+// arrival[i], belongs to class klass[i] and needs service_time[i] seconds
+// at the sustained rate (service_time_scale applied). They depend on the
+// seed, the arrival process or trace, each class's weight and service,
+// service_time_scale and num_queries — never on speedups, timeouts, the
+// budget or slots — so one draw can be replayed under any of those
+// (common random numbers, as calibration's bisection does).
+struct SimDraws {
+  std::vector<double> arrival;
+  std::vector<double> service_time;
+  std::vector<uint32_t> klass;  // empty unless two or more classes
+};
+
+// Draws `config`'s arrival, class and service columns, exactly as
+// SimulateQueue(config) does.
+SimDraws DrawSimQueries(const SimConfig& config);
+
+// Runs one replication on pre-drawn inputs; bit-identical to
+// SimulateQueue(config) when `draws` is DrawSimQueries(config). Throws
+// std::invalid_argument when the draws do not fit `config`: a column of
+// the wrong length, or a class index with no class. Also exposes the raw
+// per-query trace when `trace_out` is non-null (used by tests and the
+// Fig 1 timeline bench).
+//
+// One slot with admission off runs as an exact Lindley recursion; any
+// other config runs the event loop (DESIGN.md §12).
+SimResult SimulateQueue(const SimConfig& config, const SimDraws& draws,
+                        std::vector<SimQuery>* trace_out = nullptr);
+
+// Draws and runs one replication.
 SimResult SimulateQueue(const SimConfig& config,
                         std::vector<SimQuery>* trace_out = nullptr);
 

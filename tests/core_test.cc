@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "src/core/effective_rate.h"
 #include "src/core/evaluation.h"
 #include "src/core/models.h"
+#include "src/profiler/profiler.h"
 
 namespace msprint {
 namespace {
@@ -119,6 +124,69 @@ TEST(CalibrationTest, CalibrateProfileFillsAllRows) {
   for (const auto& row : profile.rows) {
     EXPECT_GT(row.effective_speedup, 0.0);
   }
+}
+
+TEST(CalibrationTest, NonPositiveObservedMeanThrows) {
+  // Library callers can bypass the profile loader's check.
+  WorkloadProfile profile = SyntheticProfile(1.3);
+  const EmpiricalDistribution service(profile.service_time_samples);
+  const CalibrationConfig config;
+  for (double bad : {0.0, -5.0, std::nan("")}) {
+    profile.rows[0].observed_mean_response_time = bad;
+    EXPECT_THROW(
+        CalibrateEffectiveSpeedup(profile, profile.rows[0], service, config),
+        std::invalid_argument)
+        << bad;
+  }
+}
+
+// Common random numbers make a row's simulated response time monotone in
+// the sprint speedup, which is what lets Equation 2's search bisect. Each
+// row of a profiled grid, Pareto rows included, replays its calibration
+// draws across the whole search range, and its mean response time must
+// never rise.
+TEST(CalibrationTest, ResponseTimeFallsWithSpeedupAcrossGrid) {
+  ProfilerConfig profiler;
+  profiler.sample_grid_points = 40;
+  profiler.queries_per_run = 2000;
+  profiler.warmup_queries = 200;
+  SprintPolicy platform;
+  platform.mechanism = MechanismId::kDvfs;
+  const WorkloadProfile profile = ProfileWorkload(
+      QueryMix::Single(WorkloadId::kJacobi), platform, profiler);
+  const EmpiricalDistribution service(profile.service_time_samples);
+  const CalibrationConfig config;
+  const double top =
+      std::max(1.0, profile.MarginalSpeedup()) * config.max_speedup_factor;
+  constexpr int kSpeedups = 16;
+
+  size_t pareto_rows = 0;
+  for (size_t r = 0; r < profile.rows.size(); ++r) {
+    const ModelInput input = ModelInput::FromRow(profile.rows[r]);
+    pareto_rows += input.arrival_kind == DistributionKind::kPareto;
+    auto sim_config = [&](double speedup, size_t rep) {
+      return BuildSimConfig(profile, input, service, speedup,
+                            config.sim_queries, config.sim_warmup,
+                            DeriveSeed(config.seed, rep));
+    };
+    std::vector<SimDraws> draws;
+    for (size_t rep = 0; rep < config.sim_replications; ++rep) {
+      draws.push_back(DrawSimQueries(sim_config(1.0, rep)));
+    }
+    double previous = std::numeric_limits<double>::infinity();
+    for (int k = 0; k < kSpeedups; ++k) {
+      const double speedup = config.min_speedup + (top - config.min_speedup) *
+                                                      k / (kSpeedups - 1);
+      StreamingStats rt;
+      for (size_t rep = 0; rep < draws.size(); ++rep) {
+        rt.Add(SimulateQueue(sim_config(speedup, rep), draws[rep])
+                   .mean_response_time);
+      }
+      ASSERT_LE(rt.mean(), previous) << "row " << r << " speedup " << speedup;
+      previous = rt.mean();
+    }
+  }
+  EXPECT_GT(pareto_rows, 0u);
 }
 
 TEST(ModelTest, BuildTrainingDatasetTargets) {

@@ -13,12 +13,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "src/core/effective_rate.h"
 #include "src/core/models.h"
 #include "src/explore/explorer.h"
 #include "src/fault/fault.h"
@@ -33,6 +36,8 @@
 #include "src/obs/span.h"
 #include "src/online/advisor.h"
 #include "src/persist/persist.h"
+#include "src/profiler/profile_io.h"
+#include "src/profiler/profiler.h"
 #include "src/robust/storm.h"
 #include "src/sim/queue_simulator.h"
 #include "src/testbed/testbed.h"
@@ -929,10 +934,11 @@ std::string EventEngineGoldenExport() {
   return out;
 }
 
-TEST(DeterminismTest, EventEngineMatchesCommittedGolden) {
-  const std::string got = EventEngineGoldenExport();
+// Compares `got` with the committed tests/golden/<name>, or rewrites the
+// file when MSPRINT_UPDATE_GOLDEN is set.
+void ExpectMatchesGolden(const std::string& got, const std::string& name) {
   const std::string path =
-      std::string(MSPRINT_SOURCE_DIR) + "/tests/golden/event_engine.txt";
+      std::string(MSPRINT_SOURCE_DIR) + "/tests/golden/" + name;
   if (const char* update = std::getenv("MSPRINT_UPDATE_GOLDEN");
       update != nullptr && update[0] != '\0' && update[0] != '0') {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -948,8 +954,116 @@ TEST(DeterminismTest, EventEngineMatchesCommittedGolden) {
   std::string want((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   ASSERT_EQ(got.size(), want.size())
-      << "export size diverged from the committed pre-overhaul golden";
+      << "export size diverged from the committed golden " << name;
   EXPECT_EQ(got, want);
+}
+
+TEST(DeterminismTest, EventEngineMatchesCommittedGolden) {
+  ExpectMatchesGolden(EventEngineGoldenExport(), "event_engine.txt");
+}
+
+// ------------------------------------------------ model-pipeline golden
+//
+// Pins the modeling pipeline end to end: calibrated profiles (Equation
+// 2's bisection over the simulator), hybrid and No-ML mean and p95
+// predictions, and a timeout exploration. Unlike the event-engine recipes
+// these profile real workloads, whose draws go through libm, so the file
+// also pins the host libm's rounding (glibc on CI).
+
+// A profile's SaveProfile text with the service-time sample lines elided:
+// profiling wrote them, not calibration, and the profile's checksum line
+// still covers every one of their bytes.
+std::string ElideSampleLines(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  size_t skip = 0;
+  while (std::getline(in, line)) {
+    if (skip > 0) {
+      --skip;
+      continue;
+    }
+    out += line + "\n";
+    if (line.rfind("samples ", 0) == 0) {
+      skip = std::stoul(line.substr(8));
+      out += "(" + std::to_string(skip) + " sample lines elided)\n";
+    }
+  }
+  return out;
+}
+
+std::string ModelPipelineGoldenExport() {
+  std::string out;
+  ProfilerConfig profiler;
+  profiler.sample_grid_points = 8;
+  profiler.queries_per_run = 600;
+  profiler.warmup_queries = 60;
+  SprintPolicy platform;
+  platform.mechanism = MechanismId::kDvfs;
+  const std::pair<const char*, QueryMix> mixes[] = {
+      {"Jacobi", QueryMix::Single(WorkloadId::kJacobi)},
+      {"Jacobi+KNN",
+       QueryMix::Uniform({WorkloadId::kJacobi, WorkloadId::kKnn}, 0.8)}};
+  std::vector<WorkloadProfile> profiles;
+  for (const auto& [name, mix] : mixes) {
+    WorkloadProfile profile = ProfileWorkload(mix, platform, profiler);
+    CalibrateProfile(profile, CalibrationConfig{});
+    std::ostringstream text;
+    SaveProfile(profile, text);
+    out += std::string("== calibrated profile ") + name + "\n" +
+           ElideSampleLines(text.str());
+    profiles.push_back(std::move(profile));
+  }
+
+  const HybridModel hybrid = HybridModel::Train({&profiles[0], &profiles[1]});
+  const NoMlModel no_ml;
+  out += "== predictions (mean, p95)\n";
+  Rng rng(515);
+  for (int i = 0; i < 16; ++i) {
+    const WorkloadProfile& profile = profiles[i % 2];
+    ModelInput input;
+    input.utilization = 0.3 + 0.65 * rng.NextDouble();
+    input.arrival_kind = rng.NextBounded(2) == 0
+                             ? DistributionKind::kExponential
+                             : DistributionKind::kPareto;
+    input.timeout_seconds = 40.0 + 140.0 * rng.NextDouble();
+    input.refill_seconds = 50.0 + 950.0 * rng.NextDouble();
+    input.budget_fraction = 0.1 + 0.7 * rng.NextDouble();
+    out += "input " + std::to_string(i) + " hybrid " +
+           GoldenDouble(hybrid.PredictResponseTime(profile, input)) + " " +
+           GoldenDouble(
+               hybrid.PredictResponseTimePercentile(profile, input, 0.95)) +
+           " no_ml " + GoldenDouble(no_ml.PredictResponseTime(profile, input)) +
+           " " +
+           GoldenDouble(
+               no_ml.PredictResponseTimePercentile(profile, input, 0.95)) +
+           "\n";
+  }
+
+  ModelInput base;
+  base.utilization = 0.75;
+  base.budget_fraction = 0.2;
+  base.refill_seconds = 400.0;
+  ExploreConfig explore;
+  explore.max_iterations = 60;
+  explore.seed = 7;
+  const ExploreResult result =
+      ExploreTimeout(hybrid, profiles[0], base, explore);
+  out += "== explore (timeout, predicted, accepted)\n";
+  for (size_t k = 0; k < result.trajectory.size(); ++k) {
+    const ExploreStep& step = result.trajectory[k];
+    out += "step " + std::to_string(k) + " " +
+           GoldenDouble(step.timeout_seconds) + " " +
+           GoldenDouble(step.predicted_response_time) + " " +
+           (step.accepted ? "1" : "0") + "\n";
+  }
+  out += "best " + GoldenDouble(result.best_timeout_seconds) + " " +
+         GoldenDouble(result.best_response_time) + "\n";
+  return out;
+}
+
+TEST(DeterminismTest, ModelPipelineMatchesCommittedGolden) {
+  ExpectMatchesGolden(ModelPipelineGoldenExport(), "model_pipeline.txt");
 }
 
 // ------------------------------------------------- testbed storage reuse

@@ -152,6 +152,60 @@ TEST(ProfileIoTest, LegacyFileWithoutChecksumStillLoads) {
                    original.service_rate_per_second);
 }
 
+// A profile in the legacy format, without the checksum line: it loads
+// with no integrity check, so the loader itself must refuse bad values.
+std::string LegacyText(const WorkloadProfile& profile) {
+  std::stringstream stream;
+  SaveProfile(profile, stream);
+  std::string text = stream.str();
+  text.resize(text.rfind("\nchecksum ") + 1);
+  return text;
+}
+
+// Fails the test unless loading `text` fails with a message containing
+// `needle`.
+void ExpectLoadFails(const std::string& text, const std::string& needle) {
+  std::stringstream stream(text);
+  try {
+    LoadProfile(stream);
+    ADD_FAILURE() << "loaded a profile that should fail with " << needle;
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ProfileIoTest, RejectsNonPositiveObservedMeanNamingTheRow) {
+  // Calibration divides by the observed mean; a zero or negative one used
+  // to calibrate silently to a search bound.
+  for (double bad : {0.0, -5.0}) {
+    WorkloadProfile profile = SampleProfile();
+    profile.rows[1].observed_mean_response_time = bad;
+    ExpectLoadFails(LegacyText(profile), "profile row 2 of 2");
+  }
+}
+
+TEST(ProfileIoTest, RejectsNonPositiveRates) {
+  WorkloadProfile profile = SampleProfile();
+  profile.service_rate_per_second = 0.0;
+  ExpectLoadFails(LegacyText(profile), "rates must be positive");
+  profile = SampleProfile();
+  profile.marginal_rate_per_second = -1.0;
+  ExpectLoadFails(LegacyText(profile), "rates must be positive");
+}
+
+TEST(ProfileIoTest, OverstatedCountsFailAsParseErrors) {
+  // A count far beyond the values below it must not allocate for them.
+  const std::string text = LegacyText(SampleProfile());
+  for (const std::string name : {"samples", "rows"}) {
+    std::string lying = text;
+    const size_t at = lying.find("\n" + name + " ") + 1;
+    ASSERT_NE(at, 0u) << name;
+    lying.replace(at, lying.find('\n', at) - at, name + " 4000000000");
+    ExpectLoadFails(lying, "parse error");
+  }
+}
+
 TEST(ProfileIoTest, SaveToFileLeavesNoTmpAndSurvivesStaleTmp) {
   const WorkloadProfile original = SampleProfile();
   const std::string path = "/tmp/msprint_profile_atomic_test.prof";

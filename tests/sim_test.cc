@@ -1,18 +1,23 @@
 // Tests for the timeout-aware queue simulator: classic queueing-theory
 // validation (M/M/1, M/D/1, M/M/k — the paper validates its simulator on
 // "classic MMK workloads" with ~5% error), hand-computable sprint
-// semantics, budget accounting, and conformance between the event-driven
-// simulator and the literal Algorithm 1 tick loop.
+// semantics, budget accounting, conformance between the event-driven
+// simulator and the literal Algorithm 1 tick loop, bitwise agreement of the
+// single-slot recursion with the event loop, exact sprinting limits, and
+// replay of pre-drawn inputs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/sim/queue_simulator.h"
 #include "src/sim/tick_simulator.h"
+#include "tests/sim_compare.h"
 
 namespace msprint {
 namespace {
@@ -55,6 +60,22 @@ TEST(QueueTheoryTest, MD1MeanQueueingDelay) {
   const SimResult result = SimulateQueue(config);
   const double analytic = lambda / (2.0 * (1.0 - lambda));
   EXPECT_NEAR(result.mean_queueing_delay, analytic, 0.05 * analytic);
+}
+
+// Timeout 0 on an unbounded budget sprints every query from dispatch:
+// M/M/1 at service / speedup, the Pollaczek-Khinchine limit.
+TEST(QueueTheoryTest, AlwaysSprintingIsMM1AtSprintedRate) {
+  const ExponentialDistribution service(1.0);
+  const double speedup = 2.0;
+  const double lambda = 1.2;  // rho = 0.6 at the sprinted rate
+  SimConfig config = NoSprintConfig(service, lambda);
+  config.sprint_speedup = speedup;
+  config.timeout_seconds = 0.0;
+  config.budget_capacity_seconds = 1e12;
+  const SimResult result = SimulateQueue(config);
+  const double analytic = 1.0 / (speedup - lambda);
+  EXPECT_NEAR(result.mean_response_time, analytic, 0.05 * analytic);
+  EXPECT_DOUBLE_EQ(result.fraction_sprinted, 1.0);
 }
 
 // M/M/k via Erlang C. The paper's simulator achieved ~5% median error on
@@ -444,6 +465,251 @@ INSTANTIATE_TEST_SUITE_P(
                       ConformanceCase{0.01, 60.0, 1.2, 80.0, 13},
                       ConformanceCase{0.045, 5.0, 3.0, 10.0, 14},
                       ConformanceCase{0.03, 0.0, 2.0, 200.0, 15}));
+
+// ------------------------------------ single-slot recursion vs event loop
+//
+// One slot with admission off runs as a Lindley recursion; any admission
+// policy routes the same config through the event loop instead. A queue
+// cap of num_queries + 1 is never reached, so both engines serve the same
+// queue and must agree bit for bit.
+
+// Mean-10 s services of every shape the oracle sweeps.
+std::vector<std::unique_ptr<Distribution>> OracleServices() {
+  std::vector<std::unique_ptr<Distribution>> services;
+  for (DistributionKind kind :
+       {DistributionKind::kDeterministic, DistributionKind::kExponential,
+        DistributionKind::kLognormal, DistributionKind::kPareto}) {
+    services.push_back(MakeDistribution(kind, 10.0));
+  }
+  return services;
+}
+
+// Whole-second timestamps 0-20 s apart: repeated timestamps, and exact
+// arrival = departure ties against whole-second service times.
+std::vector<double> TiedArrivalTrace(size_t n) {
+  Rng rng(4242);
+  std::vector<double> trace;
+  double t = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    t += static_cast<double>(rng.NextBounded(21));
+    trace.push_back(t);
+  }
+  return trace;
+}
+
+// A random one-slot config: each service and arrival shape (exponential,
+// Pareto, deterministic or `trace`), utilization 0.3-1.3 (often exactly
+// 1.0 or 1.25, where deterministic arrivals tie departures), timeouts from
+// immediate to never, budgets from none to unbounded, speedups 0.5-3, one
+// or two classes, warmup on or off.
+SimConfig RandomSingleSlotConfig(
+    Rng& rng, const std::vector<std::unique_ptr<Distribution>>& services,
+    const std::vector<double>& trace) {
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng.NextBounded(n)); };
+  constexpr double kTimeouts[] = {0.0, 5.0, 10.0, 20.0, 1e18};
+  constexpr double kBudgets[] = {0.0, 5.0, 40.0, 1e12};
+  constexpr double kTiedUtilizations[] = {1.0, 1.25};
+
+  SimConfig config;
+  const double utilization = pick(2) == 0 ? kTiedUtilizations[pick(2)]
+                                          : 0.3 + rng.NextDouble();
+  config.arrival_rate_per_second = utilization / 10.0;
+  constexpr DistributionKind kArrivals[] = {DistributionKind::kExponential,
+                                            DistributionKind::kPareto,
+                                            DistributionKind::kDeterministic};
+  const size_t arrivals = pick(4);
+  if (arrivals == 3) {
+    config.arrival_trace = &trace;
+  } else {
+    config.arrival_kind = kArrivals[arrivals];
+  }
+  config.service = services[pick(services.size())].get();
+  config.timeout_seconds = kTimeouts[pick(5)];
+  config.sprint_speedup = 0.5 + 2.5 * rng.NextDouble();
+  config.budget_capacity_seconds = kBudgets[pick(4)];
+  config.budget_refill_seconds = 100.0;
+  if (pick(2) == 1) {
+    config.classes = {
+        {1.0 + rng.NextDouble(), config.service, config.timeout_seconds,
+         config.sprint_speedup},
+        {1.0, services[pick(services.size())].get(), kTimeouts[pick(5)],
+         0.5 + 2.5 * rng.NextDouble()}};
+  }
+  config.num_queries = 200 + pick(800);
+  config.warmup_queries = pick(2) == 1 ? config.num_queries / 10 : 0;
+  config.seed = rng.Next();
+  return config;
+}
+
+TEST(SingleSlotOracleTest, RecursionMatchesEventLoopBitForBit) {
+  const auto services = OracleServices();
+  const std::vector<double> trace = TiedArrivalTrace(1000);
+  Rng rng(2026);
+  size_t ties = 0;
+  size_t sprinted = 0;
+  for (int k = 0; k < 3000; ++k) {
+    obs::SpanCollector recursion_spans;
+    obs::SpanCollector loop_spans;
+    SimConfig recursion = RandomSingleSlotConfig(rng, services, trace);
+    recursion.span_sink = &recursion_spans;
+    SimConfig loop = recursion;
+    loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
+    loop.admission.queue_cap = loop.num_queries + 1;
+    loop.span_sink = &loop_spans;
+
+    std::vector<SimQuery> recursion_trace;
+    std::vector<SimQuery> loop_trace;
+    const SimResult a = SimulateQueue(recursion, &recursion_trace);
+    const SimResult b = SimulateQueue(loop, &loop_trace);
+
+    SCOPED_TRACE(::testing::Message() << "case " << k);
+    ExpectSameResult(a, b);
+    ExpectSameTrace(recursion_trace, loop_trace);
+    ExpectSameSpans(recursion_spans.TakeSpans(), loop_spans.TakeSpans());
+    if (HasFailure()) {
+      return;
+    }
+    EXPECT_EQ(b.shed_count, 0u);
+    for (size_t i = 0; i < loop_trace.size(); ++i) {
+      ties += i > 0 && loop_trace[i].arrival == loop_trace[i - 1].depart;
+      sprinted += loop_trace[i].sprinted;
+    }
+  }
+  // The sweep must reach the cases the recursion's ordering argument is
+  // about: arrivals exactly at the previous departure, and sprints.
+  EXPECT_GT(ties, 10000u);
+  EXPECT_GT(sprinted, 100000u);
+}
+
+// ------------------------------------------------ exact sprinting limits
+
+std::vector<SimQuery> TraceOf(const SimConfig& config) {
+  std::vector<SimQuery> trace;
+  SimulateQueue(config, &trace);
+  return trace;
+}
+
+void ExpectSameSchedule(const std::vector<SimQuery>& a,
+                        const std::vector<SimQuery>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(Bits(a[i].start), Bits(b[i].start)) << i;
+    ASSERT_EQ(Bits(a[i].depart), Bits(b[i].depart)) << i;
+  }
+}
+
+// Budget 0 never sprints: at any timeout and speedup, every query starts
+// and departs exactly as in a run whose timeout never fires.
+TEST(SprintLimitTest, ZeroBudgetMatchesNeverSprinting) {
+  const auto services = OracleServices();
+  const std::vector<double> trace = TiedArrivalTrace(1000);
+  Rng rng(11);
+  for (int k = 0; k < 400; ++k) {
+    SimConfig config = RandomSingleSlotConfig(rng, services, trace);
+    config.classes.clear();
+    config.slots = 1 + static_cast<int>(rng.NextBounded(2));
+    config.budget_capacity_seconds = 0.0;
+    SimConfig never = config;
+    never.timeout_seconds = 1e18;
+    SCOPED_TRACE(::testing::Message() << "case " << k);
+    ExpectSameSchedule(TraceOf(config), TraceOf(never));
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+// Timeout 0 with an unbounded budget sprints every whole execution: at
+// speedup 2 every query starts and departs exactly as in an unsprinted run
+// whose service times are halved, because x / 2 and x * 0.5 are the same
+// double.
+TEST(SprintLimitTest, ZeroTimeoutMatchesHalvedService) {
+  const auto services = OracleServices();
+  const std::vector<double> trace = TiedArrivalTrace(1000);
+  Rng rng(12);
+  for (int k = 0; k < 400; ++k) {
+    SimConfig config = RandomSingleSlotConfig(rng, services, trace);
+    config.classes.clear();
+    config.slots = 1 + static_cast<int>(rng.NextBounded(2));
+    config.timeout_seconds = 0.0;
+    config.budget_capacity_seconds = 1e12;
+    config.sprint_speedup = 2.0;
+    SimConfig halved = config;
+    halved.timeout_seconds = 1e18;
+    halved.service_time_scale = 0.5;
+    SCOPED_TRACE(::testing::Message() << "case " << k);
+    const std::vector<SimQuery> sprinted = TraceOf(config);
+    ExpectSameSchedule(sprinted, TraceOf(halved));
+    if (HasFailure()) {
+      return;
+    }
+    for (const SimQuery& q : sprinted) {
+      ASSERT_TRUE(q.sprinted);
+    }
+  }
+}
+
+// ------------------------------------------------------ draws and replay
+
+// Draws do not depend on speedups, timeouts, the budget or slots: one
+// draw replays bit for bit under any of them.
+TEST(SimDrawsTest, ReplayMatchesFreshDraws) {
+  const auto services = OracleServices();
+  const std::vector<double> trace = TiedArrivalTrace(1000);
+  Rng rng(13);
+  for (int k = 0; k < 200; ++k) {
+    const SimConfig base = RandomSingleSlotConfig(rng, services, trace);
+    const SimDraws draws = DrawSimQueries(base);
+    SimConfig varied = base;
+    varied.sprint_speedup = 0.5 + 2.5 * rng.NextDouble();
+    varied.timeout_seconds = 30.0 * rng.NextDouble();
+    varied.budget_capacity_seconds = 60.0 * rng.NextDouble();
+    varied.slots = 1 + static_cast<int>(rng.NextBounded(3));
+    for (SimClass& klass : varied.classes) {
+      klass.sprint_speedup = varied.sprint_speedup;
+      klass.timeout_seconds = varied.timeout_seconds;
+    }
+    const SimConfig* const configs[] = {&base, &varied};
+    for (const SimConfig* config : configs) {
+      std::vector<SimQuery> fresh_trace;
+      std::vector<SimQuery> replay_trace;
+      const SimResult fresh = SimulateQueue(*config, &fresh_trace);
+      const SimResult replay = SimulateQueue(*config, draws, &replay_trace);
+      SCOPED_TRACE(::testing::Message() << "case " << k);
+      ExpectSameResult(fresh, replay);
+      ExpectSameTrace(fresh_trace, replay_trace);
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(SimDrawsTest, MisshapenDrawsThrow) {
+  const ExponentialDistribution service(0.1);
+  SimConfig config = NoSprintConfig(service, 0.05, 100);
+  const SimDraws draws = DrawSimQueries(config);
+  EXPECT_NO_THROW(SimulateQueue(config, draws));
+
+  SimConfig shorter = config;
+  shorter.num_queries = 99;
+  EXPECT_THROW(SimulateQueue(shorter, draws), std::invalid_argument);
+
+  SimDraws bad = draws;
+  bad.service_time.pop_back();
+  EXPECT_THROW(SimulateQueue(config, bad), std::invalid_argument);
+  bad = draws;
+  bad.klass.assign(100, 0);  // a class column for a one-class config
+  EXPECT_THROW(SimulateQueue(config, bad), std::invalid_argument);
+
+  SimConfig two = config;
+  two.classes = {{1.0, &service, 10.0, 1.5}, {1.0, &service, 20.0, 2.0}};
+  EXPECT_THROW(SimulateQueue(two, draws), std::invalid_argument);
+  bad = DrawSimQueries(two);
+  EXPECT_NO_THROW(SimulateQueue(two, bad));
+  bad.klass[7] = 2;  // no such class
+  EXPECT_THROW(SimulateQueue(two, bad), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace msprint
