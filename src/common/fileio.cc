@@ -8,8 +8,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "src/obs/obs.h"
-
 namespace msprint {
 
 namespace {
@@ -78,9 +76,6 @@ void AtomicWriteFile(const std::string& path, std::string_view contents) {
     ThrowErrno("cannot rename over", path);
   }
   SyncParentDirectory(path);
-  obs::Count("persist/atomic_writes");
-  obs::Count("persist/bytes_written", contents.size());
-  obs::Count("persist/fsyncs", 2);  // tmp-file fsync + parent-dir fsync
 }
 
 std::string ReadFileBytes(const std::string& path) {

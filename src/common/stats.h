@@ -83,20 +83,30 @@ class EmpiricalCdf {
 // latency accounting (e.g. the paper's ">335 seconds" 99th percentile cut).
 double TailFraction(const std::vector<double>& values, double threshold);
 
+// The repo-wide nearest-rank rule: 1-based rank of the sample a quantile
+// estimator should return for fraction `q` over `count` samples. Shared by
+// LogHistogram::ApproxQuantile, the SLO engine and QuantileSketch so every
+// quantile consumer agrees bit for bit.
+inline uint64_t QuantileRankTarget(uint64_t count, double q) {
+  q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
+  return std::min<uint64_t>(
+      count, 1 + static_cast<uint64_t>(q * static_cast<double>(count - 1)));
+}
+
 // Log-bucketed histogram for non-negative measurements (durations, byte
 // counts, queue depths). Buckets grow geometrically — kBucketsPerDecade per
 // factor of ten between kMinTracked and kMaxTracked, plus an underflow and
 // an overflow bucket — so the whole dynamic range of a latency distribution
 // fits in ~100 integer counters. Because the state is integer bucket counts
-// plus exact min/max (both order-independent reductions), merging shards or
-// replications in any order yields bit-identical summaries: this is the
-// backing store of the deterministic metrics exports in src/obs.
+// plus exact min/max (both order-independent reductions), summing shards in
+// any order yields bit-identical summaries: this is the backing store of
+// the deterministic metrics exports in src/obs.
 //
 // NaN, negative and non-finite samples are rejected (counted, not
 // bucketed). Mean and quantiles are bucket approximations: each bucket is
 // represented by the geometric midpoint of its bounds, clamped to the
-// observed [min, max]. Header-only so src/obs can use the bucket math
-// without a link-time dependency on msprint_common.
+// observed [min, max]. Header-only so the per-sample record paths (here
+// and in obs::Histogram) inline the bucket math.
 class LogHistogram {
  public:
   static constexpr double kMinTracked = 1e-9;
@@ -169,24 +179,6 @@ class LogHistogram {
     return true;
   }
 
-  void Merge(const LogHistogram& other) {
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-    rejected_ += other.rejected_;
-    if (other.count_ > 0) {
-      if (!has_bounds_) {
-        min_ = other.min_;
-        max_ = other.max_;
-        has_bounds_ = true;
-      } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-      }
-      count_ += other.count_;
-    }
-  }
-
   // Raw injection hooks for merging sharded atomic state (src/obs) into a
   // summarizable histogram. Inject buckets first, then bounds.
   void InjectBucketCount(size_t index, uint64_t n) {
@@ -237,9 +229,7 @@ class LogHistogram {
     if (count_ == 0) {
       return 0.0;
     }
-    q = std::clamp(q, 0.0, 1.0);
-    const uint64_t target = std::min<uint64_t>(
-        count_, 1 + static_cast<uint64_t>(q * static_cast<double>(count_ - 1)));
+    const uint64_t target = QuantileRankTarget(count_, q);
     uint64_t cumulative = 0;
     for (size_t i = 0; i < buckets_.size(); ++i) {
       cumulative += buckets_[i];

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <utility>
-
-#include "src/obs/obs.h"
 
 namespace msprint {
 
@@ -58,18 +55,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t depth;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
     ++in_flight_;
-    depth = queue_.size();
   }
   work_available_.notify_one();
-  // Scheduling-dependent, so kTiming: excluded from deterministic exports.
-  obs::Count("pool/tasks_submitted", 1, obs::Determinism::kTiming);
-  obs::SetGauge("pool/queue_depth", static_cast<double>(depth),
-                obs::Determinism::kTiming);
 }
 
 void ThreadPool::Wait() {
@@ -194,7 +185,6 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    const auto started = std::chrono::steady_clock::now();
     try {
       task();
     } catch (...) {
@@ -203,11 +193,6 @@ void ThreadPool::WorkerLoop() {
         first_error_ = std::current_exception();
       }
     }
-    obs::Observe("pool/task_latency_seconds",
-                 std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                               started)
-                     .count(),
-                 obs::Determinism::kTiming);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;

@@ -174,9 +174,7 @@ std::string ToString(InjectedBug bug) {
 }
 
 std::optional<InjectedBug> InjectedBugFromName(const std::string& name) {
-  for (const InjectedBug bug :
-       {InjectedBug::kNone, InjectedBug::kBudgetDebt,
-        InjectedBug::kBreakerSignalDrop, InjectedBug::kShedSignalDrop}) {
+  for (const InjectedBug bug : kAllInjectedBugs) {
     if (name == ToString(bug)) {
       return bug;
     }

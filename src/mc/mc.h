@@ -123,8 +123,12 @@ enum class InjectedBug {
                        // the door is on fire (overload alphabet only)
 };
 
+inline constexpr InjectedBug kAllInjectedBugs[] = {
+    InjectedBug::kNone, InjectedBug::kBudgetDebt,
+    InjectedBug::kBreakerSignalDrop, InjectedBug::kShedSignalDrop};
+
 std::string ToString(InjectedBug bug);
-// Returns nullopt for unknown names.
+// Inverse of ToString over kAllInjectedBugs; nullopt for unknown names.
 std::optional<InjectedBug> InjectedBugFromName(const std::string& name);
 
 // -------------------------------------------------------- trace files

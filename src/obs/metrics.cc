@@ -90,9 +90,6 @@ std::string StableDouble(double value) {
 
 // ---------------------------------------------------------------- Counter
 
-Counter::Counter(size_t shards, Determinism determinism)
-    : determinism_(determinism), cells_(shards) {}
-
 void Counter::Add(uint64_t n) {
   cells_[ThreadSlot() & (cells_.size() - 1)].fetch_add(
       n, std::memory_order_relaxed);
@@ -116,9 +113,8 @@ double Gauge::Value() const { return value_.load(std::memory_order_relaxed); }
 
 // -------------------------------------------------------------- Histogram
 
-Histogram::Histogram(size_t shards, Determinism determinism)
-    : determinism_(determinism),
-      shards_(shards),
+Histogram::Histogram(size_t shards)
+    : shards_(shards),
       buckets_(shards * LogHistogram::NumBuckets()),
       rejected_(shards),
       min_bits_(DoubleBits(std::numeric_limits<double>::infinity())),
@@ -162,32 +158,6 @@ LogHistogram Histogram::Merged() const {
   return merged;
 }
 
-double HistogramSnapshot::Quantile(double q) const {
-  if (count == 0) {
-    return 0.0;
-  }
-  const uint64_t target = QuantileRankTarget(count, q);
-  uint64_t cumulative = 0;
-  for (const auto& [bucket, bucket_count] : nonzero_buckets) {
-    cumulative += bucket_count;
-    if (cumulative >= target) {
-      // Same representative rule as LogHistogram::BucketRepresentative,
-      // evaluated from the snapshot's retained envelope.
-      double value;
-      if (bucket == 0) {
-        value = min;
-      } else if (bucket >= LogHistogram::NumBuckets() - 1) {
-        value = max;
-      } else {
-        value = std::sqrt(LogHistogram::BucketLowerBound(bucket) *
-                          LogHistogram::BucketUpperBound(bucket));
-      }
-      return std::clamp(value, min, max);
-    }
-  }
-  return max;
-}
-
 HistogramSnapshot SummarizeLogHistogram(std::string name,
                                         const LogHistogram& histogram) {
   HistogramSnapshot h;
@@ -202,9 +172,9 @@ HistogramSnapshot SummarizeLogHistogram(std::string name,
       h.nonzero_buckets.emplace_back(i, histogram.buckets()[i]);
     }
   }
-  h.p50 = h.Quantile(0.50);
-  h.p90 = h.Quantile(0.90);
-  h.p99 = h.Quantile(0.99);
+  h.p50 = histogram.ApproxQuantile(0.50);
+  h.p90 = histogram.ApproxQuantile(0.90);
+  h.p99 = histogram.ApproxQuantile(0.99);
   return h;
 }
 
@@ -213,53 +183,43 @@ HistogramSnapshot SummarizeLogHistogram(std::string name,
 MetricsRegistry::MetricsRegistry(size_t shards)
     : shards_(ResolveShards(shards)) {}
 
-Counter& MetricsRegistry::GetCounter(const std::string& name,
-                                     Determinism determinism) {
+Counter& MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
   if (slot == nullptr) {
-    slot.reset(new Counter(shards_, determinism));
+    slot.reset(new Counter(shards_));
   }
   return *slot;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name,
-                                 Determinism determinism) {
+Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = gauges_[name];
   if (slot == nullptr) {
-    slot.reset(new Gauge(determinism));
+    slot.reset(new Gauge());
   }
   return *slot;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         Determinism determinism) {
+Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
   if (slot == nullptr) {
-    slot.reset(new Histogram(shards_, determinism));
+    slot.reset(new Histogram(shards_));
   }
   return *slot;
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot(bool include_timing) const {
+MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
   for (const auto& [name, counter] : counters_) {
-    if (include_timing || counter->determinism() == Determinism::kStable) {
-      snapshot.counters.emplace_back(name, counter->Value());
-    }
+    snapshot.counters.emplace_back(name, counter->Value());
   }
   for (const auto& [name, gauge] : gauges_) {
-    if (include_timing || gauge->determinism() == Determinism::kStable) {
-      snapshot.gauges.emplace_back(name, gauge->Value());
-    }
+    snapshot.gauges.emplace_back(name, gauge->Value());
   }
   for (const auto& [name, histogram] : histograms_) {
-    if (!include_timing && histogram->determinism() != Determinism::kStable) {
-      continue;
-    }
     snapshot.histograms.push_back(
         SummarizeLogHistogram(name, histogram->Merged()));
   }

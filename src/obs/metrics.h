@@ -2,15 +2,13 @@
 // histograms, sharded per thread so hot paths record lock-free (one
 // relaxed atomic RMW), with shards merged in slot order at export time.
 //
-// Determinism contract (the PR-1 invariant extended to telemetry): for
-// metrics tagged Determinism::kStable, *same seed => byte-identical
-// exported snapshot for any MSPRINT_THREADS / pool size*. That holds
-// because every stable aggregate is an order-independent reduction —
-// integer counter sums, integer histogram bucket counts, exact min/max —
-// and because stable gauges are only ever Set from serial deterministic
-// code. Anything measured with a wall clock (task latency, queue depth at
-// submit time) must be tagged Determinism::kTiming; timing metrics are
-// excluded from the deterministic export path that CI diffs byte-for-byte.
+// Determinism contract (the PR-1 invariant extended to telemetry): *same
+// seed => byte-identical exported snapshot for any MSPRINT_THREADS / pool
+// size*. That holds because every aggregate is an order-independent
+// reduction — integer counter sums, integer histogram bucket counts, exact
+// min/max — and because gauges are only ever Set from serial deterministic
+// code. Nothing measured with a wall clock belongs in a registry: every
+// metric is part of the export that CI diffs byte for byte.
 //
 // Lookup by name takes the registry mutex; hot call sites should fetch
 // their Counter*/Histogram* handles once (they are stable for the life of
@@ -19,7 +17,6 @@
 #ifndef MSPRINT_SRC_OBS_METRICS_H_
 #define MSPRINT_SRC_OBS_METRICS_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -34,28 +31,11 @@
 namespace msprint {
 namespace obs {
 
-enum class Determinism : uint8_t {
-  kStable = 0,  // order-independent; included in deterministic exports
-  kTiming = 1,  // wall-clock derived; excluded from deterministic exports
-};
-
 // Byte-stable decimal rendering of a double: the bytes of printf's
 // %.17g (bit-exact round trip), produced by std::to_chars.
 std::string StableDouble(double value);
 // Appends StableDouble(value) to `out` without a temporary string.
 void AppendStableDouble(std::string& out, double value);
-
-// The repo-wide nearest-rank rule: 1-based rank of the sample a quantile
-// estimator should return for fraction `q` over `count` samples. Shared by
-// HistogramSnapshot::Quantile, the SLO engine and QuantileSketch so every
-// quantile consumer agrees bit-for-bit (and stays bit-identical to
-// LogHistogram::ApproxQuantile, which predates this helper and cannot
-// depend on obs).
-inline uint64_t QuantileRankTarget(uint64_t count, double q) {
-  q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-  return std::min<uint64_t>(
-      count, 1 + static_cast<uint64_t>(q * static_cast<double>(count - 1)));
-}
 
 // Monotonic counter, sharded across padded atomic cells.
 class Counter {
@@ -63,29 +43,25 @@ class Counter {
   void Add(uint64_t n = 1);
   void Increment() { Add(1); }
   uint64_t Value() const;
-  Determinism determinism() const { return determinism_; }
 
  private:
   friend class MetricsRegistry;
-  Counter(size_t shards, Determinism determinism);
+  explicit Counter(size_t shards) : cells_(shards) {}
 
-  const Determinism determinism_;
   std::vector<std::atomic<uint64_t>> cells_;  // size is a power of two
 };
 
-// Last-value gauge. Stable gauges must only be Set from serial
-// deterministic code (concurrent Set order is scheduling-dependent).
+// Last-value gauge. Gauges must only be Set from serial deterministic
+// code (concurrent Set order is scheduling-dependent).
 class Gauge {
  public:
   void Set(double value);
   double Value() const;
-  Determinism determinism() const { return determinism_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(Determinism determinism) : determinism_(determinism) {}
+  Gauge() = default;
 
-  const Determinism determinism_;
   std::atomic<double> value_{0.0};
 };
 
@@ -102,13 +78,10 @@ class Histogram {
   // Merges every shard (in slot order) into a summarizable LogHistogram.
   LogHistogram Merged() const;
 
-  Determinism determinism() const { return determinism_; }
-
  private:
   friend class MetricsRegistry;
-  Histogram(size_t shards, Determinism determinism);
+  explicit Histogram(size_t shards);
 
-  const Determinism determinism_;
   const size_t shards_;                         // power of two
   std::vector<std::atomic<uint64_t>> buckets_;  // shards_ * NumBuckets()
   std::vector<std::atomic<uint64_t>> rejected_;  // per shard
@@ -117,7 +90,8 @@ class Histogram {
   std::atomic<uint64_t> max_bits_;  // bit pattern of the running max
 };
 
-// One exported histogram: scalar summary plus the non-empty buckets.
+// One exported histogram: scalar summary (quantiles from
+// LogHistogram::ApproxQuantile) plus the non-empty buckets.
 struct HistogramSnapshot {
   std::string name;
   uint64_t count = 0;
@@ -129,12 +103,6 @@ struct HistogramSnapshot {
   double p90 = 0.0;
   double p99 = 0.0;
   std::vector<std::pair<size_t, uint64_t>> nonzero_buckets;
-
-  // Nearest-rank quantile over the recorded buckets, bit-identical to
-  // LogHistogram::ApproxQuantile on the histogram this snapshot came
-  // from. The single quantile path shared by exports, span attribution
-  // and the SLO engine.
-  double Quantile(double q) const;
 };
 
 // Summarizes a LogHistogram into an exported HistogramSnapshot — the same
@@ -164,19 +132,14 @@ class MetricsRegistry {
   explicit MetricsRegistry(size_t shards = 0);
 
   // Find-or-create by name. The returned pointer is stable for the life of
-  // the registry. A name keeps the determinism tag of its first
-  // registration. Names should be `subsystem/metric_name` with characters
+  // the registry. Names should be `subsystem/metric_name` with characters
   // safe to embed in JSON unescaped ([a-z0-9_/.-]).
-  Counter& GetCounter(const std::string& name,
-                      Determinism determinism = Determinism::kStable);
-  Gauge& GetGauge(const std::string& name,
-                  Determinism determinism = Determinism::kStable);
-  Histogram& GetHistogram(const std::string& name,
-                          Determinism determinism = Determinism::kStable);
+  Counter& GetCounter(const std::string& name);
+  Gauge& GetGauge(const std::string& name);
+  Histogram& GetHistogram(const std::string& name);
 
-  // Exports every metric (sorted by name). With `include_timing` false —
-  // the deterministic export path — kTiming metrics are omitted.
-  MetricsSnapshot Snapshot(bool include_timing = false) const;
+  // Exports every metric, sorted by name.
+  MetricsSnapshot Snapshot() const;
 
   size_t shards() const { return shards_; }
 

@@ -68,24 +68,21 @@ class ObsSession {
 // (replans, checkpoints). Hot loops (per-query, per-sample) should cache
 // the Counter*/Histogram* handle from ActiveMetrics() once per run instead.
 
-inline void Count(const char* name, uint64_t n = 1,
-                  Determinism determinism = Determinism::kStable) {
+inline void Count(const char* name, uint64_t n = 1) {
   if (MetricsRegistry* metrics = ActiveMetrics()) {
-    metrics->GetCounter(name, determinism).Add(n);
+    metrics->GetCounter(name).Add(n);
   }
 }
 
-inline void Observe(const char* name, double value,
-                    Determinism determinism = Determinism::kStable) {
+inline void Observe(const char* name, double value) {
   if (MetricsRegistry* metrics = ActiveMetrics()) {
-    metrics->GetHistogram(name, determinism).Record(value);
+    metrics->GetHistogram(name).Record(value);
   }
 }
 
-inline void SetGauge(const char* name, double value,
-                     Determinism determinism = Determinism::kStable) {
+inline void SetGauge(const char* name, double value) {
   if (MetricsRegistry* metrics = ActiveMetrics()) {
-    metrics->GetGauge(name, determinism).Set(value);
+    metrics->GetGauge(name).Set(value);
   }
 }
 
@@ -94,14 +91,6 @@ inline void SetGauge(const char* name, double value,
 inline void Emit(const Event& event) {
   if (FlightRecorder* recorder = ActiveRecorder()) {
     recorder->Record(event);
-  }
-}
-
-// Records one query span. Like Emit, only call from serial deterministic
-// code; batch paths should check ActiveSpans() once and use RecordBatch.
-inline void RecordSpan(const QuerySpan& span) {
-  if (SpanCollector* spans = ActiveSpans()) {
-    spans->Record(span);
   }
 }
 

@@ -98,35 +98,16 @@ std::string ToString(EventKind kind) {
 FlightRecorder::FlightRecorder(size_t capacity)
     : capacity_(std::max<size_t>(1, capacity)) {
   ring_.reserve(capacity_);
-  min_severity_.fill(static_cast<uint8_t>(Severity::kDebug));
-}
-
-void FlightRecorder::SetMinSeverity(Subsystem subsystem, Severity severity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  min_severity_[static_cast<size_t>(subsystem)] =
-      static_cast<uint8_t>(severity);
 }
 
 void FlightRecorder::SetMinSeverityAll(Severity severity) {
   std::lock_guard<std::mutex> lock(mutex_);
-  min_severity_.fill(static_cast<uint8_t>(severity));
-}
-
-Severity FlightRecorder::MinSeverity(Subsystem subsystem) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<Severity>(min_severity_[static_cast<size_t>(subsystem)]);
-}
-
-bool FlightRecorder::Wants(Subsystem subsystem, Severity severity) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<uint8_t>(severity) >=
-         min_severity_[static_cast<size_t>(subsystem)];
+  min_severity_ = severity;
 }
 
 void FlightRecorder::Record(const Event& event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (static_cast<uint8_t>(event.severity) <
-      min_severity_[static_cast<size_t>(event.subsystem)]) {
+  if (event.severity < min_severity_) {
     ++filtered_;
     return;
   }

@@ -2,7 +2,7 @@
 // covering the system's interesting transitions — sprint toggles and
 // aborts, degradation-ladder rung moves, breaker trips, checkpoint
 // commits, annealing accept/reject decisions, queue arrivals and
-// departures — with per-subsystem severity filtering.
+// departures — behind one severity floor.
 //
 // Determinism rules (see DESIGN.md §10): event timestamps are simulated /
 // virtual time, never wall clock, and events are recorded only from serial
@@ -18,7 +18,6 @@
 #ifndef MSPRINT_SRC_OBS_RECORDER_H_
 #define MSPRINT_SRC_OBS_RECORDER_H_
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -40,7 +39,6 @@ enum class Subsystem : uint8_t {
   kCli = 7,
   kSlo = 8,
 };
-constexpr size_t kNumSubsystems = 9;
 
 // The event taxonomy. Adding a kind is append-only: exported names feed CI
 // diffs and external dashboards.
@@ -89,15 +87,9 @@ class FlightRecorder {
 
   explicit FlightRecorder(size_t capacity = kDefaultCapacity);
 
-  // Per-subsystem severity floor; events below it are dropped (counted).
-  // Default floor is kDebug (record everything).
-  void SetMinSeverity(Subsystem subsystem, Severity severity);
+  // Severity floor for every subsystem; events below it are dropped
+  // (counted). Default floor is kDebug (record everything).
   void SetMinSeverityAll(Severity severity);
-  Severity MinSeverity(Subsystem subsystem) const;
-
-  // Cheap pre-check for call sites that would otherwise build an event
-  // only to see it filtered.
-  bool Wants(Subsystem subsystem, Severity severity) const;
 
   // Appends an event, overwriting the oldest once the ring is full.
   void Record(const Event& event);
@@ -124,7 +116,7 @@ class FlightRecorder {
   std::vector<Event> ring_;  // insertion position = recorded_ % capacity_
   uint64_t recorded_ = 0;
   uint64_t filtered_ = 0;
-  std::array<uint8_t, kNumSubsystems> min_severity_{};
+  Severity min_severity_ = Severity::kDebug;
 };
 
 // Byte-stable rendering shared by FormatTail and `msprint trace`.

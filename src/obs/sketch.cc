@@ -5,8 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/obs/metrics.h"
-#include "src/obs/wire.h"
+#include "src/common/stats.h"
+#include "src/persist/persist.h"
 
 namespace msprint {
 namespace obs {
@@ -14,6 +14,11 @@ namespace {
 
 constexpr uint32_t kSketchMagic = 0x314B5351;  // "QSK1"
 constexpr uint8_t kSketchVersion = 1;
+
+[[noreturn]] void Malformed(const char* what) {
+  throw persist::PersistError(persist::ErrorCode::kFormat,
+                              std::string("QuantileSketch: ") + what);
+}
 
 }  // namespace
 
@@ -52,36 +57,6 @@ bool QuantileSketch::Insert(double value) {
   return true;
 }
 
-void QuantileSketch::Merge(const QuantileSketch& other) {
-  // Compare bit patterns, not values: a sketch deserialized from bytes
-  // must merge with one built in-process from the same accuracy literal.
-  uint64_t mine;
-  uint64_t theirs;
-  static_assert(sizeof(mine) == sizeof(relative_accuracy_), "f64 width");
-  std::memcpy(&mine, &relative_accuracy_, sizeof(mine));
-  std::memcpy(&theirs, &other.relative_accuracy_, sizeof(theirs));
-  if (mine != theirs) {
-    throw std::invalid_argument(
-        "QuantileSketch::Merge: relative_accuracy mismatch");
-  }
-  for (const auto& [index, bucket_count] : other.buckets_) {
-    buckets_[index] += bucket_count;
-  }
-  zero_count_ += other.zero_count_;
-  count_ += other.count_;
-  rejected_ += other.rejected_;
-  if (other.has_bounds_) {
-    if (!has_bounds_) {
-      has_bounds_ = true;
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-}
-
 double QuantileSketch::Quantile(double q) const {
   if (count_ == 0) {
     return 0.0;
@@ -113,79 +88,76 @@ bool QuantileSketch::IsFresh(double relative_accuracy) const {
 }
 
 std::string QuantileSketch::Serialize() const {
-  std::string out;
-  wire::PutU32(out, kSketchMagic);
-  out.push_back(static_cast<char>(kSketchVersion));
-  wire::PutF64(out, relative_accuracy_);
-  wire::PutU64(out, count_);
-  wire::PutU64(out, zero_count_);
-  wire::PutU64(out, rejected_);
-  wire::PutBool(out, has_bounds_);
-  wire::PutF64(out, min_);
-  wire::PutF64(out, max_);
-  wire::PutU64(out, buckets_.size());
+  persist::Writer w;
+  w.PutU32(kSketchMagic);
+  w.PutU8(kSketchVersion);
+  w.PutF64(relative_accuracy_);
+  w.PutU64(count_);
+  w.PutU64(zero_count_);
+  w.PutU64(rejected_);
+  w.PutBool(has_bounds_);
+  w.PutF64(min_);
+  w.PutF64(max_);
+  w.PutU64(buckets_.size());
   for (const auto& [index, bucket_count] : buckets_) {
-    wire::PutI32(out, index);
-    wire::PutU64(out, bucket_count);
+    w.PutU32(static_cast<uint32_t>(index));
+    w.PutU64(bucket_count);
   }
-  return out;
+  return w.Take();
 }
 
 QuantileSketch QuantileSketch::Deserialize(std::string_view bytes) {
-  wire::Cursor cursor(bytes);
-  if (cursor.GetU32() != kSketchMagic) {
-    throw std::invalid_argument("QuantileSketch: bad magic");
+  persist::Reader r(bytes);
+  if (r.GetU32() != kSketchMagic) {
+    Malformed("bad magic");
   }
-  if (cursor.GetU8() != kSketchVersion) {
-    throw std::invalid_argument("QuantileSketch: unsupported version");
+  if (r.GetU8() != kSketchVersion) {
+    Malformed("unsupported version");
   }
-  const double accuracy = cursor.GetFiniteF64("QuantileSketch accuracy");
+  const double accuracy = r.GetFiniteF64("QuantileSketch accuracy");
   if (accuracy <= 0.0 || accuracy >= 1.0) {
-    throw std::invalid_argument(
-        "QuantileSketch: relative_accuracy out of range");
+    Malformed("relative_accuracy out of range");
   }
   QuantileSketch sketch(accuracy);
-  sketch.count_ = cursor.GetU64();
-  sketch.zero_count_ = cursor.GetU64();
-  sketch.rejected_ = cursor.GetU64();
-  sketch.has_bounds_ = cursor.GetBool();
-  sketch.min_ = cursor.GetF64();
-  sketch.max_ = cursor.GetF64();
+  sketch.count_ = r.GetU64();
+  sketch.zero_count_ = r.GetU64();
+  sketch.rejected_ = r.GetU64();
+  sketch.has_bounds_ = r.GetBool();
+  sketch.min_ = r.GetF64();
+  sketch.max_ = r.GetF64();
   if (sketch.has_bounds_) {
     if (!std::isfinite(sketch.min_) || !std::isfinite(sketch.max_) ||
         sketch.min_ < 0.0 || sketch.min_ > sketch.max_) {
-      throw std::invalid_argument("QuantileSketch: invalid bounds");
+      Malformed("invalid bounds");
     }
   } else if (sketch.min_ != 0.0 || sketch.max_ != 0.0 ||
              sketch.count_ != 0) {
-    throw std::invalid_argument(
-        "QuantileSketch: nonzero state without bounds");
+    Malformed("nonzero state without bounds");
   }
-  const uint64_t num_buckets = cursor.GetCount(12, "QuantileSketch buckets");
+  const uint64_t num_buckets = r.GetCount(12, "QuantileSketch buckets");
   uint64_t bucket_total = 0;
   int32_t previous_index = 0;
   for (uint64_t i = 0; i < num_buckets; ++i) {
-    const int32_t index = cursor.GetI32();
-    const uint64_t bucket_count = cursor.GetU64();
+    const int32_t index = static_cast<int32_t>(r.GetU32());
+    const uint64_t bucket_count = r.GetU64();
     if (i > 0 && index <= previous_index) {
-      throw std::invalid_argument("QuantileSketch: bucket order violated");
+      Malformed("bucket order violated");
     }
     if (bucket_count == 0) {
-      throw std::invalid_argument("QuantileSketch: empty bucket encoded");
+      Malformed("empty bucket encoded");
     }
     previous_index = index;
     if (bucket_total > UINT64_MAX - bucket_count) {
-      throw std::invalid_argument("QuantileSketch: bucket count overflow");
+      Malformed("bucket count overflow");
     }
     bucket_total += bucket_count;
     sketch.buckets_.emplace_hint(sketch.buckets_.end(), index, bucket_count);
   }
   if (bucket_total > UINT64_MAX - sketch.zero_count_ ||
       bucket_total + sketch.zero_count_ != sketch.count_) {
-    throw std::invalid_argument(
-        "QuantileSketch: bucket totals disagree with count");
+    Malformed("bucket totals disagree with count");
   }
-  cursor.ExpectEnd();
+  r.ExpectEnd();
   return sketch;
 }
 

@@ -4,18 +4,14 @@
 //
 // Values are mapped to logarithmic buckets indexed by
 // ceil(log(v) / log(gamma)) with gamma = (1 + a) / (1 - a) for relative
-// accuracy a; each bucket keeps an integer count. Because the state is
-// integer counts keyed by integer indices plus a min/max envelope, Merge
-// is associative, commutative, and bit-exact: merging per-shard sketches
-// in any partition and any order yields byte-identical Serialize output
-// to the single-stream sketch. That is the primitive fleet shards will
-// merge at epoch barriers (ROADMAP item 1).
+// accuracy a; each bucket keeps an integer count, plus a min/max envelope.
+// The SLO pipeline keeps one sketch per time window.
 //
 // Determinism: index and representative computations use std::log /
 // std::pow, which are deterministic for a given libm — the same contract
 // the export layer already accepts (DESIGN.md §9). Quantile extraction
-// follows the repo-wide nearest-rank rule shared with
-// HistogramSnapshot::Quantile and LogHistogram::ApproxQuantile.
+// follows the repo-wide nearest-rank rule (QuantileRankTarget) shared
+// with LogHistogram::ApproxQuantile.
 
 #ifndef MSPRINT_SRC_OBS_SKETCH_H_
 #define MSPRINT_SRC_OBS_SKETCH_H_
@@ -43,12 +39,6 @@ class QuantileSketch {
   // whether the sample was accepted.
   bool Insert(double value);
 
-  // Folds `other` into this sketch. Both must share the same
-  // relative_accuracy bit pattern; throws std::invalid_argument
-  // otherwise. Integer bucket adds make the result independent of merge
-  // order and partition.
-  void Merge(const QuantileSketch& other);
-
   // Nearest-rank quantile over the bucketed distribution, clamped to the
   // exact [min, max] envelope. Empty sketch returns 0.0.
   double Quantile(double q) const;
@@ -65,8 +55,9 @@ class QuantileSketch {
   double gamma() const { return gamma_; }
   size_t num_buckets() const { return buckets_.size(); }
 
-  // Bit-exact wire form (little-endian, self-contained). Deserialize
-  // fails closed with std::invalid_argument on any malformed input.
+  // Bit-exact wire form (persist::Writer encoding, self-contained).
+  // Deserialize fails closed with persist::PersistError on any malformed
+  // input: kTruncated for short input, kFormat for everything else.
   std::string Serialize() const;
   static QuantileSketch Deserialize(std::string_view bytes);
 

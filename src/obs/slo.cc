@@ -10,7 +10,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
-#include "src/obs/wire.h"
+#include "src/persist/persist.h"
 
 namespace msprint {
 namespace obs {
@@ -18,6 +18,11 @@ namespace {
 
 constexpr uint32_t kSloMagic = 0x314F4C53;  // "SLO1"
 constexpr uint8_t kSloVersion = 1;
+
+[[noreturn]] void Malformed(const char* what) {
+  throw persist::PersistError(persist::ErrorCode::kFormat,
+                              std::string("SloPipeline: ") + what);
+}
 
 void ValidateConfig(const SloConfig& config) {
   if (!std::isfinite(config.window_seconds) || config.window_seconds <= 0.0) {
@@ -845,105 +850,105 @@ std::string SloPipeline::FormatWatch() const {
 }
 
 std::string SloPipeline::SaveState() const {
-  std::string out;
-  wire::PutU32(out, kSloMagic);
-  out.push_back(static_cast<char>(kSloVersion));
+  persist::Writer out;
+  out.PutU32(kSloMagic);
+  out.PutU8(kSloVersion);
   // --- config ---
-  wire::PutF64(out, config_.window_seconds);
-  wire::PutF64(out, config_.sketch_relative_accuracy);
-  wire::PutU64(out, config_.timeline_capacity);
-  wire::PutF64(out, config_.burn.fast_short_seconds);
-  wire::PutF64(out, config_.burn.fast_long_seconds);
-  wire::PutF64(out, config_.burn.fast_threshold);
-  wire::PutF64(out, config_.burn.slow_short_seconds);
-  wire::PutF64(out, config_.burn.slow_long_seconds);
-  wire::PutF64(out, config_.burn.slow_threshold);
-  wire::PutU64(out, config_.objectives.size());
+  out.PutF64(config_.window_seconds);
+  out.PutF64(config_.sketch_relative_accuracy);
+  out.PutU64(config_.timeline_capacity);
+  out.PutF64(config_.burn.fast_short_seconds);
+  out.PutF64(config_.burn.fast_long_seconds);
+  out.PutF64(config_.burn.fast_threshold);
+  out.PutF64(config_.burn.slow_short_seconds);
+  out.PutF64(config_.burn.slow_long_seconds);
+  out.PutF64(config_.burn.slow_threshold);
+  out.PutU64(config_.objectives.size());
   for (const SloObjective& objective : config_.objectives) {
-    out.push_back(static_cast<char>(objective.signal));
-    out.push_back(static_cast<char>(objective.op));
-    wire::PutF64(out, objective.threshold);
-    wire::PutF64(out, objective.budget);
+    out.PutU8(static_cast<uint8_t>(objective.signal));
+    out.PutU8(static_cast<uint8_t>(objective.op));
+    out.PutF64(objective.threshold);
+    out.PutF64(objective.budget);
   }
-  wire::PutU64(out, config_.anomalies.size());
+  out.PutU64(config_.anomalies.size());
   for (const SloAnomalyConfig& anomaly : config_.anomalies) {
-    out.push_back(static_cast<char>(anomaly.signal));
-    wire::PutF64(out, anomaly.alpha);
-    wire::PutF64(out, anomaly.z);
-    wire::PutU64(out, anomaly.warmup_windows);
+    out.PutU8(static_cast<uint8_t>(anomaly.signal));
+    out.PutF64(anomaly.alpha);
+    out.PutF64(anomaly.z);
+    out.PutU64(anomaly.warmup_windows);
   }
   // --- lifetime state ---
-  wire::PutBool(out, finished_);
-  wire::PutU64(out, windows_closed_);
-  wire::PutU64(out, windows_dropped_);
-  wire::PutU64(out, alert_windows_);
+  out.PutBool(finished_);
+  out.PutU64(windows_closed_);
+  out.PutU64(windows_dropped_);
+  out.PutU64(alert_windows_);
   for (const SloObjectiveState& state : objective_states_) {
-    wire::PutU64(out, state.windows_evaluated);
-    wire::PutU64(out, state.bad_windows);
-    wire::PutBool(out, state.alert_active);
-    wire::PutU64(out, state.fires);
-    wire::PutU64(out, state.clears);
-    wire::PutBool(out, state.has_first_fire);
-    wire::PutF64(out, state.first_fire_time);
+    out.PutU64(state.windows_evaluated);
+    out.PutU64(state.bad_windows);
+    out.PutBool(state.alert_active);
+    out.PutU64(state.fires);
+    out.PutU64(state.clears);
+    out.PutBool(state.has_first_fire);
+    out.PutF64(state.first_fire_time);
   }
   for (const SloAnomalyState& state : anomaly_states_) {
-    wire::PutU64(out, state.windows_seen);
-    wire::PutF64(out, state.ewma_mean);
-    wire::PutF64(out, state.ewma_var);
-    wire::PutU64(out, state.anomalies);
+    out.PutU64(state.windows_seen);
+    out.PutF64(state.ewma_mean);
+    out.PutF64(state.ewma_var);
+    out.PutU64(state.anomalies);
   }
   // --- run-wide response histogram ---
-  wire::PutU64(out, run_response_.rejected());
-  wire::PutBool(out, run_response_.count() > 0);
-  wire::PutF64(out, run_response_.min());
-  wire::PutF64(out, run_response_.max());
+  out.PutU64(run_response_.rejected());
+  out.PutBool(run_response_.count() > 0);
+  out.PutF64(run_response_.min());
+  out.PutF64(run_response_.max());
   uint64_t nonzero = 0;
   for (uint64_t c : run_response_.buckets()) {
     nonzero += c > 0 ? 1 : 0;
   }
-  wire::PutU64(out, nonzero);
+  out.PutU64(nonzero);
   for (size_t i = 0; i < run_response_.buckets().size(); ++i) {
     if (run_response_.buckets()[i] > 0) {
-      wire::PutU64(out, i);
-      wire::PutU64(out, run_response_.buckets()[i]);
+      out.PutU64(i);
+      out.PutU64(run_response_.buckets()[i]);
     }
   }
   // --- windows: open first, then the closed ring oldest-first ---
   auto put_window = [&out](const SloWindow& w) {
-    wire::PutU64(out, w.index);
-    wire::PutF64(out, w.begin);
-    wire::PutF64(out, w.end);
-    wire::PutString(out, w.response.Serialize());
-    wire::PutF64(out, w.response_sum);
-    wire::PutU64(out, w.arrivals);
-    wire::PutU64(out, w.responses);
-    wire::PutU64(out, w.good);
-    wire::PutU64(out, w.bad);
-    wire::PutU64(out, w.shed);
-    wire::PutU64(out, w.engages);
-    wire::PutU64(out, w.aborts);
-    wire::PutU64(out, w.timeouts);
-    wire::PutBool(out, w.has_queue_depth);
-    wire::PutF64(out, w.queue_depth);
-    wire::PutBool(out, w.has_budget);
-    wire::PutF64(out, w.budget_level);
-    wire::PutU32(out, w.evaluated_mask);
-    wire::PutU32(out, w.violation_mask);
-    wire::PutU32(out, w.alert_mask);
+    out.PutU64(w.index);
+    out.PutF64(w.begin);
+    out.PutF64(w.end);
+    out.PutString(w.response.Serialize());
+    out.PutF64(w.response_sum);
+    out.PutU64(w.arrivals);
+    out.PutU64(w.responses);
+    out.PutU64(w.good);
+    out.PutU64(w.bad);
+    out.PutU64(w.shed);
+    out.PutU64(w.engages);
+    out.PutU64(w.aborts);
+    out.PutU64(w.timeouts);
+    out.PutBool(w.has_queue_depth);
+    out.PutF64(w.queue_depth);
+    out.PutBool(w.has_budget);
+    out.PutF64(w.budget_level);
+    out.PutU32(w.evaluated_mask);
+    out.PutU32(w.violation_mask);
+    out.PutU32(w.alert_mask);
   };
   put_window(open_);
-  wire::PutU64(out, windows_closed_ - windows_dropped_);
+  out.PutU64(windows_closed_ - windows_dropped_);
   ForEachRetained(put_window);
-  return out;
+  return out.Take();
 }
 
 SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
-  wire::Cursor cursor(bytes);
+  persist::Reader cursor(bytes);
   if (cursor.GetU32() != kSloMagic) {
-    throw std::invalid_argument("SloPipeline: bad magic");
+    Malformed("bad magic");
   }
   if (cursor.GetU8() != kSloVersion) {
-    throw std::invalid_argument("SloPipeline: unsupported version");
+    Malformed("unsupported version");
   }
   SloConfig config;
   config.window_seconds = cursor.GetFiniteF64("slo window");
@@ -961,10 +966,10 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     const uint8_t signal = cursor.GetU8();
     const uint8_t op = cursor.GetU8();
     if (signal > static_cast<uint8_t>(SloSignal::kArrivalRate)) {
-      throw std::invalid_argument("SloPipeline: bad objective signal");
+      Malformed("bad objective signal");
     }
     if (op > static_cast<uint8_t>(SloOp::kGe)) {
-      throw std::invalid_argument("SloPipeline: bad objective op");
+      Malformed("bad objective op");
     }
     objective.signal = static_cast<SloSignal>(signal);
     objective.op = static_cast<SloOp>(op);
@@ -977,7 +982,7 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     SloAnomalyConfig anomaly;
     const uint8_t signal = cursor.GetU8();
     if (signal > static_cast<uint8_t>(SloSignal::kArrivalRate)) {
-      throw std::invalid_argument("SloPipeline: bad anomaly signal");
+      Malformed("bad anomaly signal");
     }
     anomaly.signal = static_cast<SloSignal>(signal);
     anomaly.alpha = cursor.GetFiniteF64("anomaly alpha");
@@ -985,7 +990,14 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     anomaly.warmup_windows = cursor.GetU64();
     config.anomalies.push_back(anomaly);
   }
-  SloPipeline pipeline(std::move(config));  // ValidateConfig runs here
+  // A config that SloConfig validation rejects is malformed content.
+  SloPipeline pipeline = [&config] {
+    try {
+      return SloPipeline(std::move(config));
+    } catch (const std::invalid_argument& error) {
+      throw persist::PersistError(persist::ErrorCode::kFormat, error.what());
+    }
+  }();
   pipeline.finished_ = cursor.GetBool();
   pipeline.windows_closed_ = cursor.GetU64();
   pipeline.windows_dropped_ = cursor.GetU64();
@@ -1016,7 +1028,7 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     const uint64_t count = cursor.GetU64();
     if (bucket >= LogHistogram::NumBuckets() ||
         (i > 0 && bucket <= previous_bucket) || count == 0) {
-      throw std::invalid_argument("SloPipeline: bad histogram bucket");
+      Malformed("bad histogram bucket");
     }
     previous_bucket = bucket;
     pipeline.run_response_.InjectBucketCount(static_cast<size_t>(bucket),
@@ -1027,11 +1039,11 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     if (!std::isfinite(response_min) || !std::isfinite(response_max) ||
         response_min < 0.0 || response_min > response_max ||
         pipeline.run_response_.count() == 0) {
-      throw std::invalid_argument("SloPipeline: bad histogram bounds");
+      Malformed("bad histogram bounds");
     }
     pipeline.run_response_.InjectBounds(response_min, response_max);
   } else if (pipeline.run_response_.count() != 0) {
-    throw std::invalid_argument("SloPipeline: histogram counts without bounds");
+    Malformed("histogram counts without bounds");
   }
   auto get_window = [&cursor, &pipeline]() {
     SloWindow w(pipeline.config_.sketch_relative_accuracy);
@@ -1056,7 +1068,7 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     w.violation_mask = cursor.GetU32();
     w.alert_mask = cursor.GetU32();
     if (w.begin > w.end) {
-      throw std::invalid_argument("SloPipeline: window bounds inverted");
+      Malformed("window bounds inverted");
     }
     return w;
   };
@@ -1067,23 +1079,20 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
   const uint64_t num_closed = cursor.GetCount(100, "slo closed windows");
   if (pipeline.windows_dropped_ > pipeline.windows_closed_ ||
       num_closed != pipeline.windows_closed_ - pipeline.windows_dropped_) {
-    throw std::invalid_argument(
-        "SloPipeline: closed ring length disagrees with window counts");
+    Malformed("closed ring length disagrees with window counts");
   }
   if (num_closed > pipeline.RetainedWindowFloor()) {
-    throw std::invalid_argument("SloPipeline: closed ring over capacity");
+    Malformed("closed ring over capacity");
   }
   if (num_closed > pipeline.open_.index) {
-    throw std::invalid_argument(
-        "SloPipeline: closed ring reaches before window 0");
+    Malformed("closed ring reaches before window 0");
   }
   pipeline.closed_.clear();
   for (uint64_t index = pipeline.FirstRetainedIndex();
        index < pipeline.open_.index; ++index) {
     SloWindow w = get_window();
     if (w.index != index) {
-      throw std::invalid_argument(
-          "SloPipeline: closed ring not contiguous up to the open window");
+      Malformed("closed ring not contiguous up to the open window");
     }
     if (!pipeline.IsImplicit(w)) {
       pipeline.closed_.push_back(std::move(w));

@@ -211,6 +211,9 @@ class SloPipeline {
   std::string FormatWatch() const;
 
   // ---- bit-exact state round trip (checkpoint section payload) ----
+  // persist::Writer encoding. RestoreState fails closed with
+  // persist::PersistError: kTruncated for short input, kFormat for
+  // everything else, including a config that SloConfig validation rejects.
   std::string SaveState() const;
   static SloPipeline RestoreState(std::string_view bytes);
 
@@ -245,8 +248,8 @@ class SloPipeline {
   uint64_t windows_dropped_ = 0;
   uint64_t alert_windows_ = 0;
   bool finished_ = false;
-  // Run-wide response-time histogram, summarized through the shared
-  // HistogramSnapshot::Quantile path in FormatSummary.
+  // Run-wide response-time histogram, summarized through
+  // SummarizeLogHistogram in FormatSummary.
   LogHistogram run_response_;
 };
 

@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -17,11 +19,13 @@
 namespace msprint {
 namespace {
 
-// Runs the msprint binary with `args`, discarding output, and returns its
-// exit status (or -1 if the shell invocation itself failed).
-int RunMsprint(const std::string& args) {
-  const std::string cmd =
-      std::string(MSPRINT_BINARY) + " " + args + " >/dev/null 2>&1";
+// Runs the msprint binary with `args`, discarding stdout and sending
+// stderr to `stderr_path`, and returns its exit status (or -1 if the
+// shell invocation itself failed).
+int RunMsprint(const std::string& args,
+               const std::string& stderr_path = "/dev/null") {
+  const std::string cmd = std::string(MSPRINT_BINARY) + " " + args +
+                          " >/dev/null 2>" + stderr_path;
   const int raw = std::system(cmd.c_str());
   if (raw == -1 || !WIFEXITED(raw)) {
     return -1;
@@ -35,6 +39,12 @@ void WriteFileOrDie(const std::string& path, const std::string& contents) {
   ASSERT_EQ(std::fwrite(contents.data(), 1, contents.size(), f),
             contents.size());
   ASSERT_EQ(std::fclose(f), 0);
+}
+
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 TEST(CliExitCodeTest, Exit0Success) {
@@ -62,6 +72,13 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
             kExitUsage);
   EXPECT_EQ(RunMsprint("whatif --queries 50 --deltas 0"), kExitUsage);
   EXPECT_EQ(RunMsprint("slo --queries 50 --format bogus"), kExitUsage);
+  // The message lists every value the flag accepts.
+  const std::string err = ::testing::TempDir() + "/cli_inject_bug.err";
+  EXPECT_EQ(RunMsprint("mc --inject-bug nope", err), kExitUsage);
+  EXPECT_NE(ReadFileOrEmpty(err).find(
+                "none|budget-debt|breaker-signal-drop|shed-signal-drop"),
+            std::string::npos)
+      << ReadFileOrEmpty(err);
 }
 
 TEST(CliExitCodeTest, Exit3ObsDiffBreach) {
@@ -105,6 +122,28 @@ TEST(CliExitCodeTest, Exit7WhatifRequiredGainUnmet) {
   EXPECT_EQ(RunMsprint(base +
                        "--knobs service-rate --deltas 1 --require-gain 0.1"),
             kExitOk);
+}
+
+// `slo` and `watch --storm F` apply a storm's --queries and --seed
+// overrides, as `storm --config F` and `whatif --storm F` do.
+TEST(CliFlagTest, SloStormAppliesQueriesAndSeedOverrides) {
+  const std::string dir = ::testing::TempDir();
+  const std::string storm = dir + "/cli_overrides.storm";
+  WriteFileOrDie(storm, "queries = 600\nwarmup = 60\n");
+  const std::string slo = "slo --storm " + storm + " --out ";
+  ASSERT_EQ(RunMsprint(slo + dir + "/cli_overrides_a.txt --queries 300"),
+            kExitOk);
+  ASSERT_EQ(RunMsprint(slo + dir + "/cli_overrides_b.txt"), kExitOk);
+  const std::string b = ReadFileOrEmpty(dir + "/cli_overrides_b.txt");
+  ASSERT_FALSE(b.empty());
+  EXPECT_NE(ReadFileOrEmpty(dir + "/cli_overrides_a.txt"), b);
+
+  const std::string watch = "watch --storm " + storm + " --out ";
+  ASSERT_EQ(RunMsprint(watch + dir + "/cli_overrides_c.txt --seed 9"),
+            kExitOk);
+  ASSERT_EQ(RunMsprint(watch + dir + "/cli_overrides_d.txt"), kExitOk);
+  EXPECT_NE(ReadFileOrEmpty(dir + "/cli_overrides_c.txt"),
+            ReadFileOrEmpty(dir + "/cli_overrides_d.txt"));
 }
 
 }  // namespace

@@ -290,34 +290,6 @@ TEST(LogHistogramTest, ZeroAndHugeLandInBoundaryBuckets) {
   EXPECT_DOUBLE_EQ(hist.max(), 1e15);
 }
 
-TEST(LogHistogramTest, MergeMatchesSequentialRecording) {
-  LogHistogram left, right, sequential;
-  for (int i = 1; i <= 100; ++i) {
-    const double v = 0.01 * i;
-    (i % 2 == 0 ? left : right).Record(v);
-    sequential.Record(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), sequential.count());
-  EXPECT_DOUBLE_EQ(left.min(), sequential.min());
-  EXPECT_DOUBLE_EQ(left.max(), sequential.max());
-  EXPECT_EQ(left.buckets(), sequential.buckets());
-  EXPECT_DOUBLE_EQ(left.ApproxMean(), sequential.ApproxMean());
-}
-
-TEST(LogHistogramTest, MergeEmptyIsIdentity) {
-  LogHistogram hist, empty;
-  hist.Record(1.0);
-  hist.Merge(empty);
-  EXPECT_EQ(hist.count(), 1u);
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
-  // Merging into an empty histogram adopts the other's bounds outright.
-  LogHistogram fresh;
-  fresh.Merge(hist);
-  EXPECT_DOUBLE_EQ(fresh.min(), 1.0);
-  EXPECT_DOUBLE_EQ(fresh.max(), 1.0);
-}
-
 TEST(LogHistogramTest, InjectedBoundsAdoptedNotMinMergedWithZero) {
   // The sharded-histogram merge path: bucket counts arrive by injection
   // (leaving placeholder 0.0 bounds), then real bounds are injected. The

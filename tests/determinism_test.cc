@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/checksum.h"
 #include "src/common/thread_pool.h"
 #include "src/core/effective_rate.h"
 #include "src/core/models.h"
@@ -992,22 +993,28 @@ std::string ElideSampleLines(const std::string& text) {
   return out;
 }
 
-std::string ModelPipelineGoldenExport() {
-  std::string out;
+// An 8-row DVFS grid at 600 queries per run, calibrated.
+WorkloadProfile GoldenCalibratedProfile(const QueryMix& mix) {
   ProfilerConfig profiler;
   profiler.sample_grid_points = 8;
   profiler.queries_per_run = 600;
   profiler.warmup_queries = 60;
   SprintPolicy platform;
   platform.mechanism = MechanismId::kDvfs;
+  WorkloadProfile profile = ProfileWorkload(mix, platform, profiler);
+  CalibrateProfile(profile, CalibrationConfig{});
+  return profile;
+}
+
+std::string ModelPipelineGoldenExport() {
+  std::string out;
   const std::pair<const char*, QueryMix> mixes[] = {
       {"Jacobi", QueryMix::Single(WorkloadId::kJacobi)},
       {"Jacobi+KNN",
        QueryMix::Uniform({WorkloadId::kJacobi, WorkloadId::kKnn}, 0.8)}};
   std::vector<WorkloadProfile> profiles;
   for (const auto& [name, mix] : mixes) {
-    WorkloadProfile profile = ProfileWorkload(mix, platform, profiler);
-    CalibrateProfile(profile, CalibrationConfig{});
+    WorkloadProfile profile = GoldenCalibratedProfile(mix);
     std::ostringstream text;
     SaveProfile(profile, text);
     out += std::string("== calibrated profile ") + name + "\n" +
@@ -1064,6 +1071,119 @@ std::string ModelPipelineGoldenExport() {
 
 TEST(DeterminismTest, ModelPipelineMatchesCommittedGolden) {
   ExpectMatchesGolden(ModelPipelineGoldenExport(), "model_pipeline.txt");
+}
+
+// ---------------------------------------------------- obs-export golden
+//
+// Pins what the obs layer exports across versions of src/obs: CI's
+// fault-storm testbed recipe with every sink attached (metrics text and
+// json, the recorder tail at the default floor and at kWarn, the
+// attribution report, the SLO timeline, summary and state), and the
+// metrics of a two-chain exploration whose chains count from pool
+// workers. Exports longer than kObsGoldenFullBytes, and the binary SLO
+// state, are pinned by length and CRC-32. Like the model-pipeline golden,
+// these runs draw through libm, so the file also pins the host libm's
+// rounding.
+
+constexpr size_t kObsGoldenFullBytes = 8192;
+
+void AppendObsExport(std::string& out, const std::string& name,
+                     const std::string& bytes, bool full = true) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(bytes));
+  out += "== " + name + " bytes " + std::to_string(bytes.size()) +
+         " crc32 " + crc + "\n";
+  if (full && bytes.size() <= kObsGoldenFullBytes) {
+    out += bytes;
+  }
+}
+
+// CI's `TB` flags: --workload Jacobi --seed 7 --queries 1200
+// --toggle-fail 0.2 --breaker-trips 4 --outliers 0.05 --flash-crowds 1,
+// with every other field at the CLI's default.
+TestbedConfig CiFaultStormConfig() {
+  TestbedConfig config;
+  config.mix = QueryMix::Single(WorkloadId::kJacobi);
+  config.policy.mechanism = MechanismId::kDvfs;
+  config.policy.timeout_seconds = 60.0;
+  config.policy.budget_fraction = 0.2;
+  config.policy.refill_seconds = 200.0;
+  config.utilization = 0.6;
+  config.num_queries = 1200;
+  config.warmup_queries = 120;
+  config.seed = 7;
+  config.faults.toggle_failure_probability = 0.2;
+  config.faults.breaker_trips_per_hour = 4.0;
+  config.faults.outlier_probability = 0.05;
+  config.faults.flash_crowds_per_hour = 1.0;
+  return config;
+}
+
+std::string ObsExportsGoldenExport() {
+  std::string out;
+  const TestbedConfig storm = CiFaultStormConfig();
+  {
+    // CI's clean.slo objectives, so the state carries an objective and
+    // an anomaly detector.
+    obs::SloPipeline slo(obs::ParseSloObjectives(
+        "window 600\n"
+        "objective goodput_ratio > 0.5 budget 0.5\n"
+        "anomaly queue_depth alpha 0.3 z 6 warmup 8\n"));
+    obs::MetricsRegistry metrics;
+    obs::FlightRecorder recorder;
+    obs::SpanCollector spans;
+    {
+      obs::ObsSession session(&metrics, &recorder, &spans, &slo);
+      Testbed::Run(storm);
+    }
+    const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+    AppendObsExport(out, "storm metrics text", snapshot.ToText());
+    AppendObsExport(out, "storm metrics json", snapshot.ToJson() + "\n");
+    AppendObsExport(out, "storm recorder tail, default floor",
+                    recorder.FormatTail());
+    AppendObsExport(out, "storm attribution",
+                    obs::FormatAttribution(obs::Attribute(
+                        spans.TakeSpans(), obs::AttributionOptions{})));
+    AppendObsExport(out, "storm slo timeline", slo.FormatTimeline());
+    AppendObsExport(out, "storm slo summary", slo.FormatSummary());
+    AppendObsExport(out, "storm slo state", slo.SaveState(), /*full=*/false);
+  }
+  {
+    // `msprint faults`: metrics plus a warn-floor recorder.
+    obs::MetricsRegistry metrics;
+    obs::FlightRecorder recorder;
+    recorder.SetMinSeverityAll(obs::Severity::kWarn);
+    {
+      obs::ObsSession session(&metrics, &recorder);
+      Testbed::Run(storm);
+    }
+    AppendObsExport(out, "storm recorder tail, warn floor",
+                    recorder.FormatTail());
+  }
+  {
+    const WorkloadProfile profile =
+        GoldenCalibratedProfile(QueryMix::Single(WorkloadId::kJacobi));
+    const HybridModel model = HybridModel::Train({&profile});
+    ModelInput base;
+    base.utilization = 0.75;
+    base.budget_fraction = 0.2;
+    base.refill_seconds = 400.0;
+    ExploreConfig explore;
+    explore.max_iterations = 60;
+    explore.num_chains = 2;
+    explore.seed = 7;
+    obs::MetricsRegistry metrics;
+    {
+      obs::ObsSession session(&metrics, nullptr);
+      ExploreTimeout(model, profile, base, explore);
+    }
+    AppendObsExport(out, "explore metrics text", metrics.Snapshot().ToText());
+  }
+  return out;
+}
+
+TEST(DeterminismTest, ObsExportsMatchCommittedGolden) {
+  ExpectMatchesGolden(ObsExportsGoldenExport(), "obs_exports.txt");
 }
 
 // ------------------------------------------------- testbed storage reuse

@@ -43,33 +43,6 @@ TEST(MetricsRegistryTest, GetReturnsStableHandles) {
   EXPECT_EQ(b.Value(), 1u);
 }
 
-TEST(MetricsRegistryTest, NameKeepsFirstDeterminismTag) {
-  MetricsRegistry registry;
-  Counter& first = registry.GetCounter("test/t", Determinism::kTiming);
-  Counter& again = registry.GetCounter("test/t", Determinism::kStable);
-  EXPECT_EQ(&first, &again);
-  EXPECT_EQ(again.determinism(), Determinism::kTiming);
-}
-
-TEST(MetricsRegistryTest, SnapshotExcludesTimingByDefault) {
-  MetricsRegistry registry;
-  registry.GetCounter("stable/c").Add(1);
-  registry.GetCounter("timing/c", Determinism::kTiming).Add(1);
-  registry.GetGauge("timing/g", Determinism::kTiming).Set(2.0);
-  registry.GetHistogram("timing/h", Determinism::kTiming).Record(1.0);
-
-  const MetricsSnapshot deterministic = registry.Snapshot();
-  ASSERT_EQ(deterministic.counters.size(), 1u);
-  EXPECT_EQ(deterministic.counters[0].first, "stable/c");
-  EXPECT_TRUE(deterministic.gauges.empty());
-  EXPECT_TRUE(deterministic.histograms.empty());
-
-  const MetricsSnapshot full = registry.Snapshot(/*include_timing=*/true);
-  EXPECT_EQ(full.counters.size(), 2u);
-  EXPECT_EQ(full.gauges.size(), 1u);
-  EXPECT_EQ(full.histograms.size(), 1u);
-}
-
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
   MetricsRegistry registry;
   registry.GetCounter("z/last").Add(1);
@@ -203,18 +176,24 @@ TEST(FlightRecorderTest, RingOverwritesOldestFirst) {
   EXPECT_EQ(recorder.overwritten(), 6u);
 }
 
-TEST(FlightRecorderTest, SeverityFloorIsPerSubsystem) {
+TEST(FlightRecorderTest, SeverityFloorAppliesToEverySubsystem) {
   FlightRecorder recorder;
-  recorder.SetMinSeverity(Subsystem::kTestbed, Severity::kWarn);
-  EXPECT_FALSE(recorder.Wants(Subsystem::kTestbed, Severity::kInfo));
-  EXPECT_TRUE(recorder.Wants(Subsystem::kTestbed, Severity::kWarn));
-  EXPECT_TRUE(recorder.Wants(Subsystem::kOnline, Severity::kDebug));
-
+  recorder.SetMinSeverityAll(Severity::kWarn);
   recorder.Record(MakeEvent(1.0, Severity::kDebug));  // filtered
   recorder.Record(MakeEvent(2.0, Severity::kError));  // kept
   recorder.Record(MakeEvent(3.0, Severity::kDebug, Subsystem::kOnline));
-  EXPECT_EQ(recorder.Events().size(), 2u);
-  EXPECT_EQ(recorder.filtered(), 1u);
+  recorder.Record(MakeEvent(4.0, Severity::kWarn, Subsystem::kOnline));
+  const std::vector<Event> events = recorder.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_DOUBLE_EQ(events[0].time, 2.0);
+  EXPECT_DOUBLE_EQ(events[1].time, 4.0);
+  EXPECT_EQ(recorder.filtered(), 2u);
+
+  // Lowering the floor admits what it used to drop.
+  recorder.SetMinSeverityAll(Severity::kDebug);
+  recorder.Record(MakeEvent(5.0, Severity::kDebug, Subsystem::kSlo));
+  EXPECT_EQ(recorder.Events().size(), 3u);
+  EXPECT_EQ(recorder.filtered(), 2u);
 }
 
 TEST(FlightRecorderTest, FormatTailIsByteStable) {

@@ -1,10 +1,9 @@
 // Tests for streaming SLO telemetry (src/obs/sketch, src/obs/slo):
-// the mergeable quantile sketch (partition/order-independent bit-exact
-// merges, relative-error rank bound, fail-closed wire format), the
-// sim-time tumbling-window pipeline (signals, burn-rate alerts, anomaly
-// detection, byte-stable exports), the shared nearest-rank quantile rule
-// (HistogramSnapshot::Quantile vs LogHistogram::ApproxQuantile), and the
-// bit-exact state round trip that persistence builds on. The corruption
+// the quantile sketch (relative-error rank bound, fail-closed wire
+// format), the sim-time tumbling-window pipeline (signals, burn-rate
+// alerts, anomaly detection, byte-stable exports), the shared nearest-rank
+// quantile rule (exported summaries vs LogHistogram::ApproxQuantile), and
+// the bit-exact state round trip that persistence builds on. The corruption
 // harness over the checkpoint "slo" section lives in persist_test.cc; the
 // cross-pool-size byte-identity of CLI exports is CI's obs job.
 
@@ -31,7 +30,7 @@
 #include "src/obs/recorder.h"
 #include "src/obs/sketch.h"
 #include "src/obs/slo.h"
-#include "src/obs/wire.h"
+#include "src/persist/persist.h"
 #include "src/robust/storm.h"
 #include "src/sim/queue_simulator.h"
 #include "src/testbed/testbed.h"
@@ -96,79 +95,6 @@ TEST(QuantileSketchTest, RelativeErrorBoundHolds) {
   }
 }
 
-// Satellite: the merge property test. Any partition of the stream into
-// up to 8 shards, merged in any order, must serialize byte-identically
-// to the single-stream sketch, and the merged quantiles must keep the
-// relative-error bound.
-TEST(QuantileSketchTest, MergeIsPartitionAndOrderIndependent) {
-  std::mt19937_64 rng(7);
-  std::lognormal_distribution<double> dist(1.0, 1.0);
-  std::uniform_int_distribution<size_t> shard_count(1, 8);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t shards = shard_count(rng);
-    std::uniform_int_distribution<size_t> pick(0, shards - 1);
-    QuantileSketch single(0.01);
-    std::vector<QuantileSketch> parts(shards, QuantileSketch(0.01));
-    std::vector<double> samples;
-    for (int i = 0; i < 2000; ++i) {
-      const double v = dist(rng);
-      samples.push_back(v);
-      single.Insert(v);
-      parts[pick(rng)].Insert(v);
-    }
-    // Merge the shards in a random order.
-    std::vector<size_t> order(shards);
-    for (size_t i = 0; i < shards; ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    QuantileSketch merged(0.01);
-    for (const size_t s : order) merged.Merge(parts[s]);
-
-    EXPECT_EQ(merged.Serialize(), single.Serialize())
-        << "trial " << trial << " with " << shards << " shards";
-
-    std::sort(samples.begin(), samples.end());
-    for (const double q : {0.5, 0.99}) {
-      const double exact = samples[QuantileRankTarget(samples.size(), q) - 1];
-      EXPECT_LE(std::abs(merged.Quantile(q) - exact), 0.01 * exact);
-    }
-  }
-}
-
-// Acceptance gate: shard the default storm scenario's served response
-// times over 8 sketches and merge — byte-for-byte equal to the
-// single-stream sketch over the same run.
-TEST(QuantileSketchTest, StormScenarioShardedMergeMatchesSingleStream) {
-  robust::StormConfig storm;
-  storm.queries = 1500;  // smaller replica of the committed scenario
-  const TestbedConfig config =
-      robust::MakeStormTestbedConfig(storm, /*hardened=*/true);
-  const RunTrace trace = Testbed::Run(config);
-
-  QuantileSketch single(0.01);
-  std::vector<QuantileSketch> shards(8, QuantileSketch(0.01));
-  size_t i = 0;
-  size_t served = 0;
-  for (const Query& query : trace.queries) {
-    if (!query.Served()) continue;
-    single.Insert(query.ResponseTime());
-    shards[i++ % 8].Insert(query.ResponseTime());
-    ++served;
-  }
-  ASSERT_GT(served, 100u);
-  QuantileSketch merged(0.01);
-  for (const QuantileSketch& shard : shards) merged.Merge(shard);
-  EXPECT_EQ(merged.Serialize(), single.Serialize());
-  EXPECT_EQ(merged.count(), single.count());
-  EXPECT_EQ(merged.Quantile(0.99), single.Quantile(0.99));
-}
-
-TEST(QuantileSketchTest, MergeRejectsAccuracyMismatch) {
-  QuantileSketch a(0.01);
-  QuantileSketch b(0.02);
-  b.Insert(1.0);
-  EXPECT_THROW(a.Merge(b), std::invalid_argument);
-}
-
 TEST(QuantileSketchTest, SerializeRoundTripsBitExactly) {
   QuantileSketch sketch(0.015);
   std::mt19937_64 rng(11);
@@ -181,21 +107,17 @@ TEST(QuantileSketchTest, SerializeRoundTripsBitExactly) {
   EXPECT_EQ(back.count(), sketch.count());
   EXPECT_EQ(back.rejected(), sketch.rejected());
   EXPECT_EQ(back.Quantile(0.9), sketch.Quantile(0.9));
-  // A deserialized sketch merges with a live one (bit-pattern accuracy).
-  QuantileSketch merged(0.015);
-  merged.Merge(back);
-  EXPECT_EQ(merged.Serialize(), bytes);
 }
 
 TEST(QuantileSketchTest, DeserializeFailsClosedOnCorruption) {
   QuantileSketch sketch(0.01);
   for (int i = 1; i <= 64; ++i) sketch.Insert(0.25 * i);
   const std::string bytes = sketch.Serialize();
-  EXPECT_THROW(QuantileSketch::Deserialize(""), std::invalid_argument);
+  EXPECT_THROW(QuantileSketch::Deserialize(""), persist::PersistError);
   EXPECT_THROW(QuantileSketch::Deserialize(bytes.substr(0, bytes.size() / 2)),
-               std::invalid_argument);
+               persist::PersistError);
   EXPECT_THROW(QuantileSketch::Deserialize(bytes + "x"),
-               std::invalid_argument);
+               persist::PersistError);
   // Single-byte flips must never produce a silently-wrong sketch: either
   // the parse throws or the reserialized bytes equal the mutated input.
   std::mt19937_64 rng(13);
@@ -206,7 +128,7 @@ TEST(QuantileSketchTest, DeserializeFailsClosedOnCorruption) {
     try {
       const QuantileSketch back = QuantileSketch::Deserialize(mutated);
       EXPECT_EQ(back.Serialize(), mutated);
-    } catch (const std::invalid_argument&) {
+    } catch (const persist::PersistError&) {
       // fail-closed: fine
     }
   }
@@ -214,9 +136,8 @@ TEST(QuantileSketchTest, DeserializeFailsClosedOnCorruption) {
 
 // --- shared nearest-rank quantile rule ----------------------------------
 
-// Satellite: HistogramSnapshot::Quantile must agree exactly with
-// LogHistogram::ApproxQuantile — one quantile rule across attribution,
-// stats exports and the SLO engine.
+// Exported summaries quote LogHistogram::ApproxQuantile exactly — one
+// quantile rule across attribution, stats exports and the SLO engine.
 TEST(SharedQuantileTest, HistogramSnapshotMatchesLogHistogram) {
   LogHistogram histogram;
   std::mt19937_64 rng(29);
@@ -224,9 +145,6 @@ TEST(SharedQuantileTest, HistogramSnapshotMatchesLogHistogram) {
   for (int i = 0; i < 5000; ++i) histogram.Record(dist(rng));
   const HistogramSnapshot snapshot =
       SummarizeLogHistogram("test/h", histogram);
-  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_EQ(snapshot.Quantile(q), histogram.ApproxQuantile(q)) << "q=" << q;
-  }
   EXPECT_EQ(snapshot.p50, histogram.ApproxQuantile(0.50));
   EXPECT_EQ(snapshot.p90, histogram.ApproxQuantile(0.90));
   EXPECT_EQ(snapshot.p99, histogram.ApproxQuantile(0.99));
@@ -621,17 +539,6 @@ TEST(SloStateTest, ResumedPipelineReproducesTimelineByteForByte) {
   EXPECT_EQ(resumed.AlertsFired(), uninterrupted.AlertsFired());
 }
 
-TEST(SloStateTest, RestoreFailsClosedOnCorruption) {
-  SloPipeline pipeline(SmallConfig());
-  FeedDeterministic(pipeline, 5);
-  const std::string bytes = pipeline.SaveState();
-  EXPECT_THROW(SloPipeline::RestoreState(""), std::invalid_argument);
-  EXPECT_THROW(SloPipeline::RestoreState(bytes.substr(0, bytes.size() - 3)),
-               std::invalid_argument);
-  EXPECT_THROW(SloPipeline::RestoreState(bytes + "zz"),
-               std::invalid_argument);
-}
-
 // Locates `fields` (little-endian wire encodings), which must occur in
 // `bytes` exactly once.
 size_t FindFields(const std::string& bytes, const std::string& fields) {
@@ -642,20 +549,48 @@ size_t FindFields(const std::string& bytes, const std::string& fields) {
 }
 
 std::string U64(uint64_t v) {
-  std::string out;
-  wire::PutU64(out, v);
-  return out;
+  persist::Writer out;
+  out.PutU64(v);
+  return out.Take();
 }
 
 std::string F64(double v) {
-  std::string out;
-  wire::PutF64(out, v);
-  return out;
+  persist::Writer out;
+  out.PutF64(v);
+  return out.Take();
 }
 
 // Each window record starts with its index and bounds.
 std::string WindowHead(uint64_t index) {
   return U64(index) + F64(index * 5.0) + F64(index * 5.0 + 5.0);
+}
+
+// Short input is kTruncated; everything else, including a config that
+// SloConfig validation rejects, is kFormat.
+TEST(SloStateTest, RestoreFailsClosedOnCorruption) {
+  SloPipeline pipeline(SmallConfig());
+  FeedDeterministic(pipeline, 5);
+  const std::string bytes = pipeline.SaveState();
+  auto code = [](const std::string& state) {
+    try {
+      SloPipeline::RestoreState(state);
+    } catch (const persist::PersistError& error) {
+      return error.code();
+    }
+    ADD_FAILURE() << "malformed state restored";
+    return persist::ErrorCode::kIo;
+  };
+  EXPECT_EQ(code(""), persist::ErrorCode::kTruncated);
+  EXPECT_EQ(code(bytes.substr(0, bytes.size() - 3)),
+            persist::ErrorCode::kTruncated);
+  EXPECT_EQ(code(bytes + "zz"), persist::ErrorCode::kFormat);
+  // window_seconds and the sketch accuracy follow the 5-byte header.
+  std::string bad_window = bytes;
+  bad_window.replace(5, 8, F64(-5.0));
+  EXPECT_EQ(code(bad_window), persist::ErrorCode::kFormat);
+  std::string bad_accuracy = bytes;
+  bad_accuracy.replace(13, 8, F64(2.0));
+  EXPECT_EQ(code(bad_accuracy), persist::ErrorCode::kFormat);
 }
 
 // SaveState writes the closed ring as the whole retained range, contiguous
@@ -684,20 +619,20 @@ TEST(SloStateTest, RestoreRejectsMisshapenClosedRing) {
   // Indices increase but skip: the first retained window claims index 10.
   EXPECT_THROW(
       SloPipeline::RestoreState(patched(WindowHead(49), U64(10))),
-      std::invalid_argument);
+      persist::PersistError);
   // The ring ends at 148 but the open window claims 155.
   EXPECT_THROW(
       SloPipeline::RestoreState(patched(WindowHead(149), U64(155))),
-      std::invalid_argument);
+      persist::PersistError);
   // 100 windows in the ring, but the counts say 101.
   EXPECT_THROW(SloPipeline::RestoreState(
                    patched(U64(149) + U64(49), U64(150) + U64(49))),
-               std::invalid_argument);
+               persist::PersistError);
   // Counts and ring agree, but 100 windows exceed an 80-window capacity.
   EXPECT_THROW(SloPipeline::RestoreState(
                    patched(F64(5.0) + F64(0.01) + U64(100),
                            F64(5.0) + F64(0.01) + U64(80))),
-               std::invalid_argument);
+               persist::PersistError);
 }
 
 // --- golden across window gaps -----------------------------------------

@@ -49,7 +49,7 @@
 //       chrome://tracing / Perfetto.
 //
 //   msprint explain [--profile F | --workload W] [--top K]
-//       [--format text|chrome]
+//       [--format text|chrome|json]
 //       Per-query causal attribution of a seeded run: exact signed span
 //       components (queue wait, service phases, interference, fault delay,
 //       toggle overhead, sprint delta) that sum bit-for-bit to each
@@ -177,12 +177,7 @@ size_t ParseSizeFlag(const std::string& name, const std::string& text) {
 
 class Flags {
  public:
-  // Boolean flags may appear bare (`--include-timing`) or with an explicit
-  // 0/1 value; every other flag requires a value.
-  static bool IsBooleanFlag(const std::string& name) {
-    return name == "include-timing";
-  }
-
+  // Every flag takes a value: `--name value`.
   Flags(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
       std::string arg = argv[i];
@@ -192,18 +187,6 @@ class Flags {
         throw FlagError(arg, "expected a --flag argument");
       }
       arg = arg.substr(2);
-      if (IsBooleanFlag(arg)) {
-        std::string value = "1";
-        if (i + 1 < argc) {
-          const std::string next = argv[i + 1];
-          if (next == "0" || next == "1") {
-            value = next;
-            ++i;
-          }
-        }
-        values_[arg] = value;
-        continue;
-      }
       if (i + 1 >= argc) {
         throw FlagError(arg, "missing value");
       }
@@ -737,12 +720,7 @@ int CmdStats(const Flags& flags) {
   obs::FlightRecorder recorder(
       flags.GetSize("capacity", obs::FlightRecorder::kDefaultCapacity));
   RunObserved(flags, metrics, recorder);
-  // Timing metrics (wall-clock) are opt-in: the default export is the
-  // deterministic one that CI byte-diffs across pool sizes.
-  // `--include-timing` is the boolean spelling; `--timing 1` still works.
-  const bool timing = flags.GetSize("timing", 0) != 0 ||
-                      flags.GetSize("include-timing", 0) != 0;
-  const obs::MetricsSnapshot snapshot = metrics.Snapshot(timing);
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
   const std::string format = flags.GetString("format", "text");
   if (format == "text") {
     std::cout << snapshot.ToText();
@@ -882,9 +860,15 @@ mc::InjectedBug ParseInjectedBugFlag(const Flags& flags) {
   const std::string name = flags.GetString("inject-bug", "none");
   const auto bug = mc::InjectedBugFromName(name);
   if (!bug.has_value()) {
+    std::string names;
+    for (const mc::InjectedBug known : mc::kAllInjectedBugs) {
+      if (!names.empty()) {
+        names += '|';
+      }
+      names += mc::ToString(known);
+    }
     throw FlagError("inject-bug",
-                    "expected none|budget-debt|breaker-signal-drop, got '" +
-                        name + "'");
+                    "expected " + names + ", got '" + name + "'");
   }
   return *bug;
 }
@@ -970,23 +954,41 @@ int CmdMc(const Flags& flags) {
 
 // ------------------------------------------------------ overload storms
 
+// The storm scenario in the .storm file named by `file_flag` (the default
+// scenario when the flag is absent), with the --seed and --queries
+// overrides applied. Committed .storm files stay the source of truth for
+// the CI replays; the overrides are for sweeps.
+robust::StormConfig StormConfigFromFlags(const Flags& flags,
+                                         const std::string& file_flag) {
+  robust::StormConfig config;
+  if (flags.Has(file_flag)) {
+    const std::string text = ReadFileOrThrow(flags.GetString(file_flag));
+    config = ParseFlagValue(
+        file_flag, [&] { return robust::ParseStormConfig(text); });
+  }
+  config.seed = flags.GetSize("seed", config.seed);
+  config.queries = flags.GetSize("queries", config.queries);
+  return config;
+}
+
+// One side (--side hardened|baseline) of the --storm scenario: the
+// testbed run of the slo, watch and whatif verbs.
+TestbedConfig StormSideFromFlags(const Flags& flags) {
+  const robust::StormConfig storm = StormConfigFromFlags(flags, "storm");
+  const std::string side = flags.GetString("side", "hardened");
+  if (side != "hardened" && side != "baseline") {
+    throw FlagError("side", "expected hardened|baseline, got '" + side + "'");
+  }
+  return robust::MakeStormTestbedConfig(storm, side == "hardened");
+}
+
 // Replays one metastable-failure storm A/B (DESIGN.md §14): the same
 // deterministic storm against the unprotected baseline and the hardened
 // (admission control + retry budgets) server. --require-ratio gates the
 // hardened/baseline goodput ratio — the CI overload-stress job replays
 // committed .storm configs through it.
 int CmdStorm(const Flags& flags) {
-  robust::StormConfig config;
-  if (flags.Has("config")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("config"));
-    config = ParseFlagValue(
-        "config", [&] { return robust::ParseStormConfig(text); });
-  }
-  // Quick overrides for sweeps; committed .storm files stay the source of
-  // truth for the CI replays.
-  config.seed = flags.GetSize("seed", config.seed);
-  config.queries = flags.GetSize("queries", config.queries);
-
+  const robust::StormConfig config = StormConfigFromFlags(flags, "config");
   const robust::StormReport report = robust::RunStormAB(config);
   const std::string text = robust::FormatStormReport(report);
   std::cout << text;
@@ -1029,20 +1031,9 @@ int RunSloCommand(const Flags& flags, bool watch) {
         flags.GetSize("capacity", slo_config.timeline_capacity);
   }
 
-  TestbedConfig config;
-  if (flags.Has("storm")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("storm"));
-    const robust::StormConfig storm = ParseFlagValue(
-        "storm", [&] { return robust::ParseStormConfig(text); });
-    const std::string side = flags.GetString("side", "hardened");
-    if (side != "hardened" && side != "baseline") {
-      throw FlagError("side",
-                      "expected hardened|baseline, got '" + side + "'");
-    }
-    config = robust::MakeStormTestbedConfig(storm, side == "hardened");
-  } else {
-    config = TestbedConfigFromFlags(flags);
-  }
+  const TestbedConfig config = flags.Has("storm")
+                                   ? StormSideFromFlags(flags)
+                                   : TestbedConfigFromFlags(flags);
 
   obs::SloPipeline pipeline(slo_config);
   obs::MetricsRegistry metrics;
@@ -1139,21 +1130,8 @@ int CmdWhatif(const Flags& flags) {
   }
 
   whatif::Scenario scenario;
-  if (flags.Has("storm")) {
-    const std::string text = ReadFileOrThrow(flags.GetString("storm"));
-    robust::StormConfig storm = ParseFlagValue(
-        "storm", [&] { return robust::ParseStormConfig(text); });
-    storm.seed = flags.GetSize("seed", storm.seed);
-    storm.queries = flags.GetSize("queries", storm.queries);
-    const std::string side = flags.GetString("side", "hardened");
-    if (side != "hardened" && side != "baseline") {
-      throw FlagError("side",
-                      "expected hardened|baseline, got '" + side + "'");
-    }
-    scenario.testbed = robust::MakeStormTestbedConfig(storm, side == "hardened");
-  } else {
-    scenario.testbed = TestbedConfigFromFlags(flags);
-  }
+  scenario.testbed = flags.Has("storm") ? StormSideFromFlags(flags)
+                                        : TestbedConfigFromFlags(flags);
   if (flags.Has("objectives")) {
     const std::string text = ReadFileOrThrow(flags.GetString("objectives"));
     scenario.slo = ParseFlagValue(
@@ -1216,17 +1194,16 @@ void PrintUsage(std::ostream& out) {
       "  restore   --checkpoint F [--steps N --out F]\n"
       "            (warm-restart the advisor and continue the drive)\n"
       "  stats     [--profile F | --workload W] [--format text|json\n"
-      "            --include-timing --steps N --seed S ...]\n"
-      "            (deterministic metrics snapshot of a seeded observed\n"
-      "            run; --include-timing adds wall-clock kTiming metrics,\n"
-      "            which are NOT byte-stable across runs)\n"
+      "            --steps N --seed S ...]   (deterministic metrics\n"
+      "            snapshot of a seeded observed run)\n"
       "  trace     [--profile F | --workload W] [--format text|jsonl|chrome\n"
       "            --min-severity S --capacity N ...]   (sim-time flight\n"
       "            recorder export of the same run)\n"
       "  explain   [--profile F | --workload W] [--top K\n"
-      "            --format text|chrome ...]   (exact per-query latency\n"
-      "            attribution: signed span components summing bit-for-bit\n"
-      "            to each response time, top-K slowest span trees)\n"
+      "            --format text|chrome|json ...]   (exact per-query\n"
+      "            latency attribution: signed span components summing\n"
+      "            bit-for-bit to each response time, top-K slowest span\n"
+      "            trees)\n"
       "  obs-diff  <a> <b> [--max-rel X --approx-rel X --abs-eps X]\n"
       "            (compare two exports; exit 3 on threshold breach)\n"
       "  mc        [--horizon N --seed S --max-transitions N\n"
