@@ -146,6 +146,27 @@ void BM_TestbedRun(benchmark::State& state) {
 }
 BENCHMARK(BM_TestbedRun)->Arg(1000)->Arg(10000);
 
+// BM_TestbedRun's config with a queue cap of num_queries + 1, which sheds
+// nothing but routes the run through the event loop: one slot without
+// admission runs as the single-slot recursion, so this keeps the event
+// loop's own number.
+void BM_TestbedRunEventLoop(benchmark::State& state) {
+  TestbedConfig config;
+  config.mix = QueryMix::Single(WorkloadId::kJacobi);
+  config.policy.mechanism = MechanismId::kDvfs;
+  config.utilization = 0.8;
+  config.num_queries = static_cast<size_t>(state.range(0));
+  config.warmup_queries = config.num_queries / 10;
+  config.seed = 3;
+  config.admission.policy = robust::AdmissionPolicy::kQueueCap;
+  config.admission.queue_cap = config.num_queries + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Testbed::Run(config).mean_response_time);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TestbedRunEventLoop)->Arg(1000);
+
 // One whatif fan-out on the serial pool: a base run plus two knob
 // experiments over a 300-query testbed (span collection on for every
 // run). Bounds the full counterfactual loop — perturb, rerun, summarize

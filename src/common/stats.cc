@@ -61,12 +61,19 @@ double Quantile(std::vector<double> values, double q) {
     throw std::invalid_argument("quantile fraction must not be NaN");
   }
   q = std::clamp(q, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
   const double pos = q * static_cast<double>(values.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
   const size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  // Only two order statistics are read, so select them: after
+  // nth_element the lo-th smallest sits at lo and nothing after it is
+  // smaller, so the hi-th smallest is the minimum of that tail.
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(lo_it + 1, values.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double Median(std::vector<double> values) {

@@ -41,7 +41,8 @@ class StreamingStats {
 
 // Quantile of a sample using linear interpolation between order statistics
 // (type-7, the numpy/R default). q is clamped to [0, 1]; an empty sample or
-// a NaN q throws std::invalid_argument. Copies and sorts internally.
+// a NaN q throws std::invalid_argument. Works on its own copy and selects
+// the two order statistics it reads rather than sorting the whole sample.
 double Quantile(std::vector<double> values, double q);
 
 // Median shorthand.

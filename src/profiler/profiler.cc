@@ -41,6 +41,17 @@ std::vector<GridPoint> ExpandGrid(const ProfilingCentroids& centroids) {
 WorkloadProfile ProfileWorkload(const QueryMix& mix,
                                 const SprintPolicy& platform,
                                 const ProfilerConfig& config) {
+  // Every run must leave post-warmup queries to measure, and every grid
+  // point at least one run; otherwise the rates and medians below have no
+  // sample. Reject such configs before running anything.
+  if (config.warmup_queries >= config.queries_per_run) {
+    throw std::invalid_argument(
+        "ProfilerConfig: warmup_queries must be below queries_per_run");
+  }
+  if (config.replications_per_point == 0) {
+    throw std::invalid_argument(
+        "ProfilerConfig: replications_per_point must be positive");
+  }
   WorkloadProfile profile;
   profile.mix = mix;
   profile.platform = platform;

@@ -99,7 +99,9 @@ struct ProfilerConfig {
 };
 
 // Profiles `mix` on the platform selected by `platform` (the policy's
-// timeout/budget fields are ignored; the grid supplies those).
+// timeout/budget fields are ignored; the grid supplies those). Throws
+// std::invalid_argument, before any run, when warmup_queries is not below
+// queries_per_run or replications_per_point is 0.
 WorkloadProfile ProfileWorkload(const QueryMix& mix,
                                 const SprintPolicy& platform,
                                 const ProfilerConfig& config);

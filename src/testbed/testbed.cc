@@ -35,16 +35,60 @@ double LoadOverheadFactor(size_t queue_length) {
 enum class EventType : uint32_t { kArrival, kDeparture, kTimeout,
                                   kBreakerTrip, kAbandon };
 
-// Per-workload constants of the generation loop. Everything here is a
-// pure function of (config, workload id) — spec lookup, the mix-inflated
-// mean service time, and the lognormal jitter shape (whose construction
-// runs log/exp) — yet the old loop recomputed all of it per query.
-// Caching is bit-exact: same inputs, same values, and no RNG draws move.
-struct WorkloadGenCache {
+// The timeout instant of a query whose timeout interrupt never fires.
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+// Per-workload run constants, built by the generation loop the first time
+// it samples the workload and read again at every dispatch and sprint.
+// Everything here is a pure function of (config, workload id) — the spec,
+// the mix-inflated mean service time, the lognormal jitter shape (whose
+// construction runs log/exp) and the whole-phase speedups below — so
+// caching is bit-exact: same inputs, same values, and no RNG draws move.
+struct WorkloadConstants {
   const WorkloadSpec* spec = nullptr;
   double mean_service = 0.0;
   std::optional<LognormalDistribution> jitter;
+  // Entry p: the speedup of phase p sprinted from its start (see
+  // SprintedRemaining).
+  std::vector<double> whole_phase_speedup;
 };
+
+// The mechanism's speedup over the stretch [begin, end) of one phase.
+// Instantaneous speedup is constant within a phase; query the curve at the
+// stretch's midpoint.
+double MidpointSpeedup(const WorkloadSpec& spec,
+                       const SprintMechanism& mechanism, double begin,
+                       double end) {
+  return mechanism.InstantSpeedup(spec, std::min(0.5 * (begin + end), 0.999));
+}
+
+// Testbed::SprintedRemainingSeconds. A phase that starts at or after
+// `progress` is sprinted whole, so its midpoint does not depend on the
+// query: when `whole_phase_speedup` is given, it supplies those speedups
+// and only the phase containing `progress` asks the mechanism. Every term
+// keeps its operands and the sum its order.
+double SprintedRemaining(const WorkloadSpec& spec,
+                         const SprintMechanism& mechanism,
+                         const double* whole_phase_speedup, double progress,
+                         double sustained_total) {
+  progress = std::clamp(progress, 0.0, 1.0);
+  double remaining = 0.0;
+  double phase_start = 0.0;
+  for (size_t p = 0; p < spec.phases.size(); ++p) {
+    const double phase_end = phase_start + spec.phases[p].work_fraction;
+    if (phase_end > progress) {
+      const double begin = std::max(phase_start, progress);
+      const double work = phase_end - begin;  // fraction of total work
+      const double speedup =
+          whole_phase_speedup != nullptr && phase_start >= progress
+              ? whole_phase_speedup[p]
+              : MidpointSpeedup(spec, mechanism, begin, phase_end);
+      remaining += work * sustained_total / speedup;
+    }
+    phase_start = phase_end;
+  }
+  return remaining;
+}
 
 }  // namespace
 
@@ -90,27 +134,15 @@ double Testbed::SprintedRemainingSeconds(const WorkloadSpec& spec,
                                          const SprintMechanism& mechanism,
                                          double progress,
                                          double sustained_total) {
-  progress = std::clamp(progress, 0.0, 1.0);
-  double remaining = 0.0;
-  double phase_start = 0.0;
-  for (const auto& phase : spec.phases) {
-    const double phase_end = phase_start + phase.work_fraction;
-    if (phase_end > progress) {
-      const double begin = std::max(phase_start, progress);
-      const double work = phase_end - begin;  // fraction of total work
-      // Instantaneous speedup is constant within a phase; query the curve
-      // at the phase midpoint of the remaining stretch.
-      const double tau = 0.5 * (begin + phase_end);
-      const double speedup = mechanism.InstantSpeedup(spec, std::min(tau,
-                                                                     0.999));
-      remaining += work * sustained_total / speedup;
-    }
-    phase_start = phase_end;
-  }
-  return remaining;
+  return SprintedRemaining(spec, mechanism, nullptr, progress,
+                           sustained_total);
 }
 
-RunTrace Testbed::Run(const TestbedConfig& config) {
+namespace {
+
+// One run. `allow_one_slot` is false only when the one-slot recursion
+// hands a run over to the event loop.
+RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
   if (config.num_queries == 0 || config.slots < 1 ||
       config.utilization <= 0.0) {
     throw std::invalid_argument("invalid TestbedConfig");
@@ -127,11 +159,11 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
   // sprint saves (sustained remaining minus the mechanism's sprinted
   // remaining) is scaled by the boost. Gated on != 1.0 because
   // `a - (a - b)` is not bitwise `b` in floating point.
-  auto sprinted_remaining = [&](const WorkloadSpec& spec, double progress,
-                                double sustained_total) {
-    double remaining =
-        Testbed::SprintedRemainingSeconds(spec, *mechanism, progress,
-                                          sustained_total);
+  auto sprinted_remaining = [&](const WorkloadConstants& workload,
+                                double progress, double sustained_total) {
+    double remaining = SprintedRemaining(
+        *workload.spec, *mechanism, workload.whole_phase_speedup.data(),
+        progress, sustained_total);
     if (config.sprint_boost != 1.0) {
       const double sustained_remaining =
           (1.0 - std::clamp(progress, 0.0, 1.0)) * sustained_total;
@@ -149,7 +181,8 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
 
   // Generate the query stream: workload draws, arrivals, service times.
   const double arrival_rate =
-      config.utilization * SustainedRatePerSecond(config.mix, config.policy);
+      config.utilization *
+      Testbed::SustainedRatePerSecond(config.mix, config.policy);
   const auto interarrival =
       MakeDistribution(config.arrival_kind, 1.0 / arrival_rate);
 
@@ -163,6 +196,9 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
   const FaultPlan fault_plan =
       FaultPlan::Generate(config.faults, config.seed, fault_horizon);
   FaultInjector injector(&fault_plan);
+  // FaultPlanConfig::Enabled() runs nine tests; a run asks once. With no
+  // plan the injector never breaks, fails a toggle or inflates a service.
+  const bool faults_enabled = fault_plan.enabled();
   for (const TimeWindow& window : fault_plan.flash_crowd_windows()) {
     obs::Emit(window.begin, obs::EventKind::kFlashCrowd,
               obs::Subsystem::kFault, obs::Severity::kInfo, 0,
@@ -182,9 +218,11 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
   thread_local std::vector<Query> queries;
   queries.assign(n, Query());
   queries.reserve(capacity);
+  // Built lazily per sampled workload; indexed by WorkloadId value.
+  std::array<WorkloadConstants, 16> workloads;
   {
-    // Built lazily per sampled workload; indexed by WorkloadId value.
-    std::array<WorkloadGenCache, 16> gen_cache;
+    // Outside crowd windows the intensity is 1, and x / 1.0 is x.
+    const bool crowds = !fault_plan.flash_crowd_windows().empty();
     double t = 0.0;
     for (size_t i = 0; i < n; ++i) {
       Query& q = queries[i];
@@ -192,9 +230,10 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
       q.request_id = i;
       q.workload = config.mix.SampleWorkload(rng);
       // Flash crowds compress interarrival gaps by the crowd intensity.
-      t += interarrival->Sample(rng) / fault_plan.ArrivalIntensityAt(t);
+      const double gap = interarrival->Sample(rng);
+      t += crowds ? gap / fault_plan.ArrivalIntensityAt(t) : gap;
       q.arrival = t;
-      WorkloadGenCache& cached = gen_cache[static_cast<size_t>(q.workload)];
+      WorkloadConstants& cached = workloads[static_cast<size_t>(q.workload)];
       if (cached.spec == nullptr) {
         cached.spec = &catalog.spec(q.workload);
         cached.mean_service =
@@ -202,6 +241,13 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
             mechanism->SustainedServiceMultiplier(*cached.spec);
         cached.jitter.emplace(cached.mean_service,
                               std::max(0.05, cached.spec->service_cov));
+        double phase_start = 0.0;
+        for (const PhaseSpec& phase : cached.spec->phases) {
+          const double phase_end = phase_start + phase.work_fraction;
+          cached.whole_phase_speedup.push_back(MidpointSpeedup(
+              *cached.spec, *mechanism, phase_start, phase_end));
+          phase_start = phase_end;
+        }
       }
       q.service_time =
           std::max(1e-6, cached.jitter->Sample(rng)) *
@@ -278,34 +324,37 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
   size_t resolved = 0;
   uint64_t stamp_counter = 0;
 
-  events.Push(queries[0].arrival, static_cast<uint32_t>(EventType::kArrival),
-              0, 0);
-  if (!config.force_full_sprint && !config.disable_sprinting) {
-    for (const TimeWindow& window : fault_plan.breaker_windows()) {
-      events.Push(window.begin,
-                  static_cast<uint32_t>(EventType::kBreakerTrip), 0, 0);
-    }
-  }
+  // The one-slot recursion below serves runs with one slot that shed,
+  // retry and fault nothing, and that no sink observes while they run:
+  // a recursion that hands a run back to the event loop must not have
+  // recorded anything yet. Spans are built after the run, so a span sink
+  // may be attached.
+  const bool one_slot =
+      allow_one_slot && config.slots == 1 && !config.admission.Enabled() &&
+      !config.retry.enabled && !faults_enabled && metrics == nullptr &&
+      slo == nullptr && obs::ActiveRecorder() == nullptr;
 
   auto schedule_departure = [&](size_t qi, double when) {
     stamps[qi] = ++stamp_counter;
     queries[qi].depart = when;
-    events.Push(when, static_cast<uint32_t>(EventType::kDeparture), qi,
-                stamps[qi]);
+    if (!one_slot) {
+      events.Push(when, static_cast<uint32_t>(EventType::kDeparture), qi,
+                  stamps[qi]);
+    }
   };
 
   // A sprint may engage only when no breaker lockout covers `now`, budget
   // remains, and the toggle actually succeeds (checked last so the trace
   // records toggle failures only for sprints that would otherwise start).
   auto sprint_allowed = [&](size_t qi, double now) {
-    if (injector.BreakerActive(now)) {
+    if (faults_enabled && injector.BreakerActive(now)) {
       obs::Count("fault/breaker_lockout_denials");
       return false;
     }
     if (budget.Available(now) <= kBudgetEpsilon) {
       return false;
     }
-    if (injector.SprintToggleFails(qi, now)) {
+    if (faults_enabled && injector.SprintToggleFails(qi, now)) {
       obs::Emit(now, obs::EventKind::kToggleFailure, obs::Subsystem::kFault,
                 obs::Severity::kWarn, qi);
       return false;
@@ -313,9 +362,13 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
     return true;
   };
 
+  // Starts query `qi` at `now` with `queue_len_at_dispatch` queries still
+  // waiting. Returns the instant its timeout interrupt fires, or kNever
+  // when none fires before its departure.
   auto dispatch = [&](size_t qi, double now, size_t queue_len_at_dispatch) {
     Query& q = queries[qi];
-    const auto& spec = catalog.spec(q.workload);
+    const WorkloadConstants& workload =
+        workloads[static_cast<size_t>(q.workload)];
     q.start = now;
     executing[qi] = 1;
     if (h_queue_depth != nullptr) {
@@ -330,7 +383,8 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
     // Same association order as `service * load * fault` so the span
     // sweep's counterfactual milestones reproduce this double exactly.
     span_load_factor[qi] = LoadOverheadFactor(queue_len_at_dispatch);
-    span_fault_multiplier[qi] = injector.ServiceMultiplier(qi, now);
+    span_fault_multiplier[qi] =
+        faults_enabled ? injector.ServiceMultiplier(qi, now) : 1.0;
     effective_service[qi] =
         q.service_time * span_load_factor[qi] * span_fault_multiplier[qi];
 
@@ -341,8 +395,8 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
       q.sprinted = true;
       q.sprint_begin = now;
       schedule_departure(
-          qi, now + sprinted_remaining(spec, 0.0, effective_service[qi]));
-      return;
+          qi, now + sprinted_remaining(workload, 0.0, effective_service[qi]));
+      return kNever;
     }
 
     const double timeout_at = q.arrival + timeout;
@@ -362,16 +416,45 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
         span_toggle_seconds[qi] = 0.5 * toggle_latency;
         const double duration =
             0.5 * toggle_latency +
-            sprinted_remaining(spec, 0.0, effective_service[qi]);
+            sprinted_remaining(workload, 0.0, effective_service[qi]);
         schedule_departure(qi, now + duration);
-        return;
+        return kNever;
       }
     }
     schedule_departure(qi, now + effective_service[qi]);
-    if (timeout_at > now && timeout_at < q.depart) {
-      events.Push(timeout_at, static_cast<uint32_t>(EventType::kTimeout), qi,
-                  stamps[qi]);
+    return timeout_at > now && timeout_at < q.depart ? timeout_at : kNever;
+  };
+
+  // The timeout interrupt of in-service query `qi` fires at `now`: the
+  // query is timed out and sprints through the rest of its work when
+  // allowed, after a full mid-flight toggle.
+  auto on_timeout = [&](size_t qi, double now) {
+    Query& q = queries[qi];
+    q.timed_out = true;
+    obs::Emit(now, obs::EventKind::kQueryTimeout, obs::Subsystem::kTestbed,
+              obs::Severity::kDebug, qi, timeout);
+    if (slo != nullptr) {
+      slo->OnTimeout(now);
     }
+    if (!sprint_allowed(qi, now)) {
+      return;
+    }
+    q.sprinted = true;
+    q.sprint_begin = now;
+    obs::Emit(now, obs::EventKind::kSprintEngage, obs::Subsystem::kTestbed,
+              obs::Severity::kInfo, qi, effective_service[qi]);
+    if (slo != nullptr) {
+      slo->OnSprintEngage(now);
+    }
+    const double progress = (now - q.start) / effective_service[qi];
+    sustained_remaining_at_sprint[qi] =
+        (1.0 - std::clamp(progress, 0.0, 1.0)) * effective_service[qi];
+    span_toggle_seconds[qi] = toggle_latency;
+    const double duration =
+        toggle_latency +
+        sprinted_remaining(workloads[static_cast<size_t>(q.workload)],
+                           progress, effective_service[qi]);
+    schedule_departure(qi, now + duration);
   };
 
   auto complete = [&](size_t qi, double now) {
@@ -462,6 +545,47 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
     }
   };
 
+  if (one_slot) {
+    // FIFO order is index order, so query i dispatches at
+    // max(arrival_i, depart_{i-1}) and the run is a recursion over the
+    // generated queries that calls the event loop's own handlers in the
+    // order the loop calls them (DESIGN.md §12). The queue length at
+    // dispatch is the number of later arrivals strictly before the
+    // dispatch instant, counted by a pointer that only moves forward.
+    double depart = -std::numeric_limits<double>::infinity();
+    size_t later = 0;
+    for (size_t i = 0; i < n; ++i) {
+      // `+ 0.0` maps a -0.0 arrival to the +0.0 the event queue stores.
+      const double now = std::max(queries[i].arrival + 0.0, depart);
+      later = std::max(later, i + 1);
+      while (later < n && queries[later].arrival < now) {
+        ++later;
+      }
+      if (later < n && queries[later].arrival == now) {
+        // Whether an arrival at the dispatch instant is already queued
+        // depends on the event queue's push order. Nothing has been
+        // recorded yet, so the event loop replays the run.
+        return RunOnce(config, /*allow_one_slot=*/false);
+      }
+      const double timeout_at = dispatch(i, now, later - i - 1);
+      if (timeout_at != kNever) {
+        on_timeout(i, timeout_at);
+      }
+      depart = queries[i].depart;
+      complete(i, depart);
+    }
+  } else {
+    events.Push(queries[0].arrival,
+                static_cast<uint32_t>(EventType::kArrival), 0, 0);
+    if (!config.force_full_sprint && !config.disable_sprinting) {
+      for (const TimeWindow& window : fault_plan.breaker_windows()) {
+        events.Push(window.begin,
+                    static_cast<uint32_t>(EventType::kBreakerTrip), 0, 0);
+      }
+    }
+  }
+
+  // The recursion pushes no event: only the event loop runs here.
   while (!events.empty()) {
     const EventRecord ev = events.PopMin();
     const double now = ev.time();
@@ -539,37 +663,11 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
         break;
       }
       case EventType::kTimeout: {
-        Query& q = queries[evq];
+        const Query& q = queries[evq];
         if (stamps[evq] != ev.stamp || q.sprinted || q.depart <= now) {
           break;
         }
-        q.timed_out = true;
-        obs::Emit(now, obs::EventKind::kQueryTimeout,
-                  obs::Subsystem::kTestbed, obs::Severity::kDebug, evq,
-                  timeout);
-        if (slo != nullptr) {
-          slo->OnTimeout(now);
-        }
-        if (sprint_allowed(evq, now)) {
-          q.sprinted = true;
-          q.sprint_begin = now;
-          obs::Emit(now, obs::EventKind::kSprintEngage,
-                    obs::Subsystem::kTestbed, obs::Severity::kInfo, evq,
-                    effective_service[evq]);
-          if (slo != nullptr) {
-            slo->OnSprintEngage(now);
-          }
-          const auto& spec = catalog.spec(q.workload);
-          const double progress = (now - q.start) / effective_service[evq];
-          sustained_remaining_at_sprint[evq] =
-              (1.0 - std::clamp(progress, 0.0, 1.0)) *
-              effective_service[evq];
-          span_toggle_seconds[evq] = toggle_latency;
-          const double duration =
-              toggle_latency +
-              sprinted_remaining(spec, progress, effective_service[evq]);
-          schedule_departure(evq, now + duration);
-        }
+        on_timeout(evq, now);
         break;
       }
       case EventType::kBreakerTrip: {
@@ -587,7 +685,12 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
       const size_t qi = fifo[fifo_head++];
       --queued_count;
       --free_slots;
-      dispatch(qi, std::max(now, queries[qi].arrival), queued_count);
+      const double timeout_at =
+          dispatch(qi, std::max(now, queries[qi].arrival), queued_count);
+      if (timeout_at != kNever) {
+        events.Push(timeout_at, static_cast<uint32_t>(EventType::kTimeout),
+                    qi, stamps[qi]);
+      }
     }
 
     // Once every attempt resolved, only breaker trips (and stale abandon
@@ -750,6 +853,12 @@ RunTrace Testbed::Run(const TestbedConfig& config) {
     span_sink->RecordBatch(obs::BuildQuerySpanBatch(inputs));
   }
   return trace;
+}
+
+}  // namespace
+
+RunTrace Testbed::Run(const TestbedConfig& config) {
+  return RunOnce(config, /*allow_one_slot=*/true);
 }
 
 }  // namespace msprint

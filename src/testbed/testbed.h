@@ -17,6 +17,15 @@
 //      length (cache/scheduler pressure on a busy server).
 // The gap between this machine and the first-principles simulator is what
 // the random decision forest learns as the effective sprint rate.
+//
+// A run with one slot, no admission, no retries and a fault plan that
+// injects nothing, with no metrics registry, flight recorder or SLO
+// pipeline attached (a span sink may be), executes as an exact recursion
+// over its queries instead of through the event queue. Every profiler run
+// takes it, and so do fault-free `explain --workload` and `whatif
+// --workload` runs; storms, admission, retries, faults, run-time telemetry
+// and more than one slot take the event loop. Both paths produce the same
+// bits (DESIGN.md §12).
 
 #ifndef MSPRINT_SRC_TESTBED_TESTBED_H_
 #define MSPRINT_SRC_TESTBED_TESTBED_H_

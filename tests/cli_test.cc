@@ -72,6 +72,29 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
             kExitUsage);
   EXPECT_EQ(RunMsprint("whatif --queries 50 --deltas 0"), kExitUsage);
   EXPECT_EQ(RunMsprint("slo --queries 50 --format bogus"), kExitUsage);
+  // A run size the testbed cannot run is a bad flag value on every
+  // testbed verb, reported before any run starts.
+  const std::string dir = ::testing::TempDir();
+  const std::string testbed_verbs[] = {"stats",   "trace", "explain",
+                                       "faults",  "slo",   "watch",
+                                       "whatif"};
+  for (const std::string& verb : testbed_verbs) {
+    EXPECT_EQ(RunMsprint(verb + " --queries 0"), kExitUsage) << verb;
+    EXPECT_EQ(RunMsprint(verb + " --utilization 0"), kExitUsage) << verb;
+    EXPECT_EQ(RunMsprint(verb + " --utilization -1"), kExitUsage) << verb;
+  }
+  EXPECT_EQ(RunMsprint("profile --workload Jacobi --queries 0 --out " + dir +
+                       "/cli_zero_queries.prof"),
+            kExitUsage);
+  const std::string storm = dir + "/cli_zero_queries.storm";
+  WriteFileOrDie(storm, "queries = 600\nwarmup = 60\n");
+  EXPECT_EQ(RunMsprint("storm --config " + storm + " --queries 0"),
+            kExitUsage);
+  const std::string size_err = dir + "/cli_zero_queries.err";
+  EXPECT_EQ(RunMsprint("explain --utilization -1", size_err), kExitUsage);
+  EXPECT_NE(ReadFileOrEmpty(size_err).find("flag utilization: "),
+            std::string::npos)
+      << ReadFileOrEmpty(size_err);
   // The message lists every value the flag accepts.
   const std::string err = ::testing::TempDir() + "/cli_inject_bug.err";
   EXPECT_EQ(RunMsprint("mc --inject-bug nope", err), kExitUsage);

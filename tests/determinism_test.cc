@@ -1193,36 +1193,59 @@ TEST(DeterminismTest, ObsExportsMatchCommittedGolden) {
 // run below, made after bigger and smaller runs on this thread, must equal
 // the same run made first on a fresh thread, trace and exports alike.
 
+std::string FormatQuery(const Query& q) {
+  return std::to_string(q.id) + " req=" + std::to_string(q.request_id) +
+         " attempt=" + std::to_string(q.attempt) +
+         " workload=" + std::to_string(static_cast<int>(q.workload)) +
+         " arrival=" + GoldenDouble(q.arrival) +
+         " size=" + GoldenDouble(q.size) +
+         " service=" + GoldenDouble(q.service_time) +
+         " start=" + GoldenDouble(q.start) +
+         " depart=" + GoldenDouble(q.depart) +
+         " sprint_begin=" + GoldenDouble(q.sprint_begin) +
+         " sprint_seconds=" + GoldenDouble(q.sprint_seconds) +
+         " first_arrival=" + GoldenDouble(q.first_arrival) + " flags=" +
+         (q.timed_out ? "t" : "-") + (q.sprinted ? "s" : "-") +
+         (q.shed ? "x" : "-") + (q.abandoned ? "a" : "-") + "\n";
+}
+
+// Every aggregate field of a RunTrace, one `name value` line each.
+std::string FormatRunAggregates(const RunTrace& trace) {
+  std::string out;
+  const std::pair<const char*, double> doubles[] = {
+      {"mean_response_time", trace.mean_response_time},
+      {"mean_queueing_delay", trace.mean_queueing_delay},
+      {"mean_processing_time", trace.mean_processing_time},
+      {"fraction_sprinted", trace.fraction_sprinted},
+      {"fraction_timed_out", trace.fraction_timed_out},
+      {"total_sprint_seconds", trace.total_sprint_seconds},
+      {"makespan", trace.makespan},
+      {"mean_unsprinted_processing_time",
+       trace.mean_unsprinted_processing_time},
+      {"goodput_per_second", trace.goodput_per_second}};
+  for (const auto& [name, v] : doubles) {
+    out += std::string(name) + " " + GoldenDouble(v) + "\n";
+  }
+  const std::pair<const char*, size_t> counts[] = {
+      {"shed_count", trace.shed_count},
+      {"abandoned_count", trace.abandoned_count},
+      {"retry_count", trace.retry_count},
+      {"served_count", trace.served_count},
+      {"goodput_count", trace.goodput_count},
+      {"badput_count", trace.badput_count}};
+  for (const auto& [name, v] : counts) {
+    out += std::string(name) + " " + std::to_string(v) + "\n";
+  }
+  return out;
+}
+
 std::string FormatRunTrace(const RunTrace& trace) {
   std::string out;
   for (const Query& q : trace.queries) {
-    out += std::to_string(q.id) + " req=" + std::to_string(q.request_id) +
-           " attempt=" + std::to_string(q.attempt) +
-           " workload=" + std::to_string(static_cast<int>(q.workload)) +
-           " arrival=" + GoldenDouble(q.arrival) +
-           " size=" + GoldenDouble(q.size) +
-           " service=" + GoldenDouble(q.service_time) +
-           " start=" + GoldenDouble(q.start) +
-           " depart=" + GoldenDouble(q.depart) +
-           " sprint_begin=" + GoldenDouble(q.sprint_begin) +
-           " sprint_seconds=" + GoldenDouble(q.sprint_seconds) +
-           " first_arrival=" + GoldenDouble(q.first_arrival) + " flags=" +
-           (q.timed_out ? "t" : "-") + (q.sprinted ? "s" : "-") +
-           (q.shed ? "x" : "-") + (q.abandoned ? "a" : "-") + "\n";
+    out += FormatQuery(q);
   }
-  for (double v : {trace.mean_response_time, trace.mean_queueing_delay,
-                   trace.mean_processing_time, trace.fraction_sprinted,
-                   trace.fraction_timed_out, trace.total_sprint_seconds,
-                   trace.makespan, trace.mean_unsprinted_processing_time,
-                   trace.goodput_per_second}) {
-    out += GoldenDouble(v) + "\n";
-  }
-  for (size_t v : {trace.shed_count, trace.abandoned_count, trace.retry_count,
-                   trace.served_count, trace.goodput_count,
-                   trace.badput_count}) {
-    out += std::to_string(v) + "\n";
-  }
-  return out + FormatFaultTrace(trace.fault_trace);
+  return out + FormatRunAggregates(trace) +
+         FormatFaultTrace(trace.fault_trace);
 }
 
 // The run detached, then attached to every sink, rendered as text.
@@ -1270,6 +1293,157 @@ TEST(DeterminismTest, TestbedStorageReuseLeavesNoTrace) {
   EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
   EXPECT_EQ(RunDetachedAndAttached(plain), fresh_plain);
   EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
+}
+
+// ------------------------------------------------- testbed-runs golden
+//
+// Pins one-slot testbed runs, the profiler's regime, across versions of
+// src/testbed: each run's aggregates, median and p99, its first 20 query
+// records and the top-3 attribution of the spans an explicit sink
+// collected. Like the model-pipeline golden, these runs draw through
+// libm, so the file also pins the host libm's rounding.
+
+// The most queries a post-warmup query left waiting when it dispatched:
+// later arrivals strictly before its start.
+size_t MaxQueuedAtDispatch(const RunTrace& trace) {
+  size_t most = 0;
+  size_t later = 0;
+  for (size_t i = 0; i < trace.queries.size(); ++i) {
+    later = std::max(later, i + 1);
+    while (later < trace.queries.size() &&
+           trace.queries[later].arrival < trace.queries[i].start) {
+      ++later;
+    }
+    most = std::max(most, later - i - 1);
+  }
+  return most;
+}
+
+std::string TestbedRunsGoldenExport() {
+  std::vector<std::pair<std::string, TestbedConfig>> cases;
+  {
+    TestbedConfig config;
+    config.mix = QueryMix::Single(WorkloadId::kJacobi);
+    config.policy.mechanism = MechanismId::kDvfs;
+    config.utilization = 0.5;
+    config.arrival_kind = DistributionKind::kExponential;
+    config.num_queries = 1000;
+    config.warmup_queries = 100;
+    config.seed = 11;
+    cases.emplace_back("DVFS Jacobi, utilization 0.5, exponential", config);
+  }
+  {
+    // The load factor caps at 10 queued queries; these queues pass it.
+    TestbedConfig config;
+    config.mix = QueryMix::Uniform({WorkloadId::kJacobi, WorkloadId::kKnn},
+                                   0.8);
+    config.policy.mechanism = MechanismId::kDvfs;
+    config.policy.timeout_seconds = 90.0;
+    config.policy.budget_fraction = 0.5;
+    config.policy.refill_seconds = 400.0;
+    config.utilization = 0.95;
+    config.arrival_kind = DistributionKind::kPareto;
+    config.num_queries = 2000;
+    config.warmup_queries = 200;
+    config.seed = 12;
+    cases.emplace_back("DVFS Jacobi+KNN, utilization 0.95, Pareto", config);
+  }
+  {
+    TestbedConfig config;
+    config.mix = QueryMix::Single(WorkloadId::kLeuk);
+    config.policy.mechanism = MechanismId::kCoreScale;
+    config.utilization = 0.6;
+    config.force_full_sprint = true;
+    config.num_queries = 600;
+    config.warmup_queries = 60;
+    config.seed = 13;
+    cases.emplace_back("CoreScale Leuk, force_full_sprint", config);
+  }
+  {
+    TestbedConfig config;
+    config.mix = QueryMix::Single(WorkloadId::kMem);
+    config.policy.mechanism = MechanismId::kEc2Dvfs;
+    config.utilization = 0.75;
+    config.arrival_kind = DistributionKind::kDeterministic;
+    config.disable_sprinting = true;
+    config.num_queries = 600;
+    config.warmup_queries = 60;
+    config.seed = 14;
+    cases.emplace_back("EC2DVFS Mem, disable_sprinting", config);
+  }
+  {
+    TestbedConfig config;
+    config.mix = QueryMix::Single(WorkloadId::kJacobi);
+    config.policy.mechanism = MechanismId::kCpuThrottle;
+    // A 2x sprint, so a 1.5x boost still leaves sprinted work to do.
+    config.policy.throttle_fraction = 0.5;
+    config.policy.timeout_seconds = 30.0;
+    config.policy.budget_fraction = 0.4;
+    config.policy.refill_seconds = 300.0;
+    config.utilization = 0.7;
+    config.service_time_scale = 1.1;
+    config.toggle_latency_scale = 0.0;
+    config.sprint_boost = 1.5;
+    config.num_queries = 800;
+    config.warmup_queries = 80;
+    config.seed = 15;
+    cases.emplace_back(
+        "CpuThrottle Jacobi, service x1.1, toggle x0, sprint boost 1.5",
+        config);
+  }
+
+  std::string out;
+  for (auto& [name, config] : cases) {
+    obs::SpanCollector spans;
+    config.span_sink = &spans;
+    const RunTrace trace = Testbed::Run(config);
+    out += "== " + name + "\n" + FormatRunAggregates(trace);
+    out += "median " + GoldenDouble(trace.MedianResponseTime()) + "\n";
+    out += "p99 " + GoldenDouble(trace.PercentileResponseTime(0.99)) + "\n";
+    out += "max_queued_at_dispatch " +
+           std::to_string(MaxQueuedAtDispatch(trace)) + "\n";
+    for (size_t i = 0; i < std::min<size_t>(trace.queries.size(), 20); ++i) {
+      out += FormatQuery(trace.queries[i]);
+    }
+    obs::AttributionOptions options;
+    options.top_k = 3;
+    out += obs::FormatAttribution(obs::Attribute(spans.TakeSpans(), options));
+  }
+  return out;
+}
+
+TEST(DeterminismTest, TestbedRunsMatchCommittedGolden) {
+  ExpectMatchesGolden(TestbedRunsGoldenExport(), "testbed_runs.txt");
+}
+
+// ----------------------------------------------------------------- profiler
+
+// Profiling fans grid rows out on the global pool; each row writes only
+// its own slot, so the saved profile is the same bytes as a serial sweep.
+TEST(DeterminismTest, ProfileIdenticalForAnyPoolSize) {
+  SprintPolicy dvfs;
+  dvfs.mechanism = MechanismId::kDvfs;
+  SprintPolicy core_scale;
+  core_scale.mechanism = MechanismId::kCoreScale;
+  const std::pair<QueryMix, SprintPolicy> cases[] = {
+      {QueryMix::Single(WorkloadId::kJacobi), dvfs},
+      {QueryMix::Uniform({WorkloadId::kJacobi, WorkloadId::kKnn}, 0.8),
+       core_scale}};
+  for (const auto& [mix, platform] : cases) {
+    ProfilerConfig config;
+    config.sample_grid_points = 12;
+    config.queries_per_run = 600;
+    config.warmup_queries = 60;
+    std::string bytes[2];
+    for (const size_t pool_size : {size_t{1}, size_t{0}}) {
+      config.pool_size = pool_size;
+      std::ostringstream text;
+      SaveProfile(ProfileWorkload(mix, platform, config), text);
+      bytes[pool_size == 1 ? 0 : 1] = text.str();
+    }
+    ASSERT_FALSE(bytes[0].empty());
+    EXPECT_EQ(bytes[0], bytes[1]) << mix.Describe();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "src/profiler/profiler.h"
 
@@ -144,6 +146,36 @@ TEST(ProfilerTest, ThrottlePlatformScalesRates) {
   // Section 4.3: sustained 14.8 qph, sprint 74 qph under 20% throttling.
   EXPECT_NEAR(profile.service_rate_per_second * kSecondsPerHour, 14.8, 1.0);
   EXPECT_NEAR(profile.marginal_rate_per_second * kSecondsPerHour, 74.0, 4.0);
+}
+
+// A config that leaves a run nothing to measure is rejected before any run,
+// with a message naming the field.
+void ExpectRejected(const ProfilerConfig& config, const std::string& field) {
+  try {
+    ProfileWorkload(QueryMix::Single(WorkloadId::kJacobi), DvfsPlatform(),
+                    config);
+    ADD_FAILURE() << "accepted a config with a bad " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ProfilerTest, RejectsWarmupCoveringEveryQuery) {
+  ProfilerConfig config = FastConfig();
+  config.warmup_queries = config.queries_per_run;
+  ExpectRejected(config, "warmup_queries");
+  config.warmup_queries = config.queries_per_run + 1;
+  ExpectRejected(config, "warmup_queries");
+  config.queries_per_run = 0;
+  config.warmup_queries = 0;
+  ExpectRejected(config, "queries_per_run");
+}
+
+TEST(ProfilerTest, RejectsZeroReplications) {
+  ProfilerConfig config = FastConfig();
+  config.replications_per_point = 0;
+  ExpectRejected(config, "replications_per_point");
 }
 
 }  // namespace

@@ -8,12 +8,20 @@
 //    and sprint-seconds accounting matches per-query sums.
 //  * Mechanism curves: instantaneous speedups stay within physical bounds
 //    for every (mechanism, workload, progress) triple.
+//  * Quantile selection: the order statistics Quantile selects equal the
+//    ones a full sort reads, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
+#include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/sim/queue_simulator.h"
 #include "src/sprint/mechanism.h"
 #include "src/testbed/testbed.h"
@@ -220,6 +228,71 @@ TEST_P(BudgetSweepTest, SprintSecondsNeverExceedAccrual) {
 
 INSTANTIATE_TEST_SUITE_P(Fractions, BudgetSweepTest,
                          ::testing::Values(0.05, 0.2, 0.5, 0.8));
+
+// ------------------------------------------------------ quantile selection
+
+// The type-7 quantile read from a fully sorted copy: the reference that
+// Quantile's selection of two order statistics must reproduce.
+double SortedQuantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+// Samples of every size from 1 to 1,000 in four shapes: continuous,
+// duplicate-heavy, with infinities of both signs, and mixed -0.0/+0.0.
+// std::sort leaves the order of -0.0 and +0.0 unspecified too, so the
+// signed-zero shape compares by value; every other shape compares bits,
+// including the NaN an infinite order statistic interpolates to.
+TEST(QuantileSelectionTest, MatchesSortBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(1717);
+  size_t compared = 0;
+  for (size_t n = 1; n <= 1000; ++n) {
+    for (int shape = 0; shape < 4; ++shape) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        switch (shape) {
+          case 0:
+            v = 100.0 * rng.NextDouble() - 20.0;
+            break;
+          case 1:
+            v = static_cast<double>(rng.NextBounded(4)) * 0.25;
+            break;
+          case 2: {
+            const uint64_t pick = rng.NextBounded(8);
+            v = pick == 0 ? kInf : pick == 1 ? -kInf : rng.NextDouble();
+            break;
+          }
+          default:
+            v = rng.NextBounded(2) == 0 ? -0.0 : 0.0;
+            if (rng.NextBounded(4) == 0) {
+              v = rng.NextDouble() - 0.5;
+            }
+            break;
+        }
+      }
+      for (const double q : {0.0, 0.5, 1.0, rng.NextDouble(),
+                             rng.NextDouble()}) {
+        const double got = Quantile(values, q);
+        const double want = SortedQuantile(values, q);
+        if (shape == 3) {
+          ASSERT_EQ(got, want) << "n " << n << " q " << q;
+        } else {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+              << "n " << n << " shape " << shape << " q " << q << ": " << got
+              << " vs " << want;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 1000u * 4u * 5u);
+}
 
 }  // namespace
 }  // namespace msprint

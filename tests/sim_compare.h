@@ -68,6 +68,9 @@ inline void ExpectSameSpans(const std::vector<obs::QuerySpan>& a,
     ASSERT_EQ(a[i].sprint_begin, b[i].sprint_begin);
     ASSERT_EQ(a[i].components, b[i].components);
     ASSERT_EQ(a[i].num_phases, b[i].num_phases);
+    for (size_t p = 0; p < a[i].num_phases; ++p) {
+      ASSERT_EQ(a[i].phases[p].ticks, b[i].phases[p].ticks) << i;
+    }
     ASSERT_EQ(a[i].sprinted, b[i].sprinted);
     ASSERT_EQ(a[i].timed_out, b[i].timed_out);
     ASSERT_EQ(a[i].sprint_aborted, b[i].sprint_aborted);

@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
+#include "src/obs/span.h"
 #include "src/testbed/testbed.h"
+#include "tests/sim_compare.h"
 
 namespace msprint {
 namespace {
@@ -232,6 +236,219 @@ TEST(TestbedTest, CoreScalePlatformSlowerSustainedButSprints) {
   const RunTrace trace = Testbed::Run(config);
   // Section 3.3: Jacobi takes ~202 s on the 8-core sustained platform.
   EXPECT_NEAR(trace.mean_unsprinted_processing_time, 202.0, 10.0);
+}
+
+// ------------------------------- one-slot recursion vs the event loop
+//
+// A run with one slot that sheds, retries and faults nothing, with no
+// metrics, recorder or SLO pipeline attached, runs as a recursion over the
+// generated queries; any admission policy routes the same config through
+// the event loop instead. A queue cap of num_queries + 1 is never reached,
+// so both serve the same queue and must agree bit for bit.
+
+void ExpectSameQueries(const std::vector<Query>& a,
+                       const std::vector<Query>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const Query& x = a[i];
+    const Query& y = b[i];
+    ASSERT_EQ(x.id, y.id) << i;
+    ASSERT_EQ(x.workload, y.workload) << i;
+    ASSERT_EQ(Bits(x.arrival), Bits(y.arrival)) << i;
+    ASSERT_EQ(Bits(x.size), Bits(y.size)) << i;
+    ASSERT_EQ(Bits(x.service_time), Bits(y.service_time)) << i;
+    ASSERT_EQ(Bits(x.start), Bits(y.start)) << i;
+    ASSERT_EQ(Bits(x.depart), Bits(y.depart)) << i;
+    ASSERT_EQ(x.timed_out, y.timed_out) << i;
+    ASSERT_EQ(x.sprinted, y.sprinted) << i;
+    ASSERT_EQ(Bits(x.sprint_begin), Bits(y.sprint_begin)) << i;
+    ASSERT_EQ(Bits(x.sprint_seconds), Bits(y.sprint_seconds)) << i;
+    ASSERT_EQ(x.shed, y.shed) << i;
+    ASSERT_EQ(x.abandoned, y.abandoned) << i;
+    ASSERT_EQ(x.attempt, y.attempt) << i;
+    ASSERT_EQ(x.request_id, y.request_id) << i;
+    ASSERT_EQ(Bits(x.first_arrival), Bits(y.first_arrival)) << i;
+  }
+}
+
+void ExpectSameRunTrace(const RunTrace& a, const RunTrace& b) {
+  ExpectSameQueries(a.queries, b.queries);
+  EXPECT_EQ(Bits(a.mean_response_time), Bits(b.mean_response_time));
+  EXPECT_EQ(Bits(a.mean_queueing_delay), Bits(b.mean_queueing_delay));
+  EXPECT_EQ(Bits(a.mean_processing_time), Bits(b.mean_processing_time));
+  EXPECT_EQ(Bits(a.fraction_sprinted), Bits(b.fraction_sprinted));
+  EXPECT_EQ(Bits(a.fraction_timed_out), Bits(b.fraction_timed_out));
+  EXPECT_EQ(Bits(a.total_sprint_seconds), Bits(b.total_sprint_seconds));
+  EXPECT_EQ(Bits(a.makespan), Bits(b.makespan));
+  EXPECT_EQ(Bits(a.mean_unsprinted_processing_time),
+            Bits(b.mean_unsprinted_processing_time));
+  EXPECT_EQ(a.shed_count, b.shed_count);
+  EXPECT_EQ(a.abandoned_count, b.abandoned_count);
+  EXPECT_EQ(a.retry_count, b.retry_count);
+  EXPECT_EQ(a.served_count, b.served_count);
+  EXPECT_EQ(a.goodput_count, b.goodput_count);
+  EXPECT_EQ(a.badput_count, b.badput_count);
+  EXPECT_EQ(Bits(a.goodput_per_second), Bits(b.goodput_per_second));
+  EXPECT_EQ(FormatFaultTrace(a.fault_trace), FormatFaultTrace(b.fault_trace));
+}
+
+// A random one-slot config: every mechanism, one workload or a two-workload
+// mix, utilization 0.3-1.3, exponential, Pareto or deterministic arrivals,
+// timeouts from immediate to never and budgets from none to unbounded
+// (both relative to the mix's mean service time), full-sprint and
+// sprint-free profiling runs, the three whatif hooks, warmup on or off.
+TestbedConfig RandomOneSlotConfig(Rng& rng) {
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng.NextBounded(n)); };
+  constexpr MechanismId kMechanisms[] = {
+      MechanismId::kDvfs, MechanismId::kCoreScale, MechanismId::kEc2Dvfs,
+      MechanismId::kCpuThrottle};
+  constexpr DistributionKind kArrivals[] = {DistributionKind::kExponential,
+                                            DistributionKind::kPareto,
+                                            DistributionKind::kDeterministic};
+  constexpr double kTimeouts[] = {0.0, 0.3, 0.8, 1.5, 3.0,
+                                  std::numeric_limits<double>::infinity()};
+  constexpr double kBudgets[] = {0.0, 0.05, 0.2, 0.8, 1e9};
+  constexpr double kToggleScales[] = {1.0, 0.0, 2.5};
+  constexpr double kBoosts[] = {1.0, 0.5, 1.5, 3.0};
+
+  const std::vector<WorkloadId>& workloads = AllWorkloads();
+  const size_t first = pick(workloads.size());
+  TestbedConfig config;
+  if (pick(2) == 0) {
+    config.mix = QueryMix::Single(workloads[first]);
+  } else {
+    const size_t second = (first + 1 + pick(workloads.size() - 1)) %
+                          workloads.size();
+    config.mix = QueryMix::Uniform({workloads[first], workloads[second]},
+                                   0.7 + 0.3 * rng.NextDouble());
+  }
+  config.policy.mechanism = kMechanisms[pick(4)];
+  config.policy.throttle_fraction = pick(2) == 0 ? 0.2 : 0.5;
+  const double mean_service =
+      1.0 / Testbed::SustainedRatePerSecond(config.mix, config.policy);
+  config.policy.timeout_seconds = kTimeouts[pick(6)] * mean_service;
+  config.policy.budget_fraction = kBudgets[pick(5)];
+  config.policy.refill_seconds = (2.0 + 8.0 * rng.NextDouble()) * mean_service;
+  config.utilization = 0.3 + rng.NextDouble();
+  config.arrival_kind = kArrivals[pick(3)];
+  const size_t mode = pick(8);
+  config.force_full_sprint = mode == 0;
+  config.disable_sprinting = mode == 1;
+  config.service_time_scale = pick(2) == 0 ? 1.0 : 0.5 + rng.NextDouble();
+  config.toggle_latency_scale = kToggleScales[pick(3)];
+  config.sprint_boost = kBoosts[pick(4)];
+  config.num_queries = 200 + pick(600);
+  config.warmup_queries = pick(2) == 1 ? config.num_queries / 10 : 0;
+  config.seed = rng.Next();
+  return config;
+}
+
+TEST(TestbedSingleSlotOracleTest, RecursionMatchesEventLoopBitForBit) {
+  Rng rng(2027);
+  size_t queued_sprints = 0;
+  size_t midflight_sprints = 0;
+  size_t short_queues = 0;  // 1-9 queued: the load factor changes
+  size_t long_queues = 0;   // 10 or more: the load factor is capped
+  size_t ties = 0;          // a later arrival exactly at a dispatch instant
+  for (int k = 0; k < 1000; ++k) {
+    obs::SpanCollector recursion_spans;
+    obs::SpanCollector loop_spans;
+    TestbedConfig recursion = RandomOneSlotConfig(rng);
+    recursion.span_sink = &recursion_spans;
+    TestbedConfig loop = recursion;
+    loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
+    loop.admission.queue_cap = loop.num_queries + 1;
+    loop.span_sink = &loop_spans;
+
+    const RunTrace a = Testbed::Run(recursion);
+    const RunTrace b = Testbed::Run(loop);
+
+    SCOPED_TRACE(::testing::Message() << "case " << k);
+    ExpectSameRunTrace(a, b);
+    ExpectSameSpans(recursion_spans.TakeSpans(), loop_spans.TakeSpans());
+    if (HasFailure()) {
+      return;
+    }
+    ASSERT_EQ(b.shed_count, 0u);
+    const std::vector<Query>& q = b.queries;
+    size_t later = 0;
+    for (size_t i = 0; i < q.size(); ++i) {
+      if (q[i].sprinted && !recursion.force_full_sprint) {
+        ++(q[i].sprint_begin == q[i].start ? queued_sprints
+                                           : midflight_sprints);
+      }
+      later = std::max(later, i + 1);
+      while (later < q.size() && q[later].arrival < q[i].start) {
+        ++later;
+      }
+      const size_t queued = later - i - 1;
+      short_queues += queued >= 1 && queued <= 9;
+      long_queues += queued >= 10;
+      ties += later < q.size() && q[later].arrival == q[i].start;
+    }
+  }
+  std::cout << "sprints engaged while queued " << queued_sprints
+            << ", mid-flight " << midflight_sprints << "; dispatches with 1-9 "
+            << "queued " << short_queues << ", 10 or more " << long_queues
+            << "; exact ties " << ties << "\n";
+  // The sweep must reach what the recursion's argument is about: both
+  // sprint sites, and load factors below and at the cap. It met 86,802
+  // queued and 64,275 mid-flight sprints, 91,306 and 154,714 dispatches.
+  EXPECT_GT(queued_sprints, 40000u);
+  EXPECT_GT(midflight_sprints, 30000u);
+  EXPECT_GT(short_queues, 40000u);
+  EXPECT_GT(long_queues, 70000u);
+}
+
+// Whether an arrival at exactly the dispatch instant is already queued
+// depends on the event queue's push order, so the recursion hands such a
+// run to the event loop. Here arrivals come exactly 64 s apart and every
+// query sprints at its timeout, 128 s after its arrival, with no toggle and
+// nothing left to run: each departure lands on an arrival instant, and the
+// arrival was pushed before the rescheduled departure, so the event loop
+// counts it as queued where "arrivals strictly before" would not.
+TEST(TestbedSingleSlotOracleTest, TieHandsRunToEventLoop) {
+  TestbedConfig recursion;
+  recursion.mix = QueryMix::Single(WorkloadId::kJacobi);
+  recursion.policy.mechanism = MechanismId::kCoreScale;
+  recursion.policy.timeout_seconds = 128.0;
+  recursion.policy.budget_fraction = 1e9;
+  recursion.arrival_kind = DistributionKind::kDeterministic;
+  recursion.toggle_latency_scale = 0.0;
+  recursion.sprint_boost = 10.0;
+  recursion.num_queries = 400;
+  recursion.warmup_queries = 0;
+  // The utilization whose interarrival gap is exactly 64 s.
+  const double rate =
+      Testbed::SustainedRatePerSecond(recursion.mix, recursion.policy);
+  double utilization = 1.0 / (64.0 * rate);
+  for (int k = 0; k < 32; ++k) {
+    utilization = std::nextafter(utilization, 0.0);
+  }
+  for (int k = 0; k < 64 && 1.0 / (utilization * rate) != 64.0; ++k) {
+    utilization = std::nextafter(utilization, 1e9);
+  }
+  ASSERT_EQ(1.0 / (utilization * rate), 64.0);
+  recursion.utilization = utilization;
+
+  obs::SpanCollector recursion_spans;
+  obs::SpanCollector loop_spans;
+  recursion.span_sink = &recursion_spans;
+  TestbedConfig loop = recursion;
+  loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
+  loop.admission.queue_cap = loop.num_queries + 1;
+  loop.span_sink = &loop_spans;
+  const RunTrace a = Testbed::Run(recursion);
+  const RunTrace b = Testbed::Run(loop);
+  ExpectSameRunTrace(a, b);
+  ExpectSameSpans(recursion_spans.TakeSpans(), loop_spans.TakeSpans());
+
+  size_t ties = 0;
+  for (size_t i = 0; i + 1 < b.queries.size(); ++i) {
+    ties += b.queries[i + 1].arrival == b.queries[i].start &&
+            b.queries[i].arrival < b.queries[i].start;
+  }
+  EXPECT_GT(ties, 300u);
 }
 
 }  // namespace

@@ -264,6 +264,16 @@ DistributionKind ArrivalKindFlag(const Flags& flags) {
                         [&] { return ParseDistributionKind(text); });
 }
 
+// --queries: a given value must be at least 1, since a run with no query
+// has nothing to measure. `fallback` applies when the flag is absent.
+size_t QueriesFlag(const Flags& flags, size_t fallback) {
+  const size_t queries = flags.GetSize("queries", fallback);
+  if (flags.Has("queries") && queries == 0) {
+    throw FlagError("queries", "must be at least 1");
+  }
+  return queries;
+}
+
 std::string ReadFileOrThrow(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -307,7 +317,7 @@ int CmdProfile(const Flags& flags) {
 
   ProfilerConfig config;
   config.sample_grid_points = flags.GetSize("grid", 280);
-  config.queries_per_run = flags.GetSize("queries", 8000);
+  config.queries_per_run = QueriesFlag(flags, 8000);
   config.warmup_queries = config.queries_per_run / 10;
   config.seed = flags.GetSize("seed", 42);
   config.pool_size = flags.GetSize("threads", 0);  // 0: shared pool
@@ -464,7 +474,11 @@ TestbedConfig TestbedConfigFromFlags(const Flags& flags) {
   config.policy.budget_fraction = flags.GetDouble("budget", 0.2);
   config.policy.refill_seconds = flags.GetDouble("refill", 200.0);
   config.utilization = flags.GetDouble("utilization", 0.6);
-  config.num_queries = flags.GetSize("queries", 2000);
+  if (config.utilization <= 0.0) {
+    throw FlagError("utilization", "must be positive, got '" +
+                                       flags.GetString("utilization") + "'");
+  }
+  config.num_queries = QueriesFlag(flags, 2000);
   config.warmup_queries = config.num_queries / 10;
   config.seed = flags.GetSize("seed", 1);
 
@@ -967,7 +981,7 @@ robust::StormConfig StormConfigFromFlags(const Flags& flags,
         file_flag, [&] { return robust::ParseStormConfig(text); });
   }
   config.seed = flags.GetSize("seed", config.seed);
-  config.queries = flags.GetSize("queries", config.queries);
+  config.queries = QueriesFlag(flags, config.queries);
   return config;
 }
 
