@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the library's hot primitives: the
 // event-driven simulator (per-query cost), the Algorithm 1 tick loop, the
 // ground-truth testbed, random-forest fit/predict, ANN prediction, the
-// effective-rate calibration search, and the observability layer's idle and
+// effective-rate calibration search, one hybrid prediction and one
+// exploration (the model-query path), and the observability layer's idle and
 // attached overhead (the CI obs job gates BM_ObsIdleHotPath against
 // BM_TestbedRun's per-query cost).
 //
@@ -22,6 +23,7 @@
 #include "src/core/effective_rate.h"
 #include "src/core/event_queue.h"
 #include "src/core/models.h"
+#include "src/explore/explorer.h"
 #include "src/ml/neural_net.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/obs.h"
@@ -448,6 +450,69 @@ void BM_CalibrationSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CalibrationSearch);
+
+// A small fixed profile for the model-query path: 500 service samples and
+// a 3x3x2 grid of rows whose effective speedups are set by formula, so the
+// forest trains without a calibration run.
+WorkloadProfile ModelQueryProfile() {
+  WorkloadProfile profile;
+  profile.service_rate_per_second = 1.0 / 70.0;
+  profile.marginal_rate_per_second = 1.45 / 70.0;
+  Rng rng(7);
+  const LognormalDistribution jitter(70.0, 0.2);
+  for (int i = 0; i < 500; ++i) {
+    profile.service_time_samples.push_back(jitter.Sample(rng));
+  }
+  for (double utilization : {0.4, 0.6, 0.8}) {
+    for (double timeout : {20.0, 80.0, 160.0}) {
+      for (double budget : {0.2, 0.6}) {
+        ProfileRow row;
+        row.utilization = utilization;
+        row.timeout_seconds = timeout;
+        row.refill_seconds = 200.0;
+        row.budget_fraction = budget;
+        row.effective_speedup = 1.0 + 0.5 * budget - 0.2 * utilization;
+        profile.rows.push_back(row);
+      }
+    }
+  }
+  return profile;
+}
+
+ModelInput ModelQueryInput() {
+  ModelInput input;
+  input.utilization = 0.75;
+  input.timeout_seconds = 80.0;
+  input.budget_fraction = 0.4;
+  return input;
+}
+
+// One hybrid prediction at the default PredictionSimConfig: the forest
+// lookup, then two 20,000-query replications drawn and replayed.
+void BM_HybridPredict(benchmark::State& state) {
+  const WorkloadProfile profile = ModelQueryProfile();
+  const HybridModel model = HybridModel::Train({&profile});
+  const ModelInput input = ModelQueryInput();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictResponseTime(profile, input));
+  }
+}
+BENCHMARK(BM_HybridPredict)->Unit(benchmark::kMillisecond);
+
+// One exploration with `msprint explore`'s settings: 200 iterations, one
+// chain, on the same model.
+void BM_ExploreTimeout(benchmark::State& state) {
+  const WorkloadProfile profile = ModelQueryProfile();
+  const HybridModel model = HybridModel::Train({&profile});
+  const ModelInput base = ModelQueryInput();
+  ExploreConfig config;
+  config.max_iterations = 200;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ExploreTimeout(model, profile, base, config).best_response_time);
+  }
+}
+BENCHMARK(BM_ExploreTimeout)->Unit(benchmark::kMillisecond);
 
 // Console reporter that also captures per-iteration timings so main can
 // write them to BENCH_micro.json after the run. In --json-only mode the

@@ -10,9 +10,10 @@ namespace msprint {
 
 namespace {
 
-// Set while a thread executes tasks for some pool; lets ParallelFor detect
-// calls nested inside its own workers and run them inline instead of
-// blocking a worker on work only that worker could drain.
+// Set while a thread executes tasks for some pool, or runs its own chunks
+// of that pool's ParallelFor; lets ParallelFor detect calls nested inside
+// its own participants and run them inline instead of blocking one on
+// work only the busy participants could drain.
 thread_local const ThreadPool* current_worker_pool = nullptr;
 
 std::atomic<size_t> global_size_override{0};
@@ -99,12 +100,14 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     std::mutex mutex;
     std::condition_variable helpers_done;
     std::exception_ptr error;  // guarded by mutex
-    size_t helpers_active = 0;
+    size_t helpers_running = 0;  // guarded by mutex
+    bool closed = false;  // guarded by mutex; later helpers return at once
   };
   auto state = std::make_shared<SharedState>();
 
-  // &fn stays valid: this frame does not return before every helper task
-  // holding the reference has finished (helpers_done below).
+  // &fn stays valid: this frame does not return before every helper that
+  // started has finished (helpers_done below), and a helper that starts
+  // after `closed` never touches it.
   auto run_chunks = [state, &fn, n, grain, num_chunks] {
     while (!state->failed.load(std::memory_order_relaxed)) {
       const size_t chunk =
@@ -130,26 +133,39 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   };
 
   const size_t num_helpers = std::min(size(), num_chunks - 1);
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->helpers_active = num_helpers;
-  }
   for (size_t h = 0; h < num_helpers; ++h) {
     Submit([state, run_chunks] {
+      {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        if (state->closed) {
+          return;
+        }
+        ++state->helpers_running;
+      }
       run_chunks();
       std::lock_guard<std::mutex> lock(state->mutex);
-      if (--state->helpers_active == 0) {
+      if (--state->helpers_running == 0) {
         state->helpers_done.notify_all();
       }
     });
   }
-  run_chunks();  // the calling thread works too
+  // The calling thread works too, and while it runs its chunks it counts
+  // as one of this pool's workers: a call nested in one of them runs
+  // inline instead of waiting for a worker the outer loop keeps busy.
+  const ThreadPool* const outer = std::exchange(current_worker_pool, this);
+  run_chunks();
+  current_worker_pool = outer;
 
+  // Every chunk is claimed now (or abandoned after a throw). Wait only for
+  // helpers still running one: a helper this pool has not dequeued yet
+  // may sit behind tasks that wait on this very loop, as when a worker of
+  // another pool calls in while every worker here waits on that pool.
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mutex);
+    state->closed = true;
     state->helpers_done.wait(lock,
-                             [&] { return state->helpers_active == 0; });
+                             [&] { return state->helpers_running == 0; });
     error = std::exchange(state->error, nullptr);
   }
   if (error) {

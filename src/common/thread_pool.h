@@ -1,6 +1,6 @@
 // Fixed-size thread pool used to parallelize prediction throughput
 // (Section 3.6: "throughput scales with processor cores"), forest training,
-// annealing chains and batched simulator replications.
+// annealing chains and simulator replications.
 //
 // Determinism contract: ParallelFor hands out chunks of the index range
 // dynamically, so fn(i) must only read shared inputs and write state owned
@@ -43,9 +43,14 @@ class ThreadPool {
   // Runs fn(i) for i in [0, n) and blocks until every index has run. Work
   // is issued in chunks of `grain` indices (0 picks a grain automatically)
   // and the calling thread participates, so a pool of size 1 degenerates
-  // to a plain serial loop. Calls nested inside a task of this same pool
-  // run inline on the worker instead of re-entering the queue, so parallel
-  // stages compose without deadlock. The first exception fn throws is
+  // to a plain serial loop. Calls nested inside a task of this same pool,
+  // or inside a chunk the calling thread runs, run inline on that thread
+  // instead of re-entering the queue, so parallel stages compose without
+  // waiting for a busy worker: a batch of predictions fans out over
+  // inputs, while a lone prediction fans out over its replications. Once
+  // every chunk is claimed the caller waits only for helpers running one,
+  // never for a helper still queued, so loops on different pools may nest
+  // in either order without deadlock. The first exception fn throws is
   // rethrown here once in-flight chunks settle; remaining chunks are
   // abandoned.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,

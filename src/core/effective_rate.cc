@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -32,45 +34,50 @@ SimConfig BuildSimConfig(const WorkloadProfile& profile,
 
 namespace {
 
-// Replication `rep`'s simulation at `speedup`. Common random numbers: the
-// seed depends only on the replication index, so the response-time curve
-// is monotone in the speedup rather than jittered by resampling.
+// Replication `rep`'s configuration: the seed depends on the replication
+// index only (common random numbers).
 SimConfig ReplicationConfig(const WorkloadProfile& profile,
                             const ModelInput& input,
                             const Distribution& service, double speedup,
-                            const CalibrationConfig& config, size_t rep) {
-  return BuildSimConfig(profile, input, service, speedup, config.sim_queries,
-                        config.sim_warmup, DeriveSeed(config.seed, rep));
+                            const PredictionSimConfig& sim, size_t rep) {
+  return BuildSimConfig(profile, input, service, speedup, sim.num_queries,
+                        sim.warmup, DeriveSeed(sim.seed, rep));
 }
 
-// Every replication's draws. They do not depend on the speedup, so one
-// draw per replication serves every speedup a row evaluates.
-std::vector<SimDraws> DrawReplications(const WorkloadProfile& profile,
-                                       const ModelInput& input,
-                                       const Distribution& service,
-                                       const CalibrationConfig& config) {
-  std::vector<SimDraws> draws;
-  draws.reserve(config.sim_replications);
-  for (size_t rep = 0; rep < config.sim_replications; ++rep) {
-    draws.push_back(DrawSimQueries(
-        ReplicationConfig(profile, input, service, 1.0, config, rep)));
-  }
-  return draws;
-}
-
-// Mean simulated response time at `speedup`, replaying `draws`.
-double ReplayedResponseTime(const WorkloadProfile& profile,
-                            const ModelInput& input,
-                            const Distribution& service, double speedup,
-                            const CalibrationConfig& config,
-                            const std::vector<SimDraws>& draws) {
+// Runs `run(r)` for every replication r on the shared pool and merges the
+// slots in index order: the means into one StreamingStats, or the
+// response times into one concatenation for the quantile. A slot keeps
+// only what its merge reads.
+double MeanOfReplications(size_t replications,
+                          const std::function<SimResult(size_t)>& run) {
+  std::vector<double> means(replications);
+  ThreadPool::Global().ParallelFor(replications, [&](size_t r) {
+    means[r] = run(r).mean_response_time;
+  });
   StreamingStats stats;
-  for (size_t rep = 0; rep < draws.size(); ++rep) {
-    const SimConfig sim =
-        ReplicationConfig(profile, input, service, speedup, config, rep);
-    stats.Add(SimulateQueue(sim, draws[rep]).mean_response_time);
+  for (double mean : means) {
+    stats.Add(mean);
   }
   return stats.mean();
+}
+
+double PooledPercentile(size_t replications,
+                        const std::function<SimResult(size_t)>& run,
+                        double quantile) {
+  std::vector<std::vector<double>> times(replications);
+  ThreadPool::Global().ParallelFor(replications, [&](size_t r) {
+    times[r] = std::move(run(r).response_times);
+  });
+  std::vector<double> pooled;
+  for (const std::vector<double>& replication : times) {
+    pooled.insert(pooled.end(), replication.begin(), replication.end());
+  }
+  return Quantile(std::move(pooled), quantile);
+}
+
+PredictionSimConfig SimSettings(const CalibrationConfig& config) {
+  return {config.sim_queries, config.sim_warmup, config.sim_replications,
+          config.seed};
 }
 
 }  // namespace
@@ -78,10 +85,79 @@ double ReplayedResponseTime(const WorkloadProfile& profile,
 double SimulatedResponseTime(const WorkloadProfile& profile,
                              const ModelInput& input,
                              const Distribution& service, double speedup,
+                             const PredictionSimConfig& sim) {
+  return MeanOfReplications(sim.replications, [&](size_t r) {
+    return SimulateQueue(
+        ReplicationConfig(profile, input, service, speedup, sim, r));
+  });
+}
+
+double SimulatedPercentile(const WorkloadProfile& profile,
+                           const ModelInput& input,
+                           const Distribution& service, double speedup,
+                           const PredictionSimConfig& sim, double quantile) {
+  return PooledPercentile(
+      sim.replications,
+      [&](size_t r) {
+        return SimulateQueue(
+            ReplicationConfig(profile, input, service, speedup, sim, r));
+      },
+      quantile);
+}
+
+double SimulatedResponseTime(const WorkloadProfile& profile,
+                             const ModelInput& input,
+                             const Distribution& service, double speedup,
                              const CalibrationConfig& config) {
-  return ReplayedResponseTime(profile, input, service, speedup, config,
-                              DrawReplications(profile, input, service,
-                                               config));
+  return SimulatedResponseTime(profile, input, service, speedup,
+                               SimSettings(config));
+}
+
+void CheckSameConditions(const ModelInput& base, const ModelInput& input) {
+  if (input.utilization != base.utilization ||
+      input.arrival_kind != base.arrival_kind) {
+    throw std::invalid_argument(
+        "the input changes the prepared utilization or arrival kind");
+  }
+}
+
+SimReplications::SimReplications(const WorkloadProfile& profile,
+                                 const ModelInput& base,
+                                 const Distribution& service,
+                                 const PredictionSimConfig& sim)
+    : profile_(&profile), service_(&service), base_(base), sim_(sim) {
+  Draw();
+}
+
+SimReplications::SimReplications(const WorkloadProfile& profile,
+                                 const ModelInput& base,
+                                 const PredictionSimConfig& sim)
+    : profile_(&profile),
+      owned_service_(std::make_unique<const EmpiricalDistribution>(
+          profile.service_time_samples)),
+      service_(owned_service_.get()),
+      base_(base),
+      sim_(sim) {
+  Draw();
+}
+
+void SimReplications::Draw() {
+  // The draws never depend on the speedup; any value serves.
+  draws_.resize(sim_.replications);
+  ThreadPool::Global().ParallelFor(draws_.size(), [&](size_t r) {
+    draws_[r] = DrawSimQueries(
+        ReplicationConfig(*profile_, base_, *service_, 1.0, sim_, r));
+  });
+}
+
+double SimReplications::MeanResponseTime(const ModelInput& input,
+                                         double speedup) const {
+  CheckSameConditions(base_, input);
+  return MeanOfReplications(draws_.size(), [&](size_t r) {
+    return SimulateQueue(
+        ReplicationConfig(*profile_, input, *service_, speedup, sim_, r),
+        draws_[r]);
+  });
 }
 
 double CalibrateEffectiveSpeedup(const WorkloadProfile& profile,
@@ -98,12 +174,12 @@ double CalibrateEffectiveSpeedup(const WorkloadProfile& profile,
         "positive");
   }
   const double marginal = std::max(1.0, profile.MarginalSpeedup());
-  const std::vector<SimDraws> draws =
-      DrawReplications(profile, input, service, config);
+  // One draw per row serves every speedup the search evaluates.
+  const SimReplications replications(profile, input, service,
+                                     SimSettings(config));
 
   auto error_at = [&](double speedup) {
-    const double rt = ReplayedResponseTime(profile, input, service, speedup,
-                                           config, draws);
+    const double rt = replications.MeanResponseTime(input, speedup);
     return (rt - observed) / observed;  // >0: sim too slow -> raise speedup
   };
 

@@ -11,6 +11,9 @@
 #ifndef MSPRINT_SRC_CORE_EFFECTIVE_RATE_H_
 #define MSPRINT_SRC_CORE_EFFECTIVE_RATE_H_
 
+#include <memory>
+#include <vector>
+
 #include "src/common/thread_pool.h"
 #include "src/core/model_input.h"
 #include "src/sim/queue_simulator.h"
@@ -33,6 +36,18 @@ struct CalibrationConfig {
   uint64_t seed = 97;
 };
 
+// Simulation settings used when a response time comes from the queue
+// simulator: `replications` runs of `num_queries` queries, the first
+// `warmup` of each excluded. Defaults mirror CalibrationConfig —
+// predictions reuse the same simulator component (and random streams)
+// that calibration aligned against the observations.
+struct PredictionSimConfig {
+  size_t num_queries = 20000;
+  size_t warmup = 2000;
+  size_t replications = 2;
+  uint64_t seed = 97;
+};
+
 // Builds the simulator configuration for (profile, input) at the given
 // sprint speedup. `service` must outlive the returned config.
 SimConfig BuildSimConfig(const WorkloadProfile& profile,
@@ -40,12 +55,70 @@ SimConfig BuildSimConfig(const WorkloadProfile& profile,
                          const Distribution& service, double speedup,
                          size_t num_queries, size_t warmup, uint64_t seed);
 
-// Mean simulated response time averaged over a few common-random-number
-// replications.
+// Replicated simulation (DESIGN.md §12). A simulated response time is the
+// mean over `sim.replications` common-random-number replications, or for
+// a tail the quantile of their pooled response times. Replication r is
+// seeded DeriveSeed(sim.seed, r) whatever the speedup or policy, so
+// response time is monotone in the speedup rather than jittered by
+// resampling. Replications run on ThreadPool::Global(): replication r
+// writes only slot r and the slots merge in index order, so every value is
+// the same for any pool size, whether the call fans out at top level or
+// runs inline, nested in a pool task.
+
+// Draw-then-replay, once. Each replication draws and runs in one task, so
+// a thread holds one replication's draws at a time, as
+// SimulateQueue(config) does.
+double SimulatedResponseTime(const WorkloadProfile& profile,
+                             const ModelInput& input,
+                             const Distribution& service, double speedup,
+                             const PredictionSimConfig& sim);
+double SimulatedPercentile(const WorkloadProfile& profile,
+                           const ModelInput& input,
+                           const Distribution& service, double speedup,
+                           const PredictionSimConfig& sim, double quantile);
+
+// Calibration's settings: the same mean at `config`'s sim_* fields.
 double SimulatedResponseTime(const WorkloadProfile& profile,
                              const ModelInput& input,
                              const Distribution& service, double speedup,
                              const CalibrationConfig& config);
+
+// Throws std::invalid_argument when `input` changes `base`'s utilization
+// or arrival kind, the two conditions a simulator draw depends on.
+void CheckSameConditions(const ModelInput& base, const ModelInput& input);
+
+// A base input's replications, drawn once, as Algorithm 1 draws a run
+// ("before simulation begins"), and replayed at any speedup, timeout,
+// budget and refill. A const value may be replayed from several threads
+// at once.
+class SimReplications {
+ public:
+  // Draws `base`'s replications, sampling service times from `service`.
+  // `profile` and `service` must outlive the value.
+  SimReplications(const WorkloadProfile& profile, const ModelInput& base,
+                  const Distribution& service,
+                  const PredictionSimConfig& sim);
+  // The same, sampling the profile's service-time samples through an
+  // EmpiricalDistribution the value holds. `profile` must outlive it.
+  SimReplications(const WorkloadProfile& profile, const ModelInput& base,
+                  const PredictionSimConfig& sim);
+
+  // Bit for bit SimulatedResponseTime(profile, input, service, speedup,
+  // sim). Throws (CheckSameConditions) for an `input` that changes the
+  // base's utilization or arrival kind, rather than replay the draws under
+  // the wrong arrival process.
+  double MeanResponseTime(const ModelInput& input, double speedup) const;
+
+ private:
+  void Draw();
+
+  const WorkloadProfile* profile_;
+  std::unique_ptr<const EmpiricalDistribution> owned_service_;
+  const Distribution* service_;
+  ModelInput base_;
+  PredictionSimConfig sim_;
+  std::vector<SimDraws> draws_;
+};
 
 // Equation 2: returns the effective speedup mu_e / mu for one profiled
 // observation. Monotonicity of response time in the sprint speedup makes a

@@ -1,43 +1,45 @@
 #include "src/core/models.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace msprint {
 
 namespace {
 
-double SimulateResponseTime(const WorkloadProfile& profile,
-                            const ModelInput& input, double speedup,
-                            const PredictionSimConfig& sim) {
-  const EmpiricalDistribution service(profile.service_time_samples);
-  StreamingStats stats;
-  for (size_t rep = 0; rep < sim.replications; ++rep) {
-    const SimConfig config =
-        BuildSimConfig(profile, input, service, speedup, sim.num_queries,
-                       sim.warmup, DeriveSeed(sim.seed, rep));
-    stats.Add(SimulateQueue(config).mean_response_time);
+// Why `sim` cannot run a prediction, or nullptr when it can: the one rule
+// the model reader and the models' constructors share.
+const char* PredictionSimProblem(const PredictionSimConfig& sim) {
+  if (sim.num_queries == 0) {
+    return "num_queries must be at least 1";
   }
-  return stats.mean();
+  if (sim.replications == 0) {
+    return "replications must be at least 1";
+  }
+  if (sim.warmup >= sim.num_queries) {
+    return "warmup must be below num_queries";
+  }
+  return nullptr;
 }
 
-double SimulatePercentile(const WorkloadProfile& profile,
-                          const ModelInput& input, double speedup,
-                          const PredictionSimConfig& sim, double quantile) {
-  const EmpiricalDistribution service(profile.service_time_samples);
-  std::vector<double> pooled;
-  for (size_t rep = 0; rep < sim.replications; ++rep) {
-    const SimConfig config =
-        BuildSimConfig(profile, input, service, speedup, sim.num_queries,
-                       sim.warmup, DeriveSeed(sim.seed, rep));
-    SimResult result = SimulateQueue(config);
-    pooled.insert(pooled.end(), result.response_times.begin(),
-                  result.response_times.end());
+void CheckPredictionSim(const PredictionSimConfig& sim) {
+  if (const char* problem = PredictionSimProblem(sim)) {
+    throw std::invalid_argument(std::string("PredictionSimConfig.") +
+                                problem);
   }
-  return Quantile(std::move(pooled), quantile);
 }
 
 }  // namespace
+
+PerformanceModel::Predictor PerformanceModel::Prepare(
+    const WorkloadProfile& profile, const ModelInput& base) const {
+  return [this, &profile, base](const ModelInput& input) {
+    CheckSameConditions(base, input);
+    return PredictResponseTime(profile, input);
+  };
+}
 
 std::vector<double> PerformanceModel::PredictResponseTimeBatch(
     const WorkloadProfile& profile, const std::vector<ModelInput>& inputs,
@@ -69,19 +71,32 @@ Dataset BuildTrainingDataset(
 
 // ------------------------------------------------------------------- No-ML
 
-NoMlModel::NoMlModel(PredictionSimConfig sim) : sim_(sim) {}
+NoMlModel::NoMlModel(PredictionSimConfig sim) : sim_(sim) {
+  CheckPredictionSim(sim_);
+}
 
 double NoMlModel::PredictResponseTime(const WorkloadProfile& profile,
                                       const ModelInput& input) const {
-  return SimulateResponseTime(profile, input, profile.MarginalSpeedup(),
-                              sim_);
+  const EmpiricalDistribution service(profile.service_time_samples);
+  return SimulatedResponseTime(profile, input, service,
+                               profile.MarginalSpeedup(), sim_);
+}
+
+PerformanceModel::Predictor NoMlModel::Prepare(const WorkloadProfile& profile,
+                                               const ModelInput& base) const {
+  auto replications =
+      std::make_shared<const SimReplications>(profile, base, sim_);
+  return [&profile, replications](const ModelInput& input) {
+    return replications->MeanResponseTime(input, profile.MarginalSpeedup());
+  };
 }
 
 double NoMlModel::PredictResponseTimePercentile(
     const WorkloadProfile& profile, const ModelInput& input,
     double quantile) const {
-  return SimulatePercentile(profile, input, profile.MarginalSpeedup(), sim_,
-                            quantile);
+  const EmpiricalDistribution service(profile.service_time_samples);
+  return SimulatedPercentile(profile, input, service,
+                             profile.MarginalSpeedup(), sim_, quantile);
 }
 
 // ------------------------------------------------------------------ Hybrid
@@ -90,6 +105,7 @@ HybridModel HybridModel::Train(
     const std::vector<const WorkloadProfile*>& profiles,
     RandomForestConfig forest_config, PredictionSimConfig sim,
     ThreadPool* pool) {
+  CheckPredictionSim(sim);
   const Dataset data =
       BuildTrainingDataset(profiles, /*target_effective_rate=*/true);
   if (data.NumRows() == 0) {
@@ -104,28 +120,39 @@ double HybridModel::PredictEffectiveRateQph(const WorkloadProfile& profile,
   return forest_.Predict(EncodeFeatures(profile, input));
 }
 
-double HybridModel::PredictResponseTime(const WorkloadProfile& profile,
-                                        const ModelInput& input) const {
+double HybridModel::SprintSpeedup(const WorkloadProfile& profile,
+                                  const ModelInput& input) const {
   const double mu_qph = profile.service_rate_per_second * kSecondsPerHour;
-  const double mu_m_qph =
-      profile.marginal_rate_per_second * kSecondsPerHour;
-  const double mu_e_qph = PredictEffectiveRateQph(profile, input);
+  const double mu_m_qph = profile.marginal_rate_per_second * kSecondsPerHour;
   // The simulator cannot extrapolate beyond the rates it supports
   // (Section 5): clamp to [0.5 * mu, 1.5 * mu_m].
-  const double speedup =
-      std::clamp(mu_e_qph / mu_qph, 0.5, 1.5 * mu_m_qph / mu_qph);
-  return SimulateResponseTime(profile, input, speedup, sim_);
+  return std::clamp(PredictEffectiveRateQph(profile, input) / mu_qph, 0.5,
+                    1.5 * mu_m_qph / mu_qph);
+}
+
+double HybridModel::PredictResponseTime(const WorkloadProfile& profile,
+                                        const ModelInput& input) const {
+  const EmpiricalDistribution service(profile.service_time_samples);
+  return SimulatedResponseTime(profile, input, service,
+                               SprintSpeedup(profile, input), sim_);
+}
+
+PerformanceModel::Predictor HybridModel::Prepare(
+    const WorkloadProfile& profile, const ModelInput& base) const {
+  auto replications =
+      std::make_shared<const SimReplications>(profile, base, sim_);
+  return [this, &profile, replications](const ModelInput& input) {
+    return replications->MeanResponseTime(input,
+                                          SprintSpeedup(profile, input));
+  };
 }
 
 double HybridModel::PredictResponseTimePercentile(
     const WorkloadProfile& profile, const ModelInput& input,
     double quantile) const {
-  const double mu_qph = profile.service_rate_per_second * kSecondsPerHour;
-  const double mu_m_qph = profile.marginal_rate_per_second * kSecondsPerHour;
-  const double speedup =
-      std::clamp(PredictEffectiveRateQph(profile, input) / mu_qph, 0.5,
-                 1.5 * mu_m_qph / mu_qph);
-  return SimulatePercentile(profile, input, speedup, sim_, quantile);
+  const EmpiricalDistribution service(profile.service_time_samples);
+  return SimulatedPercentile(profile, input, service,
+                             SprintSpeedup(profile, input), sim_, quantile);
 }
 
 // -------------------------------------------------------------- ANN direct
@@ -164,8 +191,7 @@ PredictionSimConfig DeserializePredictionSimConfig(persist::Reader& r) {
   sim.warmup = static_cast<size_t>(r.GetU64());
   sim.replications = static_cast<size_t>(r.GetU64());
   sim.seed = r.GetU64();
-  if (sim.num_queries == 0 || sim.replications == 0 ||
-      sim.warmup >= sim.num_queries) {
+  if (PredictionSimProblem(sim) != nullptr) {
     throw persist::PersistError(persist::ErrorCode::kFormat,
                                 "implausible prediction-sim settings");
   }

@@ -14,6 +14,7 @@
 #ifndef MSPRINT_SRC_CORE_MODELS_H_
 #define MSPRINT_SRC_CORE_MODELS_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,21 +26,11 @@
 
 namespace msprint {
 
-// Simulation settings used when a model needs the queue simulator to turn
-// a sprint rate into a response time.
-// Defaults mirror CalibrationConfig — predictions reuse the same
-// simulator component (and random streams) that calibration aligned
-// against the observations.
-struct PredictionSimConfig {
-  size_t num_queries = 20000;
-  size_t warmup = 2000;
-  size_t replications = 2;
-  uint64_t seed = 97;
-};
-
-// Persistence for the simulation settings embedded in saved models; the
-// seed round-trips exactly, so a restored model replays the same
-// simulation streams. Loading rejects zero query/replication counts.
+// Persistence for the simulation settings (PredictionSimConfig, in
+// effective_rate.h) embedded in saved models; the seed round-trips
+// exactly, so a restored model replays the same simulation streams.
+// Loading rejects the settings HybridModel::Train and NoMlModel reject:
+// zero queries or replications, or a warmup that leaves no query.
 void SerializePredictionSimConfig(const PredictionSimConfig& sim,
                                   persist::Writer& w);
 PredictionSimConfig DeserializePredictionSimConfig(persist::Reader& r);
@@ -57,6 +48,21 @@ class PerformanceModel {
   virtual double PredictResponseTime(const WorkloadProfile& profile,
                                      const ModelInput& input) const = 0;
 
+  // A prepared prediction: PredictResponseTime(profile, input) bit for bit,
+  // for inputs that keep the prepared base's utilization and arrival kind.
+  // It throws std::invalid_argument for an input that changes either. The
+  // caller owns it; it reads the model and `profile`, which must outlive
+  // it, and may be called from several threads at once.
+  using Predictor = std::function<double(const ModelInput&)>;
+
+  // Prepares predictions around `base` for a caller that holds the
+  // conditions fixed and varies only the policy — the explorer's timeouts,
+  // the budget search's fractions. Models that simulate draw `base`'s
+  // replications here, once, and replay them at every call (DESIGN.md
+  // §12); the default forwards each call to PredictResponseTime.
+  virtual Predictor Prepare(const WorkloadProfile& profile,
+                            const ModelInput& base) const;
+
   // Predicts every input in one call, fanning out across `pool` (nullptr:
   // the shared global pool). Inputs are independent, so the batch equals
   // calling PredictResponseTime in a loop for any pool size.
@@ -69,11 +75,14 @@ class PerformanceModel {
 
 class NoMlModel final : public PerformanceModel {
  public:
+  // Throws std::invalid_argument for settings the model reader rejects.
   explicit NoMlModel(PredictionSimConfig sim = {});
 
   std::string name() const override { return "No-ML"; }
   double PredictResponseTime(const WorkloadProfile& profile,
                              const ModelInput& input) const override;
+  Predictor Prepare(const WorkloadProfile& profile,
+                    const ModelInput& base) const override;
 
   // Tail prediction: the q-quantile of the simulated response-time
   // distribution at the marginal sprint rate.
@@ -91,7 +100,8 @@ class HybridModel final : public PerformanceModel {
  public:
   // Trains the forest on the calibrated rows of `profiles` (each row's
   // effective_speedup must already be set by CalibrateProfile). Trees grow
-  // concurrently on `pool` (nullptr: the shared global pool).
+  // concurrently on `pool` (nullptr: the shared global pool). Throws
+  // std::invalid_argument for `sim` settings the model reader rejects.
   static HybridModel Train(
       const std::vector<const WorkloadProfile*>& profiles,
       RandomForestConfig forest_config = {}, PredictionSimConfig sim = {},
@@ -100,6 +110,8 @@ class HybridModel final : public PerformanceModel {
   std::string name() const override { return "Hybrid"; }
   double PredictResponseTime(const WorkloadProfile& profile,
                              const ModelInput& input) const override;
+  Predictor Prepare(const WorkloadProfile& profile,
+                    const ModelInput& base) const override;
 
   // The forest's raw effective-rate prediction (qph), for inspection.
   double PredictEffectiveRateQph(const WorkloadProfile& profile,
@@ -123,6 +135,10 @@ class HybridModel final : public PerformanceModel {
  private:
   HybridModel(RandomForest forest, PredictionSimConfig sim)
       : forest_(std::move(forest)), sim_(sim) {}
+
+  // The forest's rate as a speedup, clamped to what the simulator supports.
+  double SprintSpeedup(const WorkloadProfile& profile,
+                       const ModelInput& input) const;
 
   RandomForest forest_;
   PredictionSimConfig sim_;

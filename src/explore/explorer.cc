@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "src/obs/obs.h"
 
@@ -10,17 +12,36 @@ namespace msprint {
 
 namespace {
 
+// Throws std::invalid_argument naming the first field of `config` that no
+// exploration can run with.
+void CheckExploreConfig(const ExploreConfig& config) {
+  auto reject = [](const char* rule) {
+    throw std::invalid_argument(std::string("ExploreConfig.") + rule);
+  };
+  if (config.max_iterations == 0) {
+    reject("max_iterations must be at least 1");
+  }
+  if (config.num_chains == 0) {
+    reject("num_chains must be at least 1");
+  }
+  if (config.z_decay_period == 0) {
+    reject("z_decay_period must be at least 1");
+  }
+  if (!(config.timeout_max_seconds >= config.timeout_min_seconds)) {
+    reject("timeout_max_seconds must not be below timeout_min_seconds");
+  }
+}
+
 // One annealing chain: the original serial algorithm, parameterized on its
 // own seed and iteration budget.
-ExploreResult RunChain(const PerformanceModel& model,
-                       const WorkloadProfile& profile,
+ExploreResult RunChain(const PerformanceModel::Predictor& predictor,
                        const ModelInput& base, const ExploreConfig& config,
                        uint64_t seed, size_t max_iterations) {
   Rng rng(seed);
   auto predict = [&](double timeout) {
     ModelInput input = base;
     input.timeout_seconds = timeout;
-    const double rt = model.PredictResponseTime(profile, input);
+    const double rt = predictor(input);
     // A NaN prediction would poison best-so-far tracking permanently (NaN
     // comparisons are all false); treat any non-finite prediction as an
     // infinitely bad candidate instead.
@@ -80,16 +101,15 @@ ExploreResult RunChain(const PerformanceModel& model,
   return result;
 }
 
-}  // namespace
-
-ExploreResult ExploreTimeout(const PerformanceModel& model,
-                             const WorkloadProfile& profile,
-                             const ModelInput& base,
-                             const ExploreConfig& config, ThreadPool* pool) {
-  const size_t chains = std::max<size_t>(1, config.num_chains);
+// ExploreTimeout's search for a `config` already checked, on a
+// `predictor` prepared for `base`'s conditions.
+ExploreResult Explore(const PerformanceModel::Predictor& predictor,
+                      const ModelInput& base, const ExploreConfig& config,
+                      ThreadPool* pool) {
+  const size_t chains = config.num_chains;
   obs::Count("explore/explorations");
   if (chains == 1) {
-    ExploreResult result = RunChain(model, profile, base, config, config.seed,
+    ExploreResult result = RunChain(predictor, base, config, config.seed,
                                     config.max_iterations);
     obs::Emit(0.0, obs::EventKind::kExploreDone, obs::Subsystem::kExplore,
               obs::Severity::kInfo, 1, result.best_timeout_seconds);
@@ -104,7 +124,7 @@ ExploreResult ExploreTimeout(const PerformanceModel& model,
       [&](size_t c) {
         const uint64_t seed =
             c == 0 ? config.seed : DeriveSeed(config.seed, c);
-        results[c] = RunChain(model, profile, base, config, seed, per_chain);
+        results[c] = RunChain(predictor, base, config, seed, per_chain);
       },
       /*grain=*/1);
 
@@ -132,13 +152,30 @@ ExploreResult ExploreTimeout(const PerformanceModel& model,
   return merged;
 }
 
+}  // namespace
+
+ExploreResult ExploreTimeout(const PerformanceModel& model,
+                             const WorkloadProfile& profile,
+                             const ModelInput& base,
+                             const ExploreConfig& config, ThreadPool* pool) {
+  CheckExploreConfig(config);
+  // Prepared before the chains fan out; they share it read-only.
+  return Explore(model.Prepare(profile, base), base, config, pool);
+}
+
 BudgetSearchResult FindCheapestPolicyMeetingSlo(
     const PerformanceModel& model, const WorkloadProfile& profile,
     const ModelInput& base, const std::vector<double>& budget_fractions,
     double slo_response_time, bool optimize_timeout,
     const ExploreConfig& explore_config, ThreadPool* pool) {
+  if (optimize_timeout) {
+    CheckExploreConfig(explore_config);
+  }
   std::vector<double> fractions = budget_fractions;
   std::sort(fractions.begin(), fractions.end());
+  // The budget does not enter the simulator's draws, so one prepared
+  // predictor serves every fraction and every timeout.
+  const PerformanceModel::Predictor predictor = model.Prepare(profile, base);
 
   BudgetSearchResult best;
   for (double fraction : fractions) {
@@ -148,11 +185,11 @@ BudgetSearchResult FindCheapestPolicyMeetingSlo(
     double rt;
     if (optimize_timeout) {
       const ExploreResult explored =
-          ExploreTimeout(model, profile, input, explore_config, pool);
+          Explore(predictor, input, explore_config, pool);
       timeout = explored.best_timeout_seconds;
       rt = explored.best_response_time;
     } else {
-      rt = model.PredictResponseTime(profile, input);
+      rt = predictor(input);
     }
     if (rt <= slo_response_time) {
       best.feasible = true;

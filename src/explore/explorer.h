@@ -51,12 +51,18 @@ struct ExploreResult {
 };
 
 // MINRT (Equation 4): finds the timeout minimizing the model's expected
-// response time, holding the rest of `base` fixed. Chains run concurrently
-// on `pool` (nullptr: the shared global pool); the result is identical for
-// any pool size. The returned trajectory concatenates the chains' steps in
+// response time, holding the rest of `base` fixed. The model is prepared
+// once around `base` (PerformanceModel::Prepare), so a simulating model
+// draws its replications once and replays them at every step, on the
+// shared pool (inline when the step's chain is itself one of its tasks).
+// Chains run concurrently on `pool` (nullptr: the shared global pool) and
+// share the prepared predictor read-only; the result is identical for any
+// pool size. The returned trajectory concatenates the chains' steps in
 // chain order. Non-finite model predictions are treated as infinitely bad
 // candidates, so a partially broken model degrades the search instead of
-// derailing it.
+// derailing it. Throws std::invalid_argument, naming the field, before any
+// prediction when `config` has no iterations, no chains, a zero
+// z_decay_period or a timeout range whose maximum lies below its minimum.
 ExploreResult ExploreTimeout(const PerformanceModel& model,
                              const WorkloadProfile& profile,
                              const ModelInput& base,
@@ -66,7 +72,10 @@ ExploreResult ExploreTimeout(const PerformanceModel& model,
 // Joint budget+timeout search used by "model-driven budgeting/sprinting"
 // (Section 4.4): for each candidate budget fraction, optionally optimizes
 // the timeout, and returns the cheapest (smallest-budget) policy whose
-// predicted response time meets `slo_response_time`.
+// predicted response time meets `slo_response_time`. The budget does not
+// enter the simulator's draws, so the model is prepared once for every
+// fraction. With `optimize_timeout`, `explore_config` is checked as
+// ExploreTimeout checks it.
 struct BudgetSearchResult {
   bool feasible = false;
   double budget_fraction = 0.0;

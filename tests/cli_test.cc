@@ -95,6 +95,29 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
   EXPECT_NE(ReadFileOrEmpty(size_err).find("flag utilization: "),
             std::string::npos)
       << ReadFileOrEmpty(size_err);
+  // Advisor and explorer counts the checkpoint reader or the explorer
+  // would refuse are refused at the flags, before the profile is read.
+  const std::string profile = " --profile " + dir + "/cli_no_such.prof";
+  for (const std::string flag : {"chains", "iterations", "sim-queries"}) {
+    const std::string zero = " --" + flag + " 0";
+    EXPECT_EQ(RunMsprint("checkpoint" + profile + zero + " --out " + dir +
+                         "/cli_zero.ckpt"),
+              kExitUsage)
+        << flag;
+    for (const std::string verb : {"stats", "trace", "explain"}) {
+      EXPECT_EQ(RunMsprint(verb + profile + zero), kExitUsage)
+          << verb << " " << flag;
+    }
+  }
+  const std::string count_err = dir + "/cli_zero_count.err";
+  EXPECT_EQ(RunMsprint("explore" + profile +
+                           " --utilization 0.5 --budget 0.2 --iterations 0",
+                       count_err),
+            kExitUsage);
+  EXPECT_NE(ReadFileOrEmpty(count_err).find("flag iterations: must be at "
+                                            "least 1"),
+            std::string::npos)
+      << ReadFileOrEmpty(count_err);
   // The message lists every value the flag accepts.
   const std::string err = ::testing::TempDir() + "/cli_inject_bug.err";
   EXPECT_EQ(RunMsprint("mc --inject-bug nope", err), kExitUsage);

@@ -257,6 +257,36 @@ TEST(ModelTest, AnnTrainsAndPredictsPositive) {
   EXPECT_EQ(model.name(), "ANN");
 }
 
+// The models run with exactly the simulation settings a saved model may
+// carry: what the reader refuses, Train and the No-ML constructor refuse.
+TEST(ModelTest, SimSettingsTheReaderRejectsAreRejected) {
+  WorkloadProfile profile = SyntheticProfile(1.3);
+  profile.rows[0].effective_speedup = 1.2;
+  auto reader_accepts = [](const PredictionSimConfig& sim) {
+    persist::Writer w;
+    SerializePredictionSimConfig(sim, w);
+    persist::Reader r(w.bytes());
+    try {
+      DeserializePredictionSimConfig(r);
+      return true;
+    } catch (const persist::PersistError&) {
+      return false;
+    }
+  };
+  const PredictionSimConfig rejected[] = {
+      {0, 0, 2, 97}, {2000, 200, 0, 97}, {2000, 2000, 2, 97}};
+  for (const PredictionSimConfig& sim : rejected) {
+    EXPECT_FALSE(reader_accepts(sim));
+    EXPECT_THROW(NoMlModel{sim}, std::invalid_argument);
+    EXPECT_THROW(HybridModel::Train({&profile}, {}, sim),
+                 std::invalid_argument);
+  }
+  const PredictionSimConfig smallest{1, 0, 1, 97};
+  EXPECT_TRUE(reader_accepts(smallest));
+  EXPECT_NO_THROW(NoMlModel{smallest});
+  EXPECT_NO_THROW(HybridModel::Train({&profile}, {}, smallest));
+}
+
 TEST(ModelTest, TrainOnEmptyThrows) {
   EXPECT_THROW(HybridModel::Train({}), std::invalid_argument);
   EXPECT_THROW(AnnDirectModel::Train({}), std::invalid_argument);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -801,6 +802,69 @@ TEST(ThreadPoolHardeningTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(counter.load(), 8 * 16);
 }
 
+TEST(ThreadPoolHardeningTest, NestedInCallersChunkRunsOnCallingThread) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_started{false};
+  std::vector<std::thread::id> nested_ids(16);
+  // Three chunks and two workers: a worker holding a chunk waits for the
+  // caller to start one, so the caller always runs at least one, and the
+  // workers are idle by the time its nested loop starts.
+  pool.ParallelFor(
+      3,
+      [&](size_t) {
+        if (std::this_thread::get_id() != caller) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!caller_started.load() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          return;
+        }
+        if (caller_started.exchange(true)) {
+          return;
+        }
+        // Slow indices give an idle worker every chance to steal one, were
+        // the nested loop queued instead of run inline.
+        pool.ParallelFor(nested_ids.size(), [&](size_t i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          nested_ids[i] = std::this_thread::get_id();
+        });
+      },
+      /*grain=*/1);
+  ASSERT_TRUE(caller_started.load());
+  for (const std::thread::id& id : nested_ids) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+// Pool A's tasks wait on pool B, whose workers call back into A while
+// every participant of A is busy. A caller waits only for helpers that
+// have started, so B's workers finish A's chunks themselves instead of
+// waiting for an A worker to dequeue a helper. Predictions compose this
+// way: a batch or multi-chain exploration on an explicit pool, run inside
+// a task of the shared pool, fans replications back out on the shared
+// pool.
+TEST(ThreadPoolHardeningTest, CrossPoolNestingDoesNotDeadlock) {
+  ThreadPool a(2);
+  ThreadPool b(2);
+  std::atomic<int> counter{0};
+  a.ParallelFor(
+      3,
+      [&](size_t) {
+        b.ParallelFor(
+            4,
+            [&](size_t) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              a.ParallelFor(2, [&](size_t) { counter.fetch_add(1); });
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(counter.load(), 3 * 4 * 2);
+}
+
 TEST(ThreadPoolHardeningTest, ChunkedParallelForCoversAllIndicesOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
@@ -1071,6 +1135,63 @@ std::string ModelPipelineGoldenExport() {
 
 TEST(DeterminismTest, ModelPipelineMatchesCommittedGolden) {
   ExpectMatchesGolden(ModelPipelineGoldenExport(), "model_pipeline.txt");
+}
+
+// A prediction's replications fan out on the shared pool when it is made
+// at top level and run inline when it is nested in a pool task or in the
+// calling thread's own chunk. Both merge in index order, so a prediction,
+// a tail prediction and a single-chain exploration give the same bits in
+// every setting, whatever pool runs the chains or the enclosing loop.
+TEST(DeterminismTest, ReplicationFanOutMatchesInlineReplications) {
+  const WorkloadProfile profile =
+      GoldenCalibratedProfile(QueryMix::Single(WorkloadId::kJacobi));
+  // Three replications split unevenly over any pool.
+  const HybridModel hybrid =
+      HybridModel::Train({&profile}, {}, PredictionSimConfig{4000, 400, 3, 97});
+  ModelInput input;
+  input.utilization = 0.7;
+  input.timeout_seconds = 50.0;
+  input.budget_fraction = 0.3;
+  ExploreConfig explore;
+  explore.max_iterations = 40;
+  explore.seed = 3;
+
+  struct Outputs {
+    double mean = 0.0;
+    double p99 = 0.0;
+    ExploreResult explored;
+  };
+  auto run = [&](ThreadPool* chain_pool) {
+    return Outputs{hybrid.PredictResponseTime(profile, input),
+                   hybrid.PredictResponseTimePercentile(profile, input, 0.99),
+                   ExploreTimeout(hybrid, profile, input, explore, chain_pool)};
+  };
+  auto expect_same = [](const Outputs& got, const Outputs& want,
+                        const std::string& setting) {
+    EXPECT_EQ(got.mean, want.mean) << setting;
+    EXPECT_EQ(got.p99, want.p99) << setting;
+    EXPECT_TRUE(SameExploreResult(got.explored, want.explored)) << setting;
+  };
+
+  const Outputs top = run(nullptr);
+  std::vector<Outputs> nested(4);
+  ThreadPool::Global().ParallelFor(
+      nested.size(), [&](size_t i) { nested[i] = run(nullptr); },
+      /*grain=*/1);
+  for (const Outputs& outputs : nested) {
+    expect_same(outputs, top, "nested in the shared pool");
+  }
+  for (size_t size : {1u, 4u}) {
+    ThreadPool pool(size);
+    const std::string setting = "pool of " + std::to_string(size);
+    expect_same(run(&pool), top, setting);
+    pool.ParallelFor(
+        nested.size(), [&](size_t i) { nested[i] = run(&pool); },
+        /*grain=*/1);
+    for (const Outputs& outputs : nested) {
+      expect_same(outputs, top, "nested in a " + setting);
+    }
+  }
 }
 
 // ---------------------------------------------------- obs-export golden

@@ -264,14 +264,17 @@ DistributionKind ArrivalKindFlag(const Flags& flags) {
                         [&] { return ParseDistributionKind(text); });
 }
 
-// --queries: a given value must be at least 1, since a run with no query
-// has nothing to measure. `fallback` applies when the flag is absent.
-size_t QueriesFlag(const Flags& flags, size_t fallback) {
-  const size_t queries = flags.GetSize("queries", fallback);
-  if (flags.Has("queries") && queries == 0) {
-    throw FlagError("queries", "must be at least 1");
+// A count flag whose given value must be at least 1: a run with no query
+// has nothing to measure, and an exploration without iterations or chains,
+// or a prediction simulating no query, has nothing to return. `fallback`
+// applies when the flag is absent.
+size_t CountFlag(const Flags& flags, const std::string& name,
+                 size_t fallback) {
+  const size_t count = flags.GetSize(name, fallback);
+  if (flags.Has(name) && count == 0) {
+    throw FlagError(name, "must be at least 1");
   }
-  return queries;
+  return count;
 }
 
 std::string ReadFileOrThrow(const std::string& path) {
@@ -317,7 +320,7 @@ int CmdProfile(const Flags& flags) {
 
   ProfilerConfig config;
   config.sample_grid_points = flags.GetSize("grid", 280);
-  config.queries_per_run = QueriesFlag(flags, 8000);
+  config.queries_per_run = CountFlag(flags, "queries", 8000);
   config.warmup_queries = config.queries_per_run / 10;
   config.seed = flags.GetSize("seed", 42);
   config.pool_size = flags.GetSize("threads", 0);  // 0: shared pool
@@ -443,6 +446,8 @@ int CmdReplay(const Flags& flags) {
 }
 
 int CmdExplore(const Flags& flags) {
+  ExploreConfig config;
+  config.max_iterations = CountFlag(flags, "iterations", 200);
   const WorkloadProfile profile =
       LoadProfileFromFile(flags.GetString("profile"));
   ModelInput base;
@@ -452,8 +457,6 @@ int CmdExplore(const Flags& flags) {
   base.arrival_kind = ArrivalKindFlag(flags);
 
   const HybridModel model = HybridModel::Train({&profile});
-  ExploreConfig config;
-  config.max_iterations = flags.GetSize("iterations", 200);
   const ExploreResult result = ExploreTimeout(model, profile, base, config);
   std::cout << "best timeout: " << result.best_timeout_seconds
             << " s (expected mean response time "
@@ -478,7 +481,7 @@ TestbedConfig TestbedConfigFromFlags(const Flags& flags) {
     throw FlagError("utilization", "must be positive, got '" +
                                        flags.GetString("utilization") + "'");
   }
-  config.num_queries = QueriesFlag(flags, 2000);
+  config.num_queries = CountFlag(flags, "queries", 2000);
   config.warmup_queries = config.num_queries / 10;
   config.seed = flags.GetSize("seed", 1);
 
@@ -643,22 +646,22 @@ AdvisorConfig AdvisorConfigFromFlags(const Flags& flags) {
   config.base.budget_fraction = flags.GetDouble("budget", 0.2);
   config.base.refill_seconds = flags.GetDouble("refill", 200.0);
   config.base.arrival_kind = ArrivalKindFlag(flags);
-  config.explore.max_iterations = flags.GetSize("iterations", 80);
-  config.explore.num_chains = flags.GetSize("chains", 1);
+  config.explore.max_iterations = CountFlag(flags, "iterations", 80);
+  config.explore.num_chains = CountFlag(flags, "chains", 1);
   config.rate_window_seconds = flags.GetDouble("rate-window", 600.0);
   // Re-plans happen on the live path of the drive; keep them cheap.
-  const size_t sim_queries = flags.GetSize("sim-queries", 2000);
+  const size_t sim_queries = CountFlag(flags, "sim-queries", 2000);
   config.fallback_sim =
       PredictionSimConfig{sim_queries, sim_queries / 10, 1, 97};
   return config;
 }
 
 int CmdCheckpoint(const Flags& flags) {
+  const AdvisorConfig config = AdvisorConfigFromFlags(flags);
   const WorkloadProfile profile =
       LoadProfileFromFile(flags.GetString("profile"));
   const std::string out = flags.GetString("out");
 
-  const AdvisorConfig config = AdvisorConfigFromFlags(flags);
   std::cerr << "training hybrid model on " << profile.rows.size()
             << " rows...\n";
   const HybridModel model =
@@ -710,9 +713,9 @@ void RunObserved(const Flags& flags, obs::MetricsRegistry& metrics,
                  obs::FlightRecorder& recorder) {
   obs::ObsSession session(&metrics, &recorder);
   if (flags.Has("profile")) {
+    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
     const WorkloadProfile profile =
         LoadProfileFromFile(flags.GetString("profile"));
-    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
     std::cerr << "training hybrid model on " << profile.rows.size()
               << " rows...\n";
     const HybridModel model =
@@ -798,9 +801,9 @@ int CmdExplain(const Flags& flags) {
     // Train, drive the advisor to a standing recommendation, then replay
     // the recommended policy through the timeout-aware simulator, whose
     // spans go straight to the collector.
+    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
     const WorkloadProfile profile =
         LoadProfileFromFile(flags.GetString("profile"));
-    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
     std::cerr << "training hybrid model on " << profile.rows.size()
               << " rows...\n";
     const HybridModel model =
@@ -981,7 +984,7 @@ robust::StormConfig StormConfigFromFlags(const Flags& flags,
         file_flag, [&] { return robust::ParseStormConfig(text); });
   }
   config.seed = flags.GetSize("seed", config.seed);
-  config.queries = QueriesFlag(flags, config.queries);
+  config.queries = CountFlag(flags, "queries", config.queries);
   return config;
 }
 
