@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks for the library's hot primitives: the
 // event-driven simulator (per-query cost), the Algorithm 1 tick loop, the
 // ground-truth testbed, random-forest fit/predict, ANN prediction, the
-// effective-rate calibration search, one hybrid prediction and one
-// exploration (the model-query path), and the observability layer's idle and
-// attached overhead (the CI obs job gates BM_ObsIdleHotPath against
-// BM_TestbedRun's per-query cost).
+// effective-rate calibration search for a row and for a whole profile, one
+// hybrid prediction and one exploration (the model-query path), and the
+// observability layer's idle and attached overhead (the CI obs job gates
+// BM_ObsIdleHotPath against BM_TestbedRun's per-query cost).
 //
 // The main runs the usual benchmark CLI, then writes BENCH_micro.json with
 // nanoseconds-per-iteration for every benchmark that ran, so the overhead
@@ -450,6 +450,52 @@ void BM_CalibrationSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CalibrationSearch);
+
+// A whole profile's calibration on the shared pool: 32 rows over four
+// (utilization, arrival kind) draw keys, so rows share draws in chunks.
+// Each observation is the simulator's mean at speedup 1.2, jittered by up
+// to 10%, so most rows bisect. No baseline entry gates it.
+void BM_CalibrateProfile(benchmark::State& state) {
+  WorkloadProfile profile;
+  profile.service_rate_per_second = 1.0 / 70.0;
+  profile.marginal_rate_per_second = 1.45 / 70.0;
+  Rng rng(7);
+  const LognormalDistribution jitter(70.0, 0.2);
+  for (int i = 0; i < 500; ++i) {
+    profile.service_time_samples.push_back(jitter.Sample(rng));
+  }
+  const EmpiricalDistribution service(profile.service_time_samples);
+  CalibrationConfig config;
+  config.sim_queries = 4000;
+  config.sim_warmup = 400;
+  for (double utilization : {0.5, 0.75}) {
+    for (DistributionKind kind :
+         {DistributionKind::kExponential, DistributionKind::kPareto}) {
+      for (double timeout : {20.0, 40.0, 80.0, 160.0}) {
+        for (double budget : {0.2, 0.6}) {
+          ProfileRow row;
+          row.utilization = utilization;
+          row.arrival_kind = kind;
+          row.timeout_seconds = timeout;
+          row.refill_seconds = 200.0;
+          row.budget_fraction = budget;
+          row.observed_mean_response_time =
+              SimulatedResponseTime(profile, ModelInput::FromRow(row),
+                                    service, 1.2, config) *
+              (0.9 + 0.2 * rng.NextDouble());
+          profile.rows.push_back(row);
+        }
+      }
+    }
+  }
+  for (auto _ : state) {
+    WorkloadProfile calibrated = profile;
+    benchmark::DoNotOptimize(CalibrateProfile(calibrated, config));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(profile.rows.size()));
+}
+BENCHMARK(BM_CalibrateProfile)->Unit(benchmark::kMillisecond);
 
 // A small fixed profile for the model-query path: 500 service samples and
 // a 3x3x2 grid of rows whose effective speedups are set by formula, so the

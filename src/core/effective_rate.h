@@ -48,6 +48,12 @@ struct PredictionSimConfig {
   uint64_t seed = 97;
 };
 
+// Why `sim` cannot give a simulated response time, or nullptr when it can:
+// with no post-warmup query or no replication every mean reads 0. The one
+// rule the models' constructors, the model reader and calibration (on its
+// sim_* fields) apply.
+const char* PredictionSimProblem(const PredictionSimConfig& sim);
+
 // Builds the simulator configuration for (profile, input) at the given
 // sprint speedup. `service` must outlive the returned config.
 SimConfig BuildSimConfig(const WorkloadProfile& profile,
@@ -78,6 +84,8 @@ double SimulatedPercentile(const WorkloadProfile& profile,
                            const PredictionSimConfig& sim, double quantile);
 
 // Calibration's settings: the same mean at `config`'s sim_* fields.
+// Throws std::invalid_argument on sim_* settings that PredictionSimProblem
+// rejects.
 double SimulatedResponseTime(const WorkloadProfile& profile,
                              const ModelInput& input,
                              const Distribution& service, double speedup,
@@ -123,16 +131,21 @@ class SimReplications {
 // Equation 2: returns the effective speedup mu_e / mu for one profiled
 // observation. Monotonicity of response time in the sprint speedup makes a
 // bisection search equivalent to the paper's increment/decrement walk, just
-// faster.
+// faster. Throws std::invalid_argument, before any simulation runs, on
+// sim_* settings that PredictionSimProblem rejects or a row whose observed
+// mean is not positive.
 double CalibrateEffectiveSpeedup(const WorkloadProfile& profile,
                                  const ProfileRow& row,
                                  const Distribution& service,
                                  const CalibrationConfig& config);
 
-// Runs calibration for every row of `profile` in place, fanning rows out
-// across `pool` (nullptr: the shared global pool). Rows are independent,
-// so the calibrated profile is identical for any pool size. Returns the
-// number of rows calibrated.
+// Runs calibration for every row of `profile` in place, each row exactly
+// as CalibrateEffectiveSpeedup would, and returns the number of rows
+// calibrated. Rows that share a utilization and an arrival kind share
+// their draws: each fixed chunk of such rows is drawn once and fanned out
+// across `pool` (nullptr: the shared global pool), so the calibrated
+// profile is identical for any pool size. Throws as
+// CalibrateEffectiveSpeedup does, for any row, before any simulation runs.
 size_t CalibrateProfile(WorkloadProfile& profile,
                         const CalibrationConfig& config,
                         ThreadPool* pool = nullptr);

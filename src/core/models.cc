@@ -9,21 +9,6 @@ namespace msprint {
 
 namespace {
 
-// Why `sim` cannot run a prediction, or nullptr when it can: the one rule
-// the model reader and the models' constructors share.
-const char* PredictionSimProblem(const PredictionSimConfig& sim) {
-  if (sim.num_queries == 0) {
-    return "num_queries must be at least 1";
-  }
-  if (sim.replications == 0) {
-    return "replications must be at least 1";
-  }
-  if (sim.warmup >= sim.num_queries) {
-    return "warmup must be below num_queries";
-  }
-  return nullptr;
-}
-
 void CheckPredictionSim(const PredictionSimConfig& sim) {
   if (const char* problem = PredictionSimProblem(sim)) {
     throw std::invalid_argument(std::string("PredictionSimConfig.") +

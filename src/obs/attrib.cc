@@ -304,8 +304,12 @@ std::string FormatAttributionJson(const AttributionReport& report) {
     out += ",\"components\":{";
     for (size_t i = 0; i < kNumSpanComponents; ++i) {
       if (i > 0) out += ",";
-      out += "\"" + ComponentName(i) +
-             "\":" + FormatTicksSeconds(span.components[i]);
+      // Appended piece by piece: GCC 12 flags the concatenated form with a
+      // -Wrestrict false positive.
+      out += '"';
+      out += ComponentName(i);
+      out += "\":";
+      out += FormatTicksSeconds(span.components[i]);
     }
     out += "}}";
   }

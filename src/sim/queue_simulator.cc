@@ -6,7 +6,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "src/common/thread_pool.h"
 #include "src/core/event_queue.h"
 #include "src/core/run_arena.h"
 #include "src/obs/obs.h"
@@ -68,6 +67,43 @@ size_t QueryCount(const SimConfig& config) {
     throw std::invalid_argument("arrival trace is empty");
   }
   return std::min(config.num_queries, config.arrival_trace->size());
+}
+
+// Whether `config` runs as the one-slot recursion (RunSingleSlot) rather
+// than the event loop: admission decisions read the live queue.
+bool TakesRecursion(const SimConfig& config) {
+  return config.slots == 1 && !config.admission.Enabled();
+}
+
+// Validates `config` and that `draws` fit it (the columns' lengths and the
+// class indices), and returns its classes as ResolveClasses does.
+std::span<const SimClass> ResolveReplay(const SimConfig& config,
+                                        const SimDraws& draws,
+                                        SimClass& single) {
+  const std::span<const SimClass> classes = ResolveClasses(config, single);
+  const size_t n = QueryCount(config);
+  const bool klass_fits =
+      classes.size() > 1
+          ? draws.klass.size() == n &&
+                std::all_of(draws.klass.begin(), draws.klass.end(),
+                            [&](uint32_t c) { return c < classes.size(); })
+          : draws.klass.empty();
+  if (draws.arrival.size() != n || draws.service_time.size() != n ||
+      !klass_fits) {
+    throw std::invalid_argument("SimDraws do not fit this SimConfig");
+  }
+  return classes;
+}
+
+// The counters every run reports, whichever report tallied them. Counters
+// only: simulations run on pool workers (replications, SA chains), and the
+// flight recorder is reserved for serial paths. Sharded counter sums are
+// order-independent, so this stays deterministic.
+void CountRun(size_t queries, size_t sprinted, size_t timed_out) {
+  obs::Count("sim/runs");
+  obs::Count("sim/queries", queries);
+  obs::Count("sim/sprinted", sprinted);
+  obs::Count("sim/timed_out", timed_out);
 }
 
 // One query's outcome, as either engine reports it.
@@ -178,14 +214,7 @@ class RunReport {
                          : 0.0});
     }
 
-    // Counters only: simulations run on pool workers (replications, SA
-    // chains), and the flight recorder is reserved for serial paths.
-    // Sharded counter sums are order-independent, so this stays
-    // deterministic.
-    obs::Count("sim/runs");
-    obs::Count("sim/queries", n_ - first_);
-    obs::Count("sim/sprinted", sprinted_);
-    obs::Count("sim/timed_out", timed_out_);
+    CountRun(n_ - first_, sprinted_, timed_out_);
     if (config_.admission.Enabled()) {
       obs::Count("sim/shed", result_.shed_count);
     }
@@ -220,6 +249,39 @@ class RunReport {
   std::vector<obs::SpanInputs> spans_;
 };
 
+// The mean response time alone, for SimulateQueueMean: RunReport's
+// counters and its response-time mean, which takes StreamingStats::Add's
+// Welford step over the same served post-warmup queries in index order,
+// so it keeps its bits. It serves only the recursion, which sheds nothing.
+class MeanReport {
+ public:
+  MeanReport(size_t n, size_t warmup) : n_(n), first_(std::min(warmup, n)) {}
+
+  void Add(size_t i, const QueryRecord& q) {
+    if (i < first_) {
+      return;
+    }
+    ++served_;
+    const double response = q.depart - q.arrival;
+    mean_ += (response - mean_) / static_cast<double>(served_);
+    sprinted_ += q.sprinted;
+    timed_out_ += q.timed_out;
+  }
+
+  double Finish() const {
+    CountRun(n_ - first_, sprinted_, timed_out_);
+    return mean_;
+  }
+
+ private:
+  const size_t n_;
+  const size_t first_;
+  size_t served_ = 0;
+  double mean_ = 0.0;
+  size_t sprinted_ = 0;
+  size_t timed_out_ = 0;
+};
+
 // One slot, admission off: FIFO order is index order, so query i starts
 // at max(arrival_i, depart_{i-1}), the Lindley recursion. Every double
 // matches the event loop because the recursion makes the loop's budget
@@ -229,9 +291,11 @@ class RunReport {
 // is idle or at i's departure after it completes. So per query:
 // Available(start) when the timeout fired while queued, else
 // Available(timeout_at) when it fires before the departure, then the
-// sprint's debit at the departure.
+// sprint's debit at the departure. `report` is a RunReport or a
+// MeanReport.
+template <typename Report>
 void RunSingleSlot(std::span<const SimClass> classes, const SimDraws& draws,
-                   SprintBudget& budget, RunReport& report) {
+                   SprintBudget& budget, Report& report) {
   const size_t n = draws.arrival.size();
   const bool multi_class = !draws.klass.empty();
   double depart = -std::numeric_limits<double>::infinity();
@@ -518,25 +582,14 @@ SimDraws DrawSimQueries(const SimConfig& config) {
 SimResult SimulateQueue(const SimConfig& config, const SimDraws& draws,
                         std::vector<SimQuery>* trace_out) {
   SimClass single;
-  const std::span<const SimClass> classes = ResolveClasses(config, single);
-  const size_t n = QueryCount(config);
-  const bool klass_fits =
-      classes.size() > 1
-          ? draws.klass.size() == n &&
-                std::all_of(draws.klass.begin(), draws.klass.end(),
-                            [&](uint32_t c) { return c < classes.size(); })
-          : draws.klass.empty();
-  if (draws.arrival.size() != n || draws.service_time.size() != n ||
-      !klass_fits) {
-    throw std::invalid_argument("SimDraws do not fit this SimConfig");
-  }
-
+  const std::span<const SimClass> classes =
+      ResolveReplay(config, draws, single);
   SprintBudget budget(config.budget_capacity_seconds,
                       config.budget_refill_seconds);
   // Built on both paths so an invalid admission config throws on both.
   robust::AdmissionController admission(config.admission, config.slots);
-  RunReport report(config, n, classes.size(), trace_out);
-  if (config.slots == 1 && !config.admission.Enabled()) {
+  RunReport report(config, draws.arrival.size(), classes.size(), trace_out);
+  if (TakesRecursion(config)) {
     RunSingleSlot(classes, draws, budget, report);
   } else {
     RunEventLoop(config, classes, draws, budget, admission, report);
@@ -544,31 +597,25 @@ SimResult SimulateQueue(const SimConfig& config, const SimDraws& draws,
   return report.Finish();
 }
 
+double SimulateQueueMean(const SimConfig& config, const SimDraws& draws) {
+  if (!TakesRecursion(config) || config.span_sink != nullptr) {
+    return SimulateQueue(config, draws).mean_response_time;
+  }
+  SimClass single;
+  const std::span<const SimClass> classes =
+      ResolveReplay(config, draws, single);
+  SprintBudget budget(config.budget_capacity_seconds,
+                      config.budget_refill_seconds);
+  // Validates the admission config, as SimulateQueue's does.
+  (void)robust::AdmissionController(config.admission, config.slots);
+  MeanReport report(draws.arrival.size(), config.warmup_queries);
+  RunSingleSlot(classes, draws, budget, report);
+  return report.Finish();
+}
+
 SimResult SimulateQueue(const SimConfig& config,
                         std::vector<SimQuery>* trace_out) {
   return SimulateQueue(config, DrawSimQueries(config), trace_out);
-}
-
-ReplicatedResult SimulateReplicated(const SimConfig& config,
-                                    size_t replications, ThreadPool* pool) {
-  if (replications == 0) {
-    throw std::invalid_argument("need at least one replication");
-  }
-  std::vector<double> means(replications, 0.0);
-  ResolvePool(pool).ParallelFor(replications, [&](size_t r) {
-    SimConfig rep = config;
-    rep.seed = DeriveSeed(config.seed, r);
-    means[r] = SimulateQueue(rep).mean_response_time;
-  });
-  StreamingStats stats;
-  for (double m : means) {
-    stats.Add(m);
-  }
-  ReplicatedResult out;
-  out.mean_response_time = stats.mean();
-  out.coefficient_of_variation = stats.cov();
-  out.replication_means = std::move(means);
-  return out;
 }
 
 }  // namespace msprint

@@ -188,21 +188,12 @@ SimResult SimulateQueue(const SimConfig& config, const SimDraws& draws,
 SimResult SimulateQueue(const SimConfig& config,
                         std::vector<SimQuery>* trace_out = nullptr);
 
-// Runs `replications` independent replications (seeds derived from
-// config.seed) on `pool` (nullptr: the shared global pool) and returns the
-// grand mean response time. Replication r always uses seed
-// DeriveSeed(config.seed, r), so the result is identical for any pool
-// size.
-struct ReplicatedResult {
-  double mean_response_time = 0.0;
-  double coefficient_of_variation = 0.0;  // across replications
-  std::vector<double> replication_means;
-};
-
-class ThreadPool;
-ReplicatedResult SimulateReplicated(const SimConfig& config,
-                                    size_t replications,
-                                    ThreadPool* pool = nullptr);
+// SimulateQueue(config, draws).mean_response_time bit for bit, with the
+// same counters and the same throws, for callers that read nothing else:
+// one slot with admission off replays the recursion into the mean alone,
+// with no per-query response times and no other statistics. Any other
+// config, or one with a span sink, runs SimulateQueue and reads its mean.
+double SimulateQueueMean(const SimConfig& config, const SimDraws& draws);
 
 }  // namespace msprint
 

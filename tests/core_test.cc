@@ -9,11 +9,15 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/effective_rate.h"
 #include "src/core/evaluation.h"
 #include "src/core/models.h"
+#include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/profiler/profiler.h"
 
 namespace msprint {
@@ -138,6 +142,70 @@ TEST(CalibrationTest, NonPositiveObservedMeanThrows) {
         std::invalid_argument)
         << bad;
   }
+}
+
+// With no post-warmup query or no replication every simulated mean reads
+// 0, and the search would clamp every row to min_speedup. Both entry
+// points refuse such settings, naming the field, before any simulation
+// runs: no row is written and no simulator counter moves.
+TEST(CalibrationTest, UnusableSimSettingsThrowBeforeSimulating) {
+  WorkloadProfile profile = SyntheticProfile(1.3);
+  for (double timeout : {80.0, 160.0}) {
+    profile.rows.push_back(profile.rows[0]);
+    profile.rows.back().timeout_seconds = timeout;
+  }
+  for (ProfileRow& row : profile.rows) {
+    row.effective_speedup = -1.0;
+  }
+  const EmpiricalDistribution service(profile.service_time_samples);
+  CalibrationConfig all_warmup;
+  all_warmup.sim_warmup = all_warmup.sim_queries;
+  CalibrationConfig no_replications;
+  no_replications.sim_replications = 0;
+  CalibrationConfig no_queries;
+  no_queries.sim_queries = 0;
+  no_queries.sim_warmup = 0;
+  const std::pair<const char*, CalibrationConfig> cases[] = {
+      {"warmup", all_warmup},
+      {"replications", no_replications},
+      {"num_queries", no_queries}};
+
+  auto expect_refused = [](const char* field, auto calibrate) {
+    obs::MetricsRegistry metrics;
+    obs::ObsSession session(&metrics, nullptr);
+    try {
+      calibrate();
+      ADD_FAILURE() << field << ": no throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(metrics.Snapshot().ToText(), "") << field;
+  };
+  for (const auto& [field, config] : cases) {
+    expect_refused(field, [&] { CalibrateProfile(profile, config); });
+    for (const ProfileRow& row : profile.rows) {
+      EXPECT_EQ(row.effective_speedup, -1.0) << field;
+    }
+    expect_refused(field, [&] {
+      CalibrateEffectiveSpeedup(profile, profile.rows[0], service, config);
+    });
+  }
+}
+
+// A row whose observed mean cannot be calibrated fails the whole profile
+// before any row is simulated.
+TEST(CalibrationTest, CalibrateProfileChecksEveryRowFirst) {
+  WorkloadProfile profile = SyntheticProfile(1.3);
+  profile.rows.push_back(profile.rows[0]);
+  profile.rows.back().observed_mean_response_time = 0.0;
+  obs::MetricsRegistry metrics;
+  {
+    obs::ObsSession session(&metrics, nullptr);
+    EXPECT_THROW(CalibrateProfile(profile, CalibrationConfig{}),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(metrics.Snapshot().ToText(), "");
 }
 
 // Common random numbers make a row's simulated response time monotone in

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -207,36 +208,6 @@ TEST(DeterminismTest, MultiChainFindsConvexMinimum) {
       ExploreTimeout(model, profile, ModelInput{}, config);
   EXPECT_NEAR(result.best_timeout_seconds, 140.0, 10.0);
   EXPECT_NEAR(result.best_response_time, 100.0, 1.0);
-}
-
-// -------------------------------------------------------------- simulator
-
-TEST(DeterminismTest, ReplicatedSimIdenticalForAnyPoolSize) {
-  const ExponentialDistribution service(1.0);
-  SimConfig config;
-  config.arrival_rate_per_second = 0.7;
-  config.service = &service;
-  config.sprint_speedup = 1.3;
-  config.timeout_seconds = 1.0;
-  config.budget_capacity_seconds = 5.0;
-  config.budget_refill_seconds = 50.0;
-  config.num_queries = 2000;
-  config.warmup_queries = 200;
-  config.seed = 11;
-
-  ThreadPool serial(1);
-  const ReplicatedResult reference = SimulateReplicated(config, 6, &serial);
-  for (size_t pool_size : PoolSizesUnderTest()) {
-    ThreadPool pool(pool_size);
-    const ReplicatedResult result = SimulateReplicated(config, 6, &pool);
-    ASSERT_EQ(result.replication_means.size(),
-              reference.replication_means.size());
-    for (size_t r = 0; r < result.replication_means.size(); ++r) {
-      EXPECT_EQ(result.replication_means[r],
-                reference.replication_means[r]);
-    }
-    EXPECT_EQ(result.mean_response_time, reference.mean_response_time);
-  }
 }
 
 // -------------------------------------------------------- fault injection
@@ -1191,6 +1162,82 @@ TEST(DeterminismTest, ReplicationFanOutMatchesInlineReplications) {
     for (const Outputs& outputs : nested) {
       expect_same(outputs, top, "nested in a " + setting);
     }
+  }
+}
+
+// ------------------------------------------------------------ calibration
+//
+// CalibrateProfile draws once per chunk of rows that share a utilization
+// and an arrival kind. Every row must still get the bits it gets when it
+// is calibrated alone, whatever the row order and the pool.
+
+template <typename T>
+void ShuffleInPlace(std::vector<T>& items, Rng& rng) {
+  for (size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[rng.NextBounded(i)]);
+  }
+}
+
+// 18 rows over four draw keys, interleaved in random order: 9 rows at
+// (0.6, exponential), more than two chunks of at most 4 rows; 5 at (0.8,
+// exponential); 3 at (0.6, Pareto), the utilization of the first key; and
+// one at (0.4, Pareto). Each observation is the simulator's mean at a
+// random speedup, jittered by up to 10%.
+WorkloadProfile InterleavedKeyProfile(const CalibrationConfig& config,
+                                      Rng& rng) {
+  WorkloadProfile profile = DummyProfile();
+  const EmpiricalDistribution service(profile.service_time_samples);
+  const struct {
+    double utilization;
+    DistributionKind kind;
+    int rows;
+  } keys[] = {{0.6, DistributionKind::kExponential, 9},
+              {0.8, DistributionKind::kExponential, 5},
+              {0.6, DistributionKind::kPareto, 3},
+              {0.4, DistributionKind::kPareto, 1}};
+  for (const auto& key : keys) {
+    for (int i = 0; i < key.rows; ++i) {
+      ProfileRow row;
+      row.utilization = key.utilization;
+      row.arrival_kind = key.kind;
+      row.timeout_seconds = 20.0 + 140.0 * rng.NextDouble();
+      row.refill_seconds = 200.0 + 800.0 * rng.NextDouble();
+      row.budget_fraction = 0.1 + 0.6 * rng.NextDouble();
+      row.observed_mean_response_time =
+          SimulatedResponseTime(profile, ModelInput::FromRow(row), service,
+                                0.5 + 1.6 * rng.NextDouble(), config) *
+          (0.9 + 0.2 * rng.NextDouble());
+      profile.rows.push_back(row);
+    }
+  }
+  ShuffleInPlace(profile.rows, rng);
+  return profile;
+}
+
+TEST(DeterminismTest, ChunkedCalibrationMatchesPerRowCalibration) {
+  CalibrationConfig config;
+  config.sim_queries = 3000;
+  config.sim_warmup = 300;
+  Rng rng(31);
+  WorkloadProfile profile = InterleavedKeyProfile(config, rng);
+  const EmpiricalDistribution service(profile.service_time_samples);
+  for (const char* order : {"random", "reshuffled"}) {
+    std::vector<double> alone;
+    for (const ProfileRow& row : profile.rows) {
+      alone.push_back(CalibrateEffectiveSpeedup(profile, row, service, config));
+    }
+    for (size_t size : {1u, 2u, 4u}) {
+      ThreadPool pool(size);
+      WorkloadProfile calibrated = profile;
+      ASSERT_EQ(CalibrateProfile(calibrated, config, &pool),
+                profile.rows.size());
+      for (size_t i = 0; i < alone.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(calibrated.rows[i].effective_speedup),
+                  std::bit_cast<uint64_t>(alone[i]))
+            << order << " order, pool of " << size << ", row " << i;
+      }
+    }
+    ShuffleInPlace(profile.rows, rng);
   }
 }
 

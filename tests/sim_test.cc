@@ -3,8 +3,9 @@
 // "classic MMK workloads" with ~5% error), hand-computable sprint
 // semantics, budget accounting, conformance between the event-driven
 // simulator and the literal Algorithm 1 tick loop, bitwise agreement of the
-// single-slot recursion with the event loop, exact sprinting limits, and
-// replay of pre-drawn inputs.
+// single-slot recursion with the event loop and of the mean-only replay
+// with the full report, exact sprinting limits, and replay of pre-drawn
+// inputs.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,12 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/sim/queue_simulator.h"
 #include "src/sim/tick_simulator.h"
 #include "tests/sim_compare.h"
@@ -344,17 +348,6 @@ TEST(SimBookkeepingTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.mean_response_time, b.mean_response_time);
 }
 
-TEST(SimBookkeepingTest, ReplicationsReduceVariance) {
-  const ExponentialDistribution service(1.0);
-  SimConfig config = NoSprintConfig(service, 0.8, 3000);
-  ThreadPool pool(4);
-  const ReplicatedResult replicated = SimulateReplicated(config, 8, &pool);
-  EXPECT_EQ(replicated.replication_means.size(), 8u);
-  EXPECT_GT(replicated.coefficient_of_variation, 0.0);
-  EXPECT_NEAR(replicated.mean_response_time, 1.0 / (1.0 - 0.8),
-              0.15 * 1.0 / (1.0 - 0.8));
-}
-
 // ------------------------------------------------------- trace replay
 
 TEST(TraceReplayTest, RecordedArrivalsHonoredExactly) {
@@ -581,6 +574,80 @@ TEST(SingleSlotOracleTest, RecursionMatchesEventLoopBitForBit) {
   EXPECT_GT(sprinted, 100000u);
 }
 
+// ------------------------------------------ mean-only replay vs full report
+//
+// SimulateQueueMean replays the recursion into the mean alone and routes
+// every other config through SimulateQueue. Over the recursion oracle's
+// configs, and over event-loop variants of each (a queue cap that sheds,
+// two to four slots), it must return the full report's mean bit for bit
+// and move every counter by the same amount.
+
+// Runs `simulate` with a fresh registry attached and returns its value
+// and the registry's export.
+template <typename Simulate>
+std::pair<double, std::string> WithMetrics(Simulate simulate) {
+  obs::MetricsRegistry metrics;
+  double value = 0.0;
+  {
+    obs::ObsSession session(&metrics, nullptr);
+    value = simulate();
+  }
+  return {value, metrics.Snapshot().ToText()};
+}
+
+TEST(MeanOnlyOracleTest, MeanMatchesFullReportBitForBit) {
+  const auto services = OracleServices();
+  const std::vector<double> trace = TiedArrivalTrace(1000);
+  Rng rng(2026);  // SingleSlotOracleTest's configs
+  size_t shed = 0;
+  for (int k = 0; k < 3000; ++k) {
+    const SimConfig recursion = RandomSingleSlotConfig(rng, services, trace);
+    SimConfig capped = recursion;
+    capped.admission.policy = robust::AdmissionPolicy::kQueueCap;
+    capped.admission.queue_cap = 1 + k % 8;
+    SimConfig slots = recursion;
+    slots.slots = 2 + k % 3;
+    const SimDraws draws = DrawSimQueries(recursion);
+    const SimConfig* const configs[] = {&recursion, &capped, &slots};
+    for (const SimConfig* config : configs) {
+      SimResult full;
+      const auto [full_mean, full_counters] = WithMetrics([&] {
+        full = SimulateQueue(*config, draws);
+        return full.mean_response_time;
+      });
+      const auto [mean, counters] =
+          WithMetrics([&] { return SimulateQueueMean(*config, draws); });
+      SCOPED_TRACE(::testing::Message()
+                   << "case " << k << " slots " << config->slots
+                   << " cap " << config->admission.Enabled());
+      ASSERT_EQ(Bits(mean), Bits(full_mean));
+      ASSERT_EQ(counters, full_counters);
+      shed += full.shed_count;
+    }
+  }
+  EXPECT_GT(shed, 10000u);  // the caps reach the shedding path
+}
+
+// A span sink routes the mean through the full report, so the spans are
+// recorded exactly as SimulateQueue records them.
+TEST(MeanOnlyOracleTest, SpanSinkStillRecords) {
+  const ExponentialDistribution service(0.1);
+  SimConfig config = NoSprintConfig(service, 0.07, 500);
+  config.timeout_seconds = 5.0;
+  config.budget_capacity_seconds = 40.0;
+  config.sprint_speedup = 1.5;
+  const SimDraws draws = DrawSimQueries(config);
+  obs::SpanCollector full_spans;
+  obs::SpanCollector mean_spans;
+  config.span_sink = &full_spans;
+  const double full = SimulateQueue(config, draws).mean_response_time;
+  config.span_sink = &mean_spans;
+  EXPECT_EQ(Bits(SimulateQueueMean(config, draws)), Bits(full));
+  const std::vector<obs::QuerySpan> spans = mean_spans.TakeSpans();
+  EXPECT_EQ(spans.size(), 450u);
+  ExpectSameSpans(spans, full_spans.TakeSpans());
+}
+
 // ------------------------------------------------ exact sprinting limits
 
 std::vector<SimQuery> TraceOf(const SimConfig& config) {
@@ -694,21 +761,35 @@ TEST(SimDrawsTest, MisshapenDrawsThrow) {
   SimConfig shorter = config;
   shorter.num_queries = 99;
   EXPECT_THROW(SimulateQueue(shorter, draws), std::invalid_argument);
+  EXPECT_THROW(SimulateQueueMean(shorter, draws), std::invalid_argument);
 
   SimDraws bad = draws;
   bad.service_time.pop_back();
   EXPECT_THROW(SimulateQueue(config, bad), std::invalid_argument);
+  EXPECT_THROW(SimulateQueueMean(config, bad), std::invalid_argument);
   bad = draws;
   bad.klass.assign(100, 0);  // a class column for a one-class config
   EXPECT_THROW(SimulateQueue(config, bad), std::invalid_argument);
+  EXPECT_THROW(SimulateQueueMean(config, bad), std::invalid_argument);
 
   SimConfig two = config;
   two.classes = {{1.0, &service, 10.0, 1.5}, {1.0, &service, 20.0, 2.0}};
   EXPECT_THROW(SimulateQueue(two, draws), std::invalid_argument);
+  EXPECT_THROW(SimulateQueueMean(two, draws), std::invalid_argument);
   bad = DrawSimQueries(two);
   EXPECT_NO_THROW(SimulateQueue(two, bad));
+  EXPECT_NO_THROW(SimulateQueueMean(two, bad));
   bad.klass[7] = 2;  // no such class
   EXPECT_THROW(SimulateQueue(two, bad), std::invalid_argument);
+  EXPECT_THROW(SimulateQueueMean(two, bad), std::invalid_argument);
+
+  // The mean-only replay validates the admission config even when
+  // admission is off, as SimulateQueue does.
+  SimConfig invalid_admission = config;
+  invalid_admission.admission.service_ewma_alpha = 0.0;
+  EXPECT_THROW(SimulateQueue(invalid_admission, draws), std::invalid_argument);
+  EXPECT_THROW(SimulateQueueMean(invalid_admission, draws),
+               std::invalid_argument);
 }
 
 }  // namespace
