@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/sim/tick_simulator.h"
+#include "tests/tick_simulator.h"
 
 namespace msprint {
 namespace {

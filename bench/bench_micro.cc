@@ -30,7 +30,7 @@
 #include "src/obs/sketch.h"
 #include "src/obs/slo.h"
 #include "src/obs/whatif/whatif.h"
-#include "src/sim/tick_simulator.h"
+#include "tests/tick_simulator.h"
 #include "src/testbed/testbed.h"
 
 namespace msprint {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace msprint {
 
@@ -109,29 +108,6 @@ double Rng::NextGaussian() {
   cached_gaussian_ = v * factor;
   has_cached_gaussian_ = true;
   return u * factor;
-}
-
-void Rng::LongJump() {
-  if (batch_block_ != 0) {
-    // A jump teleports `state_`, but buffered draws would still be served
-    // from the pre-jump position — silently interleaving two streams.
-    throw std::logic_error("Rng::LongJump is incompatible with batched draws");
-  }
-  static constexpr std::array<uint64_t, 4> kLongJump = {
-      0x76E15D3EFEFDCBBFULL, 0xC5004E441C522FB3ULL, 0x77710069854EE241ULL,
-      0x39109BB02ACBE635ULL};
-  std::array<uint64_t, 4> acc = {0, 0, 0, 0};
-  for (uint64_t word : kLongJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (int i = 0; i < 4; ++i) {
-          acc[i] ^= state_[i];
-        }
-      }
-      Next();
-    }
-  }
-  state_ = acc;
 }
 
 }  // namespace msprint

@@ -69,8 +69,7 @@ class Rng {
   // refill loop runs the exact same core step in the exact same order.
   // The tight refill loop breaks the serial dependency between a state
   // update and the consumer's use of the draw, which is what makes it
-  // faster. Incompatible with LongJump (which assumes the buffered state
-  // *is* the stream position): LongJump throws once batching is on.
+  // faster.
   void EnableBatchedDraws(size_t block = kMaxBatchBlock);
 
   // Uniform double in [0, 1). 53 bits of mantissa entropy.
@@ -84,11 +83,6 @@ class Rng {
 
   // Standard normal via polar Box-Muller (caches the second deviate).
   double NextGaussian();
-
-  // Jump function: advances the state by 2^128 draws. Used to create
-  // long-range independent substreams without re-seeding. Throws
-  // std::logic_error if batched draws are enabled.
-  void LongJump();
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {

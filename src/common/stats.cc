@@ -20,25 +20,6 @@ void StreamingStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void StreamingStats::Merge(const StreamingStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double StreamingStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
 
 double StreamingStats::variance() const {
@@ -87,19 +68,6 @@ double AbsoluteRelativeError(double predicted, double observed) {
   return std::abs(predicted - observed) / std::abs(observed);
 }
 
-double MedianAbsoluteRelativeError(const std::vector<double>& predicted,
-                                   const std::vector<double>& observed) {
-  if (predicted.size() != observed.size() || predicted.empty()) {
-    throw std::invalid_argument("mismatched or empty error vectors");
-  }
-  std::vector<double> errors;
-  errors.reserve(predicted.size());
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    errors.push_back(AbsoluteRelativeError(predicted[i], observed[i]));
-  }
-  return Median(std::move(errors));
-}
-
 EmpiricalCdf::EmpiricalCdf(std::vector<double> values)
     : sorted_(std::move(values)) {
   if (sorted_.empty()) {
@@ -116,16 +84,6 @@ double EmpiricalCdf::Probability(double x) const {
 
 double EmpiricalCdf::Value(double q) const {
   return Quantile(sorted_, q);
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::AtThresholds(
-    const std::vector<double>& thresholds) const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(thresholds.size());
-  for (double t : thresholds) {
-    out.emplace_back(t, Probability(t));
-  }
-  return out;
 }
 
 double TailFraction(const std::vector<double>& values, double threshold) {

@@ -19,7 +19,6 @@ namespace msprint {
 class StreamingStats {
  public:
   void Add(double x);
-  void Merge(const StreamingStats& other);
 
   size_t count() const { return count_; }
   double mean() const;
@@ -52,11 +51,6 @@ double Median(std::vector<double> values);
 // Returns |predicted| when observed == 0.
 double AbsoluteRelativeError(double predicted, double observed);
 
-// Median of elementwise absolute relative errors. Vectors must be the same
-// nonzero length.
-double MedianAbsoluteRelativeError(const std::vector<double>& predicted,
-                                   const std::vector<double>& observed);
-
 // An empirical CDF: sorted support points with cumulative probabilities.
 class EmpiricalCdf {
  public:
@@ -67,11 +61,6 @@ class EmpiricalCdf {
 
   // Inverse CDF (quantile) for q in [0,1].
   double Value(double q) const;
-
-  // Evaluates the CDF at each threshold; convenient for printing the
-  // error-CDF figures (Fig 8 and Fig 9).
-  std::vector<std::pair<double, double>> AtThresholds(
-      const std::vector<double>& thresholds) const;
 
   size_t size() const { return sorted_.size(); }
   const std::vector<double>& sorted_values() const { return sorted_; }

@@ -60,24 +60,6 @@ std::string TextTable::ToString() const {
   return os.str();
 }
 
-std::string TextTable::ToCsv() const {
-  std::ostringstream os;
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) {
-        os << ",";
-      }
-      os << row[c];
-    }
-    os << "\n";
-  };
-  write_row(header_);
-  for (const auto& row : rows_) {
-    write_row(row);
-  }
-  return os.str();
-}
-
 void PrintBanner(std::ostream& os, const std::string& title) {
   os << "\n== " << title << " ==\n";
 }

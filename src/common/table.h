@@ -1,5 +1,5 @@
-// Small text-table and CSV writers used by the bench binaries to print the
-// paper's tables and figure series in a consistent, diff-friendly format.
+// A small text-table writer used by the bench binaries to print the paper's
+// tables and figure series in a consistent, diff-friendly format.
 
 #ifndef MSPRINT_SRC_COMMON_TABLE_H_
 #define MSPRINT_SRC_COMMON_TABLE_H_
@@ -24,9 +24,6 @@ class TextTable {
 
   void Print(std::ostream& os) const;
   std::string ToString() const;
-
-  // Renders the same content as CSV (no alignment padding).
-  std::string ToCsv() const;
 
   size_t row_count() const { return rows_.size(); }
 

@@ -169,15 +169,4 @@ void EventQueue::Rebuild(size_t bucket_count) {
   cursor_ = all.empty() ? 0 : min_vb;
 }
 
-void EventQueue::Clear() {
-  flat_.clear();
-  for (auto& bucket : buckets_) {
-    bucket.clear();
-  }
-  calendar_ = false;
-  cursor_ = 0;
-  size_ = 0;
-  next_seq_ = 0;
-}
-
 }  // namespace msprint

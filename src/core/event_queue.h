@@ -111,10 +111,6 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  // Drops all events but keeps allocated storage for the next run;
-  // `seq` numbering restarts at zero and the queue returns to flat mode.
-  void Clear();
-
   // Flat mode serves up to this many events; beyond it the queue
   // migrates to calendar buckets. The engines' steady-state sets (a
   // pending arrival plus a departure/timeout pair per busy slot, and the

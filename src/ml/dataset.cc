@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace msprint {
@@ -16,35 +15,6 @@ void Dataset::Add(std::vector<double> features, double target) {
   }
   rows_.push_back(std::move(features));
   targets_.push_back(target);
-}
-
-size_t Dataset::FeatureIndex(const std::string& name) const {
-  const auto it =
-      std::find(feature_names_.begin(), feature_names_.end(), name);
-  if (it == feature_names_.end()) {
-    throw std::out_of_range("unknown feature: " + name);
-  }
-  return static_cast<size_t>(it - feature_names_.begin());
-}
-
-std::pair<Dataset, Dataset> Dataset::Split(double train_fraction,
-                                           Rng& rng) const {
-  if (train_fraction <= 0.0 || train_fraction >= 1.0) {
-    throw std::invalid_argument("train fraction must be in (0,1)");
-  }
-  std::vector<size_t> order(NumRows());
-  std::iota(order.begin(), order.end(), 0);
-  // Fisher-Yates shuffle.
-  for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.NextBounded(i)]);
-  }
-  const size_t n_train = std::max<size_t>(
-      1, static_cast<size_t>(train_fraction * static_cast<double>(NumRows())));
-  std::vector<size_t> train_idx(order.begin(),
-                                order.begin() + static_cast<long>(n_train));
-  std::vector<size_t> test_idx(order.begin() + static_cast<long>(n_train),
-                               order.end());
-  return {Subset(train_idx), Subset(test_idx)};
 }
 
 Dataset Dataset::Subset(const std::vector<size_t>& indices) const {

@@ -8,10 +8,8 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/persist/persist.h"
 
 namespace msprint {
@@ -33,12 +31,6 @@ class Dataset {
     return feature_names_;
   }
   const std::vector<double>& targets() const { return targets_; }
-
-  // Index of a named feature; throws if absent.
-  size_t FeatureIndex(const std::string& name) const;
-
-  // Random split into (train, test) with the given train fraction.
-  std::pair<Dataset, Dataset> Split(double train_fraction, Rng& rng) const;
 
   // Dataset restricted to the given row indices (with repetition allowed —
   // used for bootstrap subsamples).

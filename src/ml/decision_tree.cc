@@ -6,6 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/ml/linear_regression.h"
+
 namespace msprint {
 
 namespace {
@@ -73,10 +75,10 @@ int DecisionTree::MakeLeaf(const Dataset& data,
     const double xmin = *std::min_element(x.begin(), x.end());
     const double xmax = *std::max_element(x.begin(), x.end());
     if (xmax - xmin > 1e-12) {
-      const LinearRegression model = LinearRegression::FitSimple(x, y);
+      const LineFit fit = FitLine(x, y);
       leaf.has_model = true;
-      leaf.slope = model.coefficients()[0];
-      leaf.bias = model.intercept();
+      leaf.slope = fit.slope;
+      leaf.bias = fit.intercept;
     }
   }
   nodes_.push_back(leaf);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/ml/dataset.h"
-#include "src/ml/linear_regression.h"
 #include "src/persist/persist.h"
 
 namespace msprint {

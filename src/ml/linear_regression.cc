@@ -5,107 +5,7 @@
 
 namespace msprint {
 
-std::vector<double> SolveLinearSystem(std::vector<double> a,
-                                      std::vector<double> b, size_t n) {
-  if (a.size() != n * n || b.size() != n) {
-    throw std::invalid_argument("bad linear system dimensions");
-  }
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    size_t pivot = col;
-    double best = std::abs(a[col * n + col]);
-    for (size_t row = col + 1; row < n; ++row) {
-      const double mag = std::abs(a[row * n + col]);
-      if (mag > best) {
-        best = mag;
-        pivot = row;
-      }
-    }
-    if (best < 1e-300) {
-      throw std::runtime_error("singular system");
-    }
-    if (pivot != col) {
-      for (size_t k = 0; k < n; ++k) {
-        std::swap(a[col * n + k], a[pivot * n + k]);
-      }
-      std::swap(b[col], b[pivot]);
-    }
-    // Eliminate below.
-    for (size_t row = col + 1; row < n; ++row) {
-      const double factor = a[row * n + col] / a[col * n + col];
-      if (factor == 0.0) {
-        continue;
-      }
-      for (size_t k = col; k < n; ++k) {
-        a[row * n + k] -= factor * a[col * n + k];
-      }
-      b[row] -= factor * b[col];
-    }
-  }
-  // Back substitution.
-  std::vector<double> x(n, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    double acc = b[i];
-    for (size_t k = i + 1; k < n; ++k) {
-      acc -= a[i * n + k] * x[k];
-    }
-    x[i] = acc / a[i * n + i];
-  }
-  return x;
-}
-
-LinearRegression LinearRegression::Fit(const Dataset& data, double ridge) {
-  const size_t f = data.NumFeatures();
-  const size_t n = data.NumRows();
-  if (n == 0) {
-    throw std::invalid_argument("cannot fit on empty dataset");
-  }
-  const size_t d = f + 1;  // + intercept
-  // Normal equations: (X^T X + ridge I) beta = X^T y, with X augmented by a
-  // constant-1 column for the intercept.
-  std::vector<double> xtx(d * d, 0.0);
-  std::vector<double> xty(d, 0.0);
-  std::vector<double> aug(d, 1.0);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& row = data.Row(i);
-    for (size_t j = 0; j < f; ++j) {
-      aug[j] = row[j];
-    }
-    aug[f] = 1.0;
-    const double y = data.Target(i);
-    for (size_t a = 0; a < d; ++a) {
-      xty[a] += aug[a] * y;
-      for (size_t b = a; b < d; ++b) {
-        xtx[a * d + b] += aug[a] * aug[b];
-      }
-    }
-  }
-  // Mirror the upper triangle and add the ridge.
-  for (size_t a = 0; a < d; ++a) {
-    for (size_t b = 0; b < a; ++b) {
-      xtx[a * d + b] = xtx[b * d + a];
-    }
-    xtx[a * d + a] += ridge;
-  }
-  std::vector<double> beta;
-  try {
-    beta = SolveLinearSystem(std::move(xtx), std::move(xty), d);
-  } catch (const std::runtime_error&) {
-    // Degenerate design matrix: fall back to predicting the mean.
-    double mean = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      mean += data.Target(i);
-    }
-    mean /= static_cast<double>(n);
-    return LinearRegression(std::vector<double>(f, 0.0), mean);
-  }
-  const double intercept = beta[f];
-  beta.resize(f);
-  return LinearRegression(std::move(beta), intercept);
-}
-
-LinearRegression LinearRegression::FitSimple(const std::vector<double>& x,
-                                             const std::vector<double>& y) {
+LineFit FitLine(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.empty()) {
     throw std::invalid_argument("mismatched simple-regression inputs");
   }
@@ -119,33 +19,10 @@ LinearRegression LinearRegression::FitSimple(const std::vector<double>& x,
   }
   const double denom = n * sxx - sx * sx;
   if (std::abs(denom) < 1e-12) {
-    return LinearRegression({0.0}, sy / n);
+    return {0.0, sy / n};
   }
   const double slope = (n * sxy - sx * sy) / denom;
-  const double intercept = (sy - slope * sx) / n;
-  return LinearRegression({slope}, intercept);
-}
-
-double LinearRegression::Predict(const std::vector<double>& features) const {
-  if (features.size() != coefficients_.size()) {
-    throw std::invalid_argument("feature width mismatch in Predict");
-  }
-  double acc = intercept_;
-  for (size_t j = 0; j < features.size(); ++j) {
-    acc += coefficients_[j] * features[j];
-  }
-  return acc;
-}
-
-void LinearRegression::Serialize(persist::Writer& w) const {
-  w.PutDoubles(coefficients_);
-  w.PutF64(intercept_);
-}
-
-LinearRegression LinearRegression::Deserialize(persist::Reader& r) {
-  std::vector<double> coefficients = r.GetDoubles();
-  const double intercept = r.GetFiniteF64("linear-regression intercept");
-  return LinearRegression(std::move(coefficients), intercept);
+  return {slope, (sy - slope * sx) / n};
 }
 
 }  // namespace msprint

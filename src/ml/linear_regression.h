@@ -1,52 +1,25 @@
-// Ordinary least squares with a tiny ridge term for numerical stability.
-// Used both standalone and as the leaf model of the regression trees
+// One-variable least squares: the leaf model of the regression trees
 // (Section 2.4: "when all feature settings are exhausted, we create a leaf
-// node by using linear regression on the remaining samples").
+// node by using linear regression on the remaining samples"). A leaf
+// regresses the target on its anchor feature alone, so a line is all the
+// trees fit; they store its slope and intercept themselves.
 
 #ifndef MSPRINT_SRC_ML_LINEAR_REGRESSION_H_
 #define MSPRINT_SRC_ML_LINEAR_REGRESSION_H_
 
 #include <vector>
 
-#include "src/ml/dataset.h"
-#include "src/persist/persist.h"
-
 namespace msprint {
 
-class LinearRegression {
- public:
-  // Fits target ~ features (+ intercept). `ridge` is added to the diagonal
-  // of the normal equations.
-  static LinearRegression Fit(const Dataset& data, double ridge = 1e-8);
-
-  // Fits a single-variable model y ~ a*x + b from parallel vectors.
-  static LinearRegression FitSimple(const std::vector<double>& x,
-                                    const std::vector<double>& y);
-
-  double Predict(const std::vector<double>& features) const;
-
-  const std::vector<double>& coefficients() const { return coefficients_; }
-  double intercept() const { return intercept_; }
-
-  // Appends the fitted model to `w`; round trips are bit-exact.
-  void Serialize(persist::Writer& w) const;
-  // Rebuilds a model written by Serialize. Throws persist::PersistError on
-  // malformed input.
-  static LinearRegression Deserialize(persist::Reader& r);
-
- private:
-  LinearRegression(std::vector<double> coefficients, double intercept)
-      : coefficients_(std::move(coefficients)), intercept_(intercept) {}
-
-  std::vector<double> coefficients_;
-  double intercept_;
+struct LineFit {
+  double slope = 0.0;
+  double intercept = 0.0;
 };
 
-// Solves the symmetric positive-definite system A x = b by Gaussian
-// elimination with partial pivoting. A is row-major n x n. Exposed for
-// testing.
-std::vector<double> SolveLinearSystem(std::vector<double> a,
-                                      std::vector<double> b, size_t n);
+// Fits y ~ slope * x + intercept from parallel, nonempty vectors. A
+// constant x fits slope 0 and the mean of y. Throws std::invalid_argument
+// on mismatched or empty inputs.
+LineFit FitLine(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace msprint
 

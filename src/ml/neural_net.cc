@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/common/rng.h"
+
 namespace msprint {
 
 namespace {

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/common/rng.h"
+
 namespace msprint {
 
 RandomForest RandomForest::Fit(const Dataset& data,
@@ -68,14 +70,6 @@ double RandomForest::Predict(const std::vector<double>& features) const {
     acc += tree.Predict(features);
   }
   return acc / static_cast<double>(trees_.size());
-}
-
-std::vector<double> RandomForest::PredictBatch(
-    const std::vector<std::vector<double>>& rows, ThreadPool* pool) const {
-  std::vector<double> out(rows.size(), 0.0);
-  ResolvePool(pool).ParallelFor(
-      rows.size(), [&](size_t i) { out[i] = Predict(rows[i]); });
-  return out;
 }
 
 std::vector<double> RandomForest::PredictPerTree(

@@ -38,13 +38,6 @@ class RandomForest {
 
   double Predict(const std::vector<double>& features) const;
 
-  // Batched prediction: one output per feature row, computed across `pool`
-  // (nullptr: the shared global pool). Identical to calling Predict in a
-  // loop.
-  std::vector<double> PredictBatch(
-      const std::vector<std::vector<double>>& rows,
-      ThreadPool* pool = nullptr) const;
-
   // Per-tree predictions (the "votes"), for inspection and tests.
   std::vector<double> PredictPerTree(const std::vector<double>& features)
       const;

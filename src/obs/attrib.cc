@@ -106,48 +106,6 @@ AttributionReport Attribute(const std::vector<QuerySpan>& spans,
   return report;
 }
 
-void RecordSpanMetrics(const std::vector<QuerySpan>& spans,
-                       MetricsRegistry* registry, const std::string& prefix) {
-  if (registry == nullptr) {
-    return;
-  }
-  Counter& queries = registry->GetCounter(prefix + "/queries");
-  Counter& sprinted = registry->GetCounter(prefix + "/sprinted");
-  Counter& timed_out = registry->GetCounter(prefix + "/timed-out");
-  Counter& aborted = registry->GetCounter(prefix + "/sprint-aborted");
-  Counter& violations = registry->GetCounter(prefix + "/identity-violations");
-  Counter* critical[kNumSpanComponents];
-  Histogram* added[kNumSpanComponents];
-  Histogram* saved[kNumSpanComponents];
-  for (size_t i = 0; i < kNumSpanComponents; ++i) {
-    const std::string name = ComponentName(i);
-    critical[i] = &registry->GetCounter(prefix + "/critical/" + name);
-    added[i] =
-        &registry->GetHistogram(prefix + "/added/" + name + "_seconds");
-    saved[i] =
-        &registry->GetHistogram(prefix + "/saved/" + name + "_seconds");
-  }
-  Histogram& response =
-      registry->GetHistogram(prefix + "/response_seconds");
-  for (const QuerySpan& span : spans) {
-    queries.Increment();
-    if (span.sprinted) sprinted.Increment();
-    if (span.timed_out) timed_out.Increment();
-    if (span.sprint_aborted) aborted.Increment();
-    if (!span.IdentityHolds()) violations.Increment();
-    critical[CriticalComponent(span)]->Increment();
-    response.Record(SecondsFromTicks(span.ResponseTicks()));
-    for (size_t i = 0; i < kNumSpanComponents; ++i) {
-      const int64_t ticks = span.components[i];
-      if (ticks >= 0) {
-        added[i]->Record(SecondsFromTicks(ticks));
-      } else {
-        saved[i]->Record(SecondsFromTicks(-ticks));
-      }
-    }
-  }
-}
-
 std::string FormatSpanTree(const QuerySpan& span) {
   constexpr size_t kLabelWidth = 16;
   char buf[160];

@@ -66,13 +66,6 @@ struct AttributionReport {
 AttributionReport Attribute(const std::vector<QuerySpan>& spans,
                             const AttributionOptions& options = {});
 
-// Records span aggregates into a registry under `prefix` (e.g. "span" or
-// "span/rung0"): per-component added/saved histograms, critical-path and
-// status counters. Lets drives fold attribution into their stats exports
-// per rung/policy without going through a text report.
-void RecordSpanMetrics(const std::vector<QuerySpan>& spans,
-                       MetricsRegistry* registry, const std::string& prefix);
-
 // Renders one query's span tree as `#`-comment lines (prefix + two-space
 // indentation per level). Byte-stable.
 std::string FormatSpanTree(const QuerySpan& span);

@@ -360,18 +360,6 @@ std::optional<Recommendation> OnlineAdvisor::Recommend(double now) {
   return Serve(now);
 }
 
-std::vector<double> OnlineAdvisor::PredictTimeouts(
-    double now, const std::vector<double>& timeouts) const {
-  ModelInput input = config_.base;
-  input.utilization = std::clamp(EstimatedUtilization(now), 0.05, 0.95);
-  std::vector<ModelInput> inputs(timeouts.size(), input);
-  for (size_t i = 0; i < timeouts.size(); ++i) {
-    inputs[i].timeout_seconds = timeouts[i];
-  }
-  return ActiveModel().PredictResponseTimeBatch(profile_, inputs,
-                                                config_.pool);
-}
-
 // --------------------------------------------------------------- snapshot
 
 void OnlineAdvisor::SaveState(persist::Writer& w) const {

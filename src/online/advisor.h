@@ -191,12 +191,6 @@ class OnlineAdvisor {
   // models demote the ladder instead.
   std::optional<Recommendation> Recommend(double now);
 
-  // What-if sweep: predicted response time for each candidate timeout at
-  // the advisor's current utilization estimate, evaluated as one batch.
-  // Uses the active rung's model.
-  std::vector<double> PredictTimeouts(
-      double now, const std::vector<double>& timeouts) const;
-
   size_t replan_count() const { return replan_count_; }
   AdvisorRung rung() const { return rung_; }
   size_t rung_transition_count() const { return rung_transition_count_; }

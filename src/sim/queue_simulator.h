@@ -14,8 +14,8 @@
 // minute" practical. One slot with admission off (every model-facing
 // simulation) skips the event queue altogether: query i starts at
 // max(arrival_i, depart_{i-1}), computed with the event loop's exact
-// operations. A literal tick-loop shim (tick_simulator.h) is kept for
-// conformance testing.
+// operations. A literal tick-loop shim (tests/tick_simulator.h) is kept
+// for conformance testing.
 //
 // The same loop runs the Section 5 extension: "only small modifications to
 // the simulator are needed to support multiple sprint rates and timeouts".

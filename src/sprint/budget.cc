@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "src/obs/obs.h"
 
@@ -47,16 +46,6 @@ double SprintBudget::ConsumeUpTo(double now, double amount) {
   return granted;
 }
 
-bool SprintBudget::TryConsume(double now, double amount) {
-  Advance(now);
-  if (level_ + 1e-12 < amount) {
-    return false;
-  }
-  level_ -= amount;
-  total_consumed_ += amount;
-  return true;
-}
-
 void SprintBudget::ConsumeAllowingDebt(double now, double amount) {
   Advance(now);
   const bool was_solvent = level_ >= 0.0;
@@ -68,17 +57,6 @@ void SprintBudget::ConsumeAllowingDebt(double now, double amount) {
     // export them so live dashboards see debt-incurring sprints too.
     obs::Count("sprint/budget_overdraw");
   }
-}
-
-double SprintBudget::TimeUntilAvailable(double now, double amount) const {
-  Advance(now);
-  if (amount <= level_) {
-    return now;
-  }
-  if (refill_rate_ <= 0.0 || amount > capacity_) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return now + (amount - level_) / refill_rate_;
 }
 
 void SprintBudget::Reset(double now) {

@@ -38,19 +38,11 @@ class SprintBudget {
   // actually granted (0 if the bucket is empty).
   double ConsumeUpTo(double now, double amount);
 
-  // Consumes exactly `amount` if available; returns false (and consumes
-  // nothing) otherwise.
-  bool TryConsume(double now, double amount);
-
   // Consumes `amount` even if it overdraws the bucket (level may go
   // negative). Matches the paper's queue-manager semantics: a sprint is
   // granted whenever budget > 0 and the time actually spent sprinting is
   // debited after the query completes (Section 2.1 / Algorithm 1).
   void ConsumeAllowingDebt(double now, double amount);
-
-  // Time at or after `now` when at least `amount` credits will be available
-  // assuming no intervening consumption.
-  double TimeUntilAvailable(double now, double amount) const;
 
   double capacity() const { return capacity_; }
   double refill_rate() const { return refill_rate_; }  // credits per second

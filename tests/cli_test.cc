@@ -19,13 +19,14 @@
 namespace msprint {
 namespace {
 
-// Runs the msprint binary with `args`, discarding stdout and sending
-// stderr to `stderr_path`, and returns its exit status (or -1 if the
+// Runs the msprint binary with `args`, sending stderr to `stderr_path`
+// and stdout to `stdout_path`, and returns its exit status (or -1 if the
 // shell invocation itself failed).
 int RunMsprint(const std::string& args,
-               const std::string& stderr_path = "/dev/null") {
-  const std::string cmd = std::string(MSPRINT_BINARY) + " " + args +
-                          " >/dev/null 2>" + stderr_path;
+               const std::string& stderr_path = "/dev/null",
+               const std::string& stdout_path = "/dev/null") {
+  const std::string cmd = std::string(MSPRINT_BINARY) + " " + args + " >" +
+                          stdout_path + " 2>" + stderr_path;
   const int raw = std::system(cmd.c_str());
   if (raw == -1 || !WIFEXITED(raw)) {
     return -1;
@@ -45,6 +46,38 @@ std::string ReadFileOrEmpty(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+// The usage text, pinned byte for byte in tests/golden/cli_help.txt: the
+// stdout of `msprint help` and the stderr of `msprint` with no arguments
+// and with an unknown command, each with its exit status. Regenerate (only
+// when intentionally changing the text) with
+// MSPRINT_UPDATE_GOLDEN=1 ./build/tests/cli_test
+TEST(CliHelpTest, UsageMatchesCommittedGolden) {
+  const std::string out = ::testing::TempDir() + "/cli_help.out";
+  const std::string err = ::testing::TempDir() + "/cli_help.err";
+  std::string got;
+  const auto capture = [&](const std::string& args, bool from_stdout) {
+    const int status = RunMsprint(args, err, out);
+    got += "== msprint " + args + " (" + (from_stdout ? "stdout" : "stderr") +
+           ", exit " + std::to_string(status) + ")\n" +
+           ReadFileOrEmpty(from_stdout ? out : err);
+  };
+  capture("help", true);
+  capture("", false);
+  capture("no-such-command", false);
+
+  const std::string path =
+      std::string(MSPRINT_SOURCE_DIR) + "/tests/golden/cli_help.txt";
+  if (const char* update = std::getenv("MSPRINT_UPDATE_GOLDEN");
+      update != nullptr && update[0] != '\0' && update[0] != '0') {
+    WriteFileOrDie(path, got);
+    GTEST_SKIP() << "golden rewritten: " << path;
+  }
+  const std::string want = ReadFileOrEmpty(path);
+  ASSERT_FALSE(want.empty()) << "missing golden " << path
+                             << " (generate with MSPRINT_UPDATE_GOLDEN=1)";
+  EXPECT_EQ(got, want);
 }
 
 TEST(CliExitCodeTest, Exit0Success) {
@@ -82,6 +115,8 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
     EXPECT_EQ(RunMsprint(verb + " --queries 0"), kExitUsage) << verb;
     EXPECT_EQ(RunMsprint(verb + " --utilization 0"), kExitUsage) << verb;
     EXPECT_EQ(RunMsprint(verb + " --utilization -1"), kExitUsage) << verb;
+    EXPECT_EQ(RunMsprint(verb + " --budget -1"), kExitUsage) << verb;
+    EXPECT_EQ(RunMsprint(verb + " --refill 0"), kExitUsage) << verb;
   }
   EXPECT_EQ(RunMsprint("profile --workload Jacobi --queries 0 --out " + dir +
                        "/cli_zero_queries.prof"),
@@ -108,6 +143,42 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
       EXPECT_EQ(RunMsprint(verb + profile + zero), kExitUsage)
           << verb << " " << flag;
     }
+  }
+  // Model inputs no model can take are refused at the flags too, before
+  // the profile is read or a model trained. Each bad value comes last, so
+  // it overrides a valid one given earlier.
+  const std::string model_verbs[] = {
+      "predict" + profile + " --utilization 0.5 --budget 0.2",
+      "explore" + profile + " --utilization 0.5 --budget 0.2",
+      "replay" + profile + " --trace " + dir + "/cli_no_such.trace" +
+          " --budget 0.2",
+      "checkpoint" + profile + " --out " + dir + "/cli_bad_input.ckpt",
+      "explain" + profile};
+  for (const std::string& verb : model_verbs) {
+    for (const std::string bad :
+         {" --utilization 0", " --utilization -1", " --budget -1",
+          " --refill 0"}) {
+      EXPECT_EQ(RunMsprint(verb + bad), kExitUsage) << verb << bad;
+    }
+  }
+  EXPECT_EQ(RunMsprint("explain" + profile + " --queries 0"), kExitUsage);
+  const std::string percentile_err = dir + "/cli_percentile.err";
+  for (const std::string q : {"1.5", "-0.5"}) {
+    EXPECT_EQ(RunMsprint("predict" + profile +
+                             " --utilization 0.5 --budget 0.2 --percentile " +
+                             q,
+                         percentile_err),
+              kExitUsage)
+        << q;
+    EXPECT_NE(ReadFileOrEmpty(percentile_err).find("flag percentile: "),
+              std::string::npos)
+        << ReadFileOrEmpty(percentile_err);
+  }
+  for (const std::string verb : {"slo", "watch"}) {
+    EXPECT_EQ(RunMsprint(verb + " --queries 50 --window 0"), kExitUsage)
+        << verb;
+    EXPECT_EQ(RunMsprint(verb + " --queries 50 --capacity 0"), kExitUsage)
+        << verb;
   }
   const std::string count_err = dir + "/cli_zero_count.err";
   EXPECT_EQ(RunMsprint("explore" + profile +

@@ -28,7 +28,6 @@
 #include "src/core/models.h"
 #include "src/explore/explorer.h"
 #include "src/fault/fault.h"
-#include "src/ml/linear_regression.h"
 #include "src/ml/random_forest.h"
 #include "src/obs/attrib.h"
 #include "src/obs/export.h"
@@ -94,24 +93,6 @@ TEST(DeterminismTest, ForestIdenticalForAnyPoolSize) {
             << "tree " << t << " diverged at pool size " << pool_size;
       }
     }
-  }
-}
-
-TEST(DeterminismTest, PredictBatchMatchesSerialPredict) {
-  const Dataset train = NoisyStepData(300, 5);
-  RandomForestConfig config;
-  config.anchor_feature = 1;
-  const RandomForest forest = RandomForest::Fit(train, config);
-
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 64; ++i) {
-    rows.push_back({0.15 * i, 0.05 * i});
-  }
-  ThreadPool pool(4);
-  const std::vector<double> batched = forest.PredictBatch(rows, &pool);
-  ASSERT_EQ(batched.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(batched[i], forest.Predict(rows[i]));
   }
 }
 
@@ -528,6 +509,40 @@ WorkloadProfile CalibratedProfile() {
   return profile;
 }
 
+// The batch entry point the benches and perfbench call: a trained hybrid
+// model's predictions fanned out over a pool equal serial
+// PredictResponseTime bit for bit, for any pool size.
+TEST(DeterminismTest, PredictBatchMatchesSerialPredict) {
+  const WorkloadProfile profile = CalibratedProfile();
+  const HybridModel model = HybridModel::Train(
+      {&profile}, {}, PredictionSimConfig{2000, 200, 2, 97});
+  std::vector<ModelInput> inputs;
+  for (int i = 0; i < 12; ++i) {
+    ModelInput input;
+    input.utilization = 0.35 + 0.05 * i;
+    input.arrival_kind = i % 3 == 0 ? DistributionKind::kPareto
+                                    : DistributionKind::kExponential;
+    input.timeout_seconds = 40.0 + 15.0 * i;
+    input.refill_seconds = 3600.0;
+    input.budget_fraction = 0.1 + 0.05 * i;
+    inputs.push_back(input);
+  }
+  std::vector<double> serial;
+  for (const ModelInput& input : inputs) {
+    serial.push_back(model.PredictResponseTime(profile, input));
+  }
+  for (const size_t pool_size : {size_t{1}, size_t{2}, size_t{4}}) {
+    ThreadPool pool(pool_size);
+    const std::vector<double> batched =
+        model.PredictResponseTimeBatch(profile, inputs, &pool);
+    ASSERT_EQ(batched.size(), inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(batched[i], serial[i])
+          << "input " << i << " diverged at pool size " << pool_size;
+    }
+  }
+}
+
 TEST(DeterminismTest, SerializedForestPredictsByteIdentically) {
   const Dataset train = NoisyStepData(400, 21);
   RandomForestConfig config;
@@ -553,24 +568,6 @@ TEST(DeterminismTest, SerializedForestPredictsByteIdentically) {
       EXPECT_EQ(got[t], expected[t]) << "tree " << t;
     }
   }
-}
-
-TEST(DeterminismTest, SerializedLinearRegressionIsBitExact) {
-  const Dataset train = NoisyStepData(100, 3);
-  const LinearRegression fit = LinearRegression::Fit(train);
-
-  persist::Writer w;
-  fit.Serialize(w);
-  persist::Reader r(w.bytes());
-  const LinearRegression restored = LinearRegression::Deserialize(r);
-  r.ExpectEnd();
-
-  ASSERT_EQ(restored.coefficients().size(), fit.coefficients().size());
-  for (size_t i = 0; i < fit.coefficients().size(); ++i) {
-    EXPECT_EQ(restored.coefficients()[i], fit.coefficients()[i]);
-  }
-  EXPECT_EQ(restored.intercept(), fit.intercept());
-  EXPECT_EQ(restored.Predict({2.5, 1.25}), fit.Predict({2.5, 1.25}));
 }
 
 TEST(DeterminismTest, SerializedHybridAndAnnPredictByteIdentically) {

@@ -173,18 +173,6 @@ TEST(EventQueueTest, ZeroAndIdenticalTimesAllInBucketZero) {
   }
 }
 
-TEST(EventQueueTest, ClearRestartsSequenceNumbers) {
-  EventQueue queue;
-  queue.Push(1.0, 0, 0, 0);
-  queue.Push(2.0, 0, 1, 0);
-  queue.Clear();
-  EXPECT_TRUE(queue.empty());
-  queue.Push(5.0, 0, 7, 0);
-  const EventRecord record = queue.PopMin();
-  EXPECT_EQ(record.seq(), 0u);  // numbering restarted
-  EXPECT_EQ(record.query, 7u);
-}
-
 TEST(EventQueueTest, ExtremeWidthHintsStillOrderCorrectly) {
   // Degenerate hints (zero, negative, NaN, huge) must not break ordering;
   // the queue falls back to a sane width and re-estimates on resize.

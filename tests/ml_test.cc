@@ -1,10 +1,12 @@
-// Tests for the from-scratch ML stack: dataset plumbing, OLS recovery,
-// variance-reduction trees with linear leaves, bagged forests, and the ANN.
+// Tests for the from-scratch ML stack: dataset plumbing, the leaves' line
+// fit, variance-reduction trees with linear leaves, bagged forests, and the
+// ANN.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/common/rng.h"
 #include "src/ml/dataset.h"
 #include "src/ml/decision_tree.h"
 #include "src/ml/linear_regression.h"
@@ -24,31 +26,7 @@ TEST(DatasetTest, AddAndAccess) {
   EXPECT_EQ(data.NumFeatures(), 2u);
   EXPECT_DOUBLE_EQ(data.Row(1)[0], 4.0);
   EXPECT_DOUBLE_EQ(data.Target(1), 6.0);
-  EXPECT_EQ(data.FeatureIndex("y"), 1u);
-  EXPECT_THROW(data.FeatureIndex("z"), std::out_of_range);
   EXPECT_THROW(data.Add({1.0}, 0.0), std::invalid_argument);
-}
-
-TEST(DatasetTest, SplitPartitionsRows) {
-  Dataset data({"x"});
-  for (int i = 0; i < 100; ++i) {
-    data.Add({static_cast<double>(i)}, i);
-  }
-  Rng rng(3);
-  const auto [train, test] = data.Split(0.8, rng);
-  EXPECT_EQ(train.NumRows(), 80u);
-  EXPECT_EQ(test.NumRows(), 20u);
-  // Every original row appears exactly once across the two halves.
-  std::vector<int> seen(100, 0);
-  for (size_t i = 0; i < train.NumRows(); ++i) {
-    seen[static_cast<int>(train.Row(i)[0])]++;
-  }
-  for (size_t i = 0; i < test.NumRows(); ++i) {
-    seen[static_cast<int>(test.Row(i)[0])]++;
-  }
-  for (int count : seen) {
-    EXPECT_EQ(count, 1);
-  }
 }
 
 TEST(DatasetTest, SubsetWithRepeats) {
@@ -73,55 +51,16 @@ TEST(DatasetTest, Standardization) {
 
 // ------------------------------------------------------ linear regression
 
-TEST(LinearRegressionTest, RecoversExactLinearFunction) {
-  Dataset data({"a", "b"});
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const double a = rng.NextDouble() * 10.0;
-    const double b = rng.NextDouble() * 5.0;
-    data.Add({a, b}, 3.0 * a - 2.0 * b + 7.0);
-  }
-  const auto model = LinearRegression::Fit(data);
-  EXPECT_NEAR(model.coefficients()[0], 3.0, 1e-6);
-  EXPECT_NEAR(model.coefficients()[1], -2.0, 1e-6);
-  EXPECT_NEAR(model.intercept(), 7.0, 1e-6);
-  EXPECT_NEAR(model.Predict({1.0, 1.0}), 8.0, 1e-6);
-}
-
 TEST(LinearRegressionTest, FitSimpleMatchesClosedForm) {
-  const auto model =
-      LinearRegression::FitSimple({1, 2, 3, 4}, {3, 5, 7, 9});  // y = 2x + 1
-  EXPECT_NEAR(model.coefficients()[0], 2.0, 1e-9);
-  EXPECT_NEAR(model.intercept(), 1.0, 1e-9);
+  const LineFit fit = FitLine({1, 2, 3, 4}, {3, 5, 7, 9});  // y = 2x + 1
+  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
+  EXPECT_NEAR(fit.intercept, 1.0, 1e-9);
 }
 
 TEST(LinearRegressionTest, ConstantFeatureFallsBackToMean) {
-  const auto model = LinearRegression::FitSimple({2, 2, 2}, {1, 2, 3});
-  EXPECT_DOUBLE_EQ(model.coefficients()[0], 0.0);
-  EXPECT_DOUBLE_EQ(model.intercept(), 2.0);
-}
-
-TEST(LinearRegressionTest, DegenerateDesignPredictsMean) {
-  Dataset data({"a", "b"});
-  // b is a copy of a: singular normal equations (up to the ridge).
-  for (int i = 0; i < 10; ++i) {
-    data.Add({1.0, 1.0}, 5.0);
-  }
-  const auto model = LinearRegression::Fit(data);
-  EXPECT_NEAR(model.Predict({1.0, 1.0}), 5.0, 1e-6);
-}
-
-TEST(SolverTest, SolvesKnownSystem) {
-  // [2 1; 1 3] x = [5; 10] -> x = [1, 3].
-  const auto x = SolveLinearSystem({2, 1, 1, 3}, {5, 10}, 2);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(SolverTest, SingularThrows) {
-  EXPECT_THROW(SolveLinearSystem({1, 1, 1, 1}, {1, 2}, 2),
-               std::runtime_error);
-  EXPECT_THROW(SolveLinearSystem({1.0}, {1, 2}, 2), std::invalid_argument);
+  const LineFit fit = FitLine({2, 2, 2}, {1, 2, 3});
+  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
+  EXPECT_DOUBLE_EQ(fit.intercept, 2.0);
 }
 
 // ------------------------------------------------------------------ trees

@@ -7,7 +7,7 @@
 
 #include "src/obs/span.h"
 #include "src/sim/queue_simulator.h"
-#include "src/sim/tick_simulator.h"
+#include "tests/tick_simulator.h"
 #include "tests/sim_compare.h"
 
 namespace msprint {

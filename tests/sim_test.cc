@@ -20,7 +20,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/sim/queue_simulator.h"
-#include "src/sim/tick_simulator.h"
+#include "tests/tick_simulator.h"
 #include "tests/sim_compare.h"
 
 namespace msprint {

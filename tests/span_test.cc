@@ -341,18 +341,6 @@ TEST(AttributionTest, ViolationIsReportedNotRepaired) {
             std::string::npos);
 }
 
-TEST(AttributionTest, RecordSpanMetricsLandsInRegistryTaxonomy) {
-  const std::vector<QuerySpan> spans = StormSpans();
-  MetricsRegistry registry;
-  RecordSpanMetrics(spans, &registry, "span");
-  const std::string text = registry.Snapshot().ToText();
-  EXPECT_NE(text.find("counter span/queries"), std::string::npos);
-  EXPECT_NE(text.find("counter span/critical/"), std::string::npos);
-  EXPECT_NE(text.find("hist span/response_seconds"), std::string::npos);
-  // Null registry is a no-op, not a crash.
-  RecordSpanMetrics(spans, nullptr, "span");
-}
-
 TEST(AttributionTest, ChromeTraceExportNestsSpans) {
   const std::vector<QuerySpan> spans = StormSpans();
   const std::string trace = SpansToChromeTrace(spans);

@@ -164,7 +164,7 @@ TEST(BudgetTest, FromFraction) {
 
 TEST(BudgetTest, ConsumeAndRefill) {
   SprintBudget budget(40.0, 200.0);
-  EXPECT_TRUE(budget.TryConsume(0.0, 30.0));
+  EXPECT_DOUBLE_EQ(budget.ConsumeUpTo(0.0, 30.0), 30.0);
   EXPECT_DOUBLE_EQ(budget.Available(0.0), 10.0);
   // After 50 s, 10 more credits accrue (0.2/s).
   EXPECT_DOUBLE_EQ(budget.Available(50.0), 20.0);
@@ -179,12 +179,6 @@ TEST(BudgetTest, EmptyBucketRefillsFullyAfterRefillTime) {
   EXPECT_NEAR(budget.Available(200.0), 40.0, 1e-9);
 }
 
-TEST(BudgetTest, TryConsumeFailsWhenInsufficient) {
-  SprintBudget budget(10.0, 100.0);
-  EXPECT_FALSE(budget.TryConsume(0.0, 20.0));
-  EXPECT_DOUBLE_EQ(budget.Available(0.0), 10.0);  // nothing consumed
-}
-
 TEST(BudgetTest, ConsumeAllowingDebtGoesNegative) {
   SprintBudget budget(10.0, 100.0);
   budget.ConsumeAllowingDebt(0.0, 25.0);
@@ -192,14 +186,6 @@ TEST(BudgetTest, ConsumeAllowingDebtGoesNegative) {
   // Refill brings it back: 0.1 credits/s.
   EXPECT_NEAR(budget.Available(150.0), 0.0, 1e-9);
   EXPECT_DOUBLE_EQ(budget.total_consumed(), 25.0);
-}
-
-TEST(BudgetTest, TimeUntilAvailable) {
-  SprintBudget budget(40.0, 200.0);
-  budget.ConsumeUpTo(0.0, 40.0);
-  EXPECT_DOUBLE_EQ(budget.TimeUntilAvailable(0.0, 10.0), 50.0);
-  EXPECT_DOUBLE_EQ(budget.TimeUntilAvailable(0.0, 0.0), 0.0);
-  EXPECT_TRUE(std::isinf(budget.TimeUntilAvailable(0.0, 100.0)));
 }
 
 TEST(BudgetTest, ResetRestoresCapacity) {

@@ -1,4 +1,4 @@
-#include "src/sim/tick_simulator.h"
+#include "tests/tick_simulator.h"
 
 #include <cmath>
 #include <cstdint>

@@ -8,8 +8,8 @@
 // a quantized clock (configurable tick, default 1 ms rather than the
 // paper's 1 us so conformance tests finish quickly).
 
-#ifndef MSPRINT_SRC_SIM_TICK_SIMULATOR_H_
-#define MSPRINT_SRC_SIM_TICK_SIMULATOR_H_
+#ifndef MSPRINT_TESTS_TICK_SIMULATOR_H_
+#define MSPRINT_TESTS_TICK_SIMULATOR_H_
 
 #include <vector>
 
@@ -29,4 +29,4 @@ SimResult SimulateQueueTicked(const TickSimConfig& config,
 
 }  // namespace msprint
 
-#endif  // MSPRINT_SRC_SIM_TICK_SIMULATOR_H_
+#endif  // MSPRINT_TESTS_TICK_SIMULATOR_H_

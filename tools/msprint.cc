@@ -1,111 +1,19 @@
 // msprint command-line tool: drive the pipeline without writing C++.
-//
-//   msprint catalog
-//       List workloads (Table 1C) and sprinting mechanisms (Table 1B).
-//
-//   msprint profile --workload Jacobi --mechanism DVFS --out jacobi.prof
-//       Profile a workload on a platform and save the profile (including
-//       observed response times) for later use. Options: --grid N,
-//       --queries N, --threads N, --seed N, --throttle F, --sprint-cpu F.
-//
-//   msprint calibrate --profile jacobi.prof --out jacobi.cal.prof
-//       Fill in effective sprint rates (Equation 2) for every row.
-//
-//   msprint predict --profile jacobi.cal.prof --utilization 0.75
-//       --timeout 90 --budget 0.3 --refill 400 [--model hybrid|noml|analytic]
-//       [--percentile 0.99] [--arrival exponential|pareto]
-//       Predict mean (or tail) response time for a policy.
-//
-//   msprint explore --profile jacobi.cal.prof --utilization 0.75
-//       --budget 0.3 --refill 400 [--iterations 200]
-//       Simulated-annealing search for the best timeout.
-//
-//   msprint faults --workload Jacobi --seed 7 --breaker-trips 4
-//       [--toggle-fail P --outliers P --flash-crowds R ...]
-//       Run the testbed under a deterministic fault storm and print the
-//       fault trace plus run statistics. The trace is byte-stable: two
-//       invocations with the same flags print identical traces, so replays
-//       can be diffed (see README).
-//
-//   msprint checkpoint --profile jacobi.cal.prof --out run.ckpt
-//       [--steps N --seed S --budget B --refill R]
-//       Train the hybrid model, drive the online advisor N deterministic
-//       steps (one line per step on stdout), and save a crash-safe
-//       checkpoint of the model, advisor and budget state.
-//
-//   msprint restore --checkpoint run.ckpt [--steps N --out next.ckpt]
-//       Warm-restart the advisor from a checkpoint and continue the drive.
-//       The step lines are byte-identical to an uninterrupted run: diff
-//       `tail -n N` of the long run against the restored run to audit.
-//
-//   msprint stats [--profile F | --workload W] [--format text|json]
-//       Run a seeded workload with the observability layer attached and
-//       print the deterministic metrics snapshot: same seed, same snapshot
-//       bytes, for any --threads / MSPRINT_THREADS.
-//
-//   msprint trace [--profile F | --workload W] [--format text|jsonl|chrome]
-//       Same drive, but print the sim-time flight-recorder event stream:
-//       text (one line per event), JSONL, or Chrome tracing JSON for
-//       chrome://tracing / Perfetto.
-//
-//   msprint explain [--profile F | --workload W] [--top K]
-//       [--format text|chrome|json]
-//       Per-query causal attribution of a seeded run: exact signed span
-//       components (queue wait, service phases, interference, fault delay,
-//       toggle overhead, sprint delta) that sum bit-for-bit to each
-//       query's response time, aggregated into a byte-stable report with
-//       the top-K slowest span trees. Without --profile the fault-capable
-//       testbed runs (same flags as `faults`); with --profile the advisor
-//       is driven to a recommendation and the recommended policy is
-//       replayed through the serial queue simulator.
-//
-//   msprint obs-diff <a> <b> [--max-rel X --approx-rel X --abs-eps X]
-//       Compare two exports (stats snapshots, explain reports, bench
-//       baselines) field by field and print a byte-stable delta report.
-//       Exits 3 when any delta breaches the thresholds.
-//
-//   msprint slo [--objectives F.slo] [--window S --capacity N]
-//       [--format text|jsonl] [--storm F.storm --side hardened|baseline]
-//       Run a seeded testbed (faults flags, or one side of a committed
-//       storm scenario) with the streaming SLO pipeline attached and
-//       print the byte-stable per-window timeline plus the burn-rate
-//       alert / anomaly summary. Exits 6 when any objective burns
-//       through its lifetime error budget. `msprint watch` renders the
-//       same run as a per-window p99 bar chart with alert markers.
-//
-//   msprint whatif [--storm F.storm --side hardened|baseline | <faults
-//       flags>] [--knobs k1,k2 --deltas d1,d2 --objectives F.slo
-//       --save F --load F --format text|jsonl --out F --require-gain X]
-//       Causal what-if profiler: rerun the same seeded scenario under a
-//       grid of knob perturbations (toggle latency, service/sprint rates,
-//       sprint timeout, breaker cooldown, retry backoff, admission
-//       threshold, SLO window) and print, per experiment, the first-order
-//       analytic prediction from the span telescoping sum, the exact
-//       measured delta from the counterfactual rerun, and the model
-//       error; knobs ranked by marginal gain per unit virtual speedup.
-//       Byte-identical output for any --threads / MSPRINT_THREADS. Exits
-//       7 when --require-gain X is given and no experiment improves mean
-//       response time by the fraction X.
-//
-// Exit codes (src/common/exit_codes.h): 0 success, 1 runtime failure,
-// 2 usage error (bad flag or unknown command), 3 obs-diff threshold
-// breach, 4 mc invariant violation, 5 storm goodput-ratio gate breach,
-// 6 slo error-budget burn-through, 7 whatif required-gain unmet.
-// `msprint help` / `--help` print usage on stdout and exit 0; a bad
-// invocation prints usage on stderr and exits 2.
+// `msprint help` lists every verb with its flags; the exit codes are
+// defined in src/common/exit_codes.h.
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include <algorithm>
-
-#include <filesystem>
 
 #include "src/common/exit_codes.h"
 #include "src/common/fileio.h"
@@ -225,6 +133,13 @@ class Flags {
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
+  // Throws the missing-flag error for the first of `names` not given.
+  void Require(std::initializer_list<std::string> names) const {
+    for (const std::string& name : names) {
+      GetString(name);
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -277,6 +192,51 @@ size_t CountFlag(const Flags& flags, const std::string& name,
   return count;
 }
 
+// A number flag that must be positive or, with `allow_zero`, not
+// negative; `fallback` applies when the flag is absent.
+double PositiveFlag(const Flags& flags, const std::string& name,
+                    double fallback, bool allow_zero = false) {
+  const double value = flags.GetDouble(name, fallback);
+  if (allow_zero ? value < 0.0 : value <= 0.0) {
+    throw FlagError(name, std::string(allow_zero ? "must not be negative"
+                                                 : "must be positive") +
+                              ", got '" + flags.GetString(name) + "'");
+  }
+  return value;
+}
+
+// The model input that --utilization, --timeout, --budget and --refill
+// describe; absent flags keep ModelInput's defaults, or `utilization`.
+// Every verb reads them here, before any profile, so that a value no model
+// can take is a usage error rather than a failure after training:
+// --utilization must be positive, --budget not negative and --refill
+// positive.
+ModelInput ModelInputFromFlags(const Flags& flags,
+                               double utilization = ModelInput{}.utilization) {
+  ModelInput input;
+  input.utilization = PositiveFlag(flags, "utilization", utilization);
+  input.timeout_seconds = flags.GetDouble("timeout", input.timeout_seconds);
+  input.budget_fraction = PositiveFlag(flags, "budget", input.budget_fraction,
+                                       /*allow_zero=*/true);
+  input.refill_seconds = PositiveFlag(flags, "refill", input.refill_seconds);
+  return input;
+}
+
+// A flag that names one of `choices`, such as the renderings a verb's
+// --format offers; the first is the default.
+std::string ChoiceFlag(const Flags& flags, const std::string& name,
+                       const std::vector<std::string>& choices) {
+  const std::string value = flags.GetString(name, choices.front());
+  if (std::find(choices.begin(), choices.end(), value) != choices.end()) {
+    return value;
+  }
+  std::string names;
+  for (const std::string& choice : choices) {
+    names += (names.empty() ? "" : "|") + choice;
+  }
+  throw FlagError(name, "expected " + names + ", got '" + value + "'");
+}
+
 std::string ReadFileOrThrow(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -287,7 +247,7 @@ std::string ReadFileOrThrow(const std::string& path) {
   return buffer.str();
 }
 
-int CmdCatalog() {
+int CmdCatalog(const Flags&) {
   std::cout << "Workloads (Table 1C):\n";
   for (WorkloadId id : AllWorkloads()) {
     const auto& spec = WorkloadCatalog::Get().spec(id);
@@ -351,21 +311,25 @@ int CmdCalibrate(const Flags& flags) {
   return 0;
 }
 
-ModelInput InputFromFlags(const Flags& flags) {
-  ModelInput input;
-  input.utilization = flags.GetDouble("utilization");
-  input.timeout_seconds = flags.GetDouble("timeout", 60.0);
-  input.budget_fraction = flags.GetDouble("budget");
-  input.refill_seconds = flags.GetDouble("refill", 200.0);
-  input.arrival_kind = ArrivalKindFlag(flags);
-  return input;
-}
-
 int CmdPredict(const Flags& flags) {
+  ModelInput input = ModelInputFromFlags(flags);
+  input.arrival_kind = ArrivalKindFlag(flags);
+  const std::string which =
+      ChoiceFlag(flags, "model", {"hybrid", "noml", "analytic"});
+  std::optional<double> percentile;
+  if (flags.Has("percentile")) {
+    percentile = flags.GetDouble("percentile");
+    if (!(*percentile >= 0.0 && *percentile <= 1.0)) {
+      throw FlagError("percentile", "must be in [0, 1], got '" +
+                                        flags.GetString("percentile") + "'");
+    }
+    if (which == "analytic") {
+      throw FlagError("percentile", "supported with --model hybrid|noml only");
+    }
+  }
   const WorkloadProfile profile =
       LoadProfileFromFile(flags.GetString("profile"));
-  const ModelInput input = InputFromFlags(flags);
-  const std::string which = flags.GetString("model", "hybrid");
+  flags.Require({"utilization", "budget"});
 
   std::unique_ptr<PerformanceModel> model;
   std::unique_ptr<HybridModel> hybrid;  // owns percentile-capable model
@@ -373,23 +337,16 @@ int CmdPredict(const Flags& flags) {
     hybrid = std::make_unique<HybridModel>(HybridModel::Train({&profile}));
   } else if (which == "noml") {
     model = std::make_unique<NoMlModel>();
-  } else if (which == "analytic") {
-    model = std::make_unique<AnalyticModel>();
   } else {
-    throw FlagError("model", "expected hybrid|noml|analytic, got '" + which +
-                                 "'");
+    model = std::make_unique<AnalyticModel>();
   }
 
-  if (flags.Has("percentile")) {
-    const double q = flags.GetDouble("percentile");
-    double value;
-    if (hybrid != nullptr) {
-      value = hybrid->PredictResponseTimePercentile(profile, input, q);
-    } else if (which == "noml") {
-      value = NoMlModel().PredictResponseTimePercentile(profile, input, q);
-    } else {
-      throw FlagError("percentile", "supported with --model hybrid|noml only");
-    }
+  if (percentile.has_value()) {
+    const double q = *percentile;
+    const double value =
+        hybrid != nullptr
+            ? hybrid->PredictResponseTimePercentile(profile, input, q)
+            : NoMlModel().PredictResponseTimePercentile(profile, input, q);
     std::cout << "p" << q * 100 << " response time: " << value << " s\n";
     return 0;
   }
@@ -405,21 +362,20 @@ int CmdPredict(const Flags& flags) {
 // the hybrid model's effective sprint rate — "what would response time
 // have been" for a past workload under a hypothetical policy.
 int CmdReplay(const Flags& flags) {
+  // The trace's own arrival rate sets the utilization below.
+  ModelInput input = ModelInputFromFlags(flags);
   const WorkloadProfile profile =
       LoadProfileFromFile(flags.GetString("profile"));
   const std::vector<double> trace =
       LoadArrivalTraceFromFile(flags.GetString("trace"));
+  flags.Require({"budget"});
 
   // Estimate the trace's utilization for the model input.
   const double span = trace.back() - trace.front();
   const double arrival_rate =
       span > 0.0 ? static_cast<double>(trace.size() - 1) / span : 0.0;
-  ModelInput input;
   input.utilization = std::clamp(
       arrival_rate / profile.service_rate_per_second, 0.05, 0.98);
-  input.timeout_seconds = flags.GetDouble("timeout", 60.0);
-  input.budget_fraction = flags.GetDouble("budget");
-  input.refill_seconds = flags.GetDouble("refill", 200.0);
 
   const HybridModel model = HybridModel::Train({&profile});
   const double mu_e_qph = model.PredictEffectiveRateQph(profile, input);
@@ -448,13 +404,11 @@ int CmdReplay(const Flags& flags) {
 int CmdExplore(const Flags& flags) {
   ExploreConfig config;
   config.max_iterations = CountFlag(flags, "iterations", 200);
+  ModelInput base = ModelInputFromFlags(flags);
+  base.arrival_kind = ArrivalKindFlag(flags);
   const WorkloadProfile profile =
       LoadProfileFromFile(flags.GetString("profile"));
-  ModelInput base;
-  base.utilization = flags.GetDouble("utilization");
-  base.budget_fraction = flags.GetDouble("budget");
-  base.refill_seconds = flags.GetDouble("refill", 200.0);
-  base.arrival_kind = ArrivalKindFlag(flags);
+  flags.Require({"utilization", "budget"});
 
   const HybridModel model = HybridModel::Train({&profile});
   const ExploreResult result = ExploreTimeout(model, profile, base, config);
@@ -465,22 +419,17 @@ int CmdExplore(const Flags& flags) {
   return 0;
 }
 
-// Runs the testbed under a configurable, fully deterministic fault storm
-// and prints the resulting fault trace. Two invocations with identical
-// flags print identical traces — pipe both to files and diff to audit a
-// replay.
+// The seeded testbed run, under a deterministic fault storm, that `faults`
+// and the testbed forms of the observing verbs share.
 TestbedConfig TestbedConfigFromFlags(const Flags& flags) {
   TestbedConfig config;
   config.mix = QueryMix::Single(WorkloadIdFlag(flags, "workload", "Jacobi"));
   config.policy.mechanism = MechanismIdFlag(flags, "mechanism", "DVFS");
-  config.policy.timeout_seconds = flags.GetDouble("timeout", 60.0);
-  config.policy.budget_fraction = flags.GetDouble("budget", 0.2);
-  config.policy.refill_seconds = flags.GetDouble("refill", 200.0);
-  config.utilization = flags.GetDouble("utilization", 0.6);
-  if (config.utilization <= 0.0) {
-    throw FlagError("utilization", "must be positive, got '" +
-                                       flags.GetString("utilization") + "'");
-  }
+  const ModelInput input = ModelInputFromFlags(flags, /*utilization=*/0.6);
+  config.utilization = input.utilization;
+  config.policy.timeout_seconds = input.timeout_seconds;
+  config.policy.budget_fraction = input.budget_fraction;
+  config.policy.refill_seconds = input.refill_seconds;
   config.num_queries = CountFlag(flags, "queries", 2000);
   config.warmup_queries = config.num_queries / 10;
   config.seed = flags.GetSize("seed", 1);
@@ -542,6 +491,9 @@ int ReplayMcTraceAsFaults(const std::string& path) {
   return kExitOk;
 }
 
+// Runs the testbed under the fault storm the flags describe and prints the
+// fault trace. Two invocations with identical flags print identical
+// traces, so a replay can be audited with diff.
 int CmdFaults(const Flags& flags) {
   if (flags.Has("mc-trace")) {
     return ReplayMcTraceAsFaults(flags.GetString("mc-trace"));
@@ -643,8 +595,8 @@ persist::DriveState DriveSteps(OnlineAdvisor& advisor, SprintBudget& budget,
 
 AdvisorConfig AdvisorConfigFromFlags(const Flags& flags) {
   AdvisorConfig config;
-  config.base.budget_fraction = flags.GetDouble("budget", 0.2);
-  config.base.refill_seconds = flags.GetDouble("refill", 200.0);
+  // The advisor sets the utilization and timeout of each plan itself.
+  config.base = ModelInputFromFlags(flags);
   config.base.arrival_kind = ArrivalKindFlag(flags);
   config.explore.max_iterations = CountFlag(flags, "iterations", 80);
   config.explore.num_chains = CountFlag(flags, "chains", 1);
@@ -656,29 +608,49 @@ AdvisorConfig AdvisorConfigFromFlags(const Flags& flags) {
   return config;
 }
 
-int CmdCheckpoint(const Flags& flags) {
-  const AdvisorConfig config = AdvisorConfigFromFlags(flags);
-  const WorkloadProfile profile =
-      LoadProfileFromFile(flags.GetString("profile"));
-  const std::string out = flags.GetString("out");
-
+HybridModel TrainAdvisorModel(const WorkloadProfile& profile,
+                              const AdvisorConfig& config) {
   std::cerr << "training hybrid model on " << profile.rows.size()
             << " rows...\n";
-  const HybridModel model =
-      HybridModel::Train({&profile}, {}, config.fallback_sim);
-  OnlineAdvisor advisor(model, profile, config);
-  SprintBudget budget = SprintBudget::FromFraction(
-      config.base.budget_fraction, config.base.refill_seconds);
+  return HybridModel::Train({&profile}, {}, config.fallback_sim);
+}
 
+// The advisor drive behind `checkpoint` and the --profile forms of
+// `stats`, `trace` and `explain`: train the hybrid model on --profile,
+// then drive the online advisor --steps deterministic steps from --seed,
+// printing the step lines to `steps_out` (nullptr: silently).
+struct AdvisorDrive {
+  AdvisorDrive(const Flags& flags, std::ostream* steps_out)
+      : config(AdvisorConfigFromFlags(flags)),
+        profile(LoadProfileFromFile(flags.GetString("profile"))),
+        model(TrainAdvisorModel(profile, config)),
+        advisor(model, profile, config),
+        budget(SprintBudget::FromFraction(config.base.budget_fraction,
+                                          config.base.refill_seconds)) {
+    state.seed = flags.GetSize("seed", 1);
+    state = DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
+                       steps_out);
+  }
+  // The advisor refers to the drive's own model and profile.
+  AdvisorDrive(const AdvisorDrive&) = delete;
+  AdvisorDrive& operator=(const AdvisorDrive&) = delete;
+
+  const AdvisorConfig config;
+  const WorkloadProfile profile;
+  const HybridModel model;
+  OnlineAdvisor advisor;
+  SprintBudget budget;
   persist::DriveState state;
-  state.seed = flags.GetSize("seed", 1);
-  state = DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
-                     &std::cout);
+};
 
-  persist::SaveCheckpointToFile(out, profile, model, config, advisor, budget,
-                                state);
-  std::cerr << "checkpoint saved to " << out << " at step " << state.step
-            << " (rung " << ToString(advisor.rung()) << ")\n";
+int CmdCheckpoint(const Flags& flags) {
+  const std::string out = flags.GetString("out");
+  AdvisorDrive drive(flags, &std::cout);
+  persist::SaveCheckpointToFile(out, drive.profile, drive.model, drive.config,
+                                drive.advisor, drive.budget, drive.state);
+  std::cerr << "checkpoint saved to " << out << " at step "
+            << drive.state.step << " (rung " << ToString(drive.advisor.rung())
+            << ")\n";
   return 0;
 }
 
@@ -713,72 +685,48 @@ void RunObserved(const Flags& flags, obs::MetricsRegistry& metrics,
                  obs::FlightRecorder& recorder) {
   obs::ObsSession session(&metrics, &recorder);
   if (flags.Has("profile")) {
-    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
-    const WorkloadProfile profile =
-        LoadProfileFromFile(flags.GetString("profile"));
-    std::cerr << "training hybrid model on " << profile.rows.size()
-              << " rows...\n";
-    const HybridModel model =
-        HybridModel::Train({&profile}, {}, config.fallback_sim);
-    OnlineAdvisor advisor(model, profile, config);
-    SprintBudget budget = SprintBudget::FromFraction(
-        config.base.budget_fraction, config.base.refill_seconds);
-    persist::DriveState state;
-    state.seed = flags.GetSize("seed", 1);
-    DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
-               /*out=*/nullptr);
+    const AdvisorDrive drive(flags, /*steps_out=*/nullptr);
   } else {
     (void)Testbed::Run(TestbedConfigFromFlags(flags));
   }
 }
 
 int CmdStats(const Flags& flags) {
+  const std::string format = ChoiceFlag(flags, "format", {"text", "json"});
   obs::MetricsRegistry metrics;
   obs::FlightRecorder recorder(
       flags.GetSize("capacity", obs::FlightRecorder::kDefaultCapacity));
   RunObserved(flags, metrics, recorder);
   const obs::MetricsSnapshot snapshot = metrics.Snapshot();
-  const std::string format = flags.GetString("format", "text");
   if (format == "text") {
     std::cout << snapshot.ToText();
-  } else if (format == "json") {
-    std::cout << snapshot.ToJson() << "\n";
   } else {
-    throw FlagError("format", "expected text|json, got '" + format + "'");
+    std::cout << snapshot.ToJson() << "\n";
   }
   return 0;
 }
 
 int CmdTrace(const Flags& flags) {
+  const std::string format =
+      ChoiceFlag(flags, "format", {"text", "jsonl", "chrome"});
   obs::MetricsRegistry metrics;
   obs::FlightRecorder recorder(
       flags.GetSize("capacity", obs::FlightRecorder::kDefaultCapacity));
   if (flags.Has("min-severity")) {
-    const std::string severity = flags.GetString("min-severity");
-    if (severity == "debug") {
-      recorder.SetMinSeverityAll(obs::Severity::kDebug);
-    } else if (severity == "info") {
-      recorder.SetMinSeverityAll(obs::Severity::kInfo);
-    } else if (severity == "warn") {
-      recorder.SetMinSeverityAll(obs::Severity::kWarn);
-    } else if (severity == "error") {
-      recorder.SetMinSeverityAll(obs::Severity::kError);
-    } else {
-      throw FlagError("min-severity", "expected debug|info|warn|error, got '" +
-                                          severity + "'");
-    }
+    const std::string severity =
+        ChoiceFlag(flags, "min-severity", {"debug", "info", "warn", "error"});
+    recorder.SetMinSeverityAll(severity == "debug"  ? obs::Severity::kDebug
+                               : severity == "info" ? obs::Severity::kInfo
+                               : severity == "warn" ? obs::Severity::kWarn
+                                                    : obs::Severity::kError);
   }
   RunObserved(flags, metrics, recorder);
-  const std::string format = flags.GetString("format", "text");
   if (format == "text") {
     std::cout << recorder.FormatTail();
   } else if (format == "jsonl") {
     std::cout << obs::EventsToJsonl(recorder.Events());
-  } else if (format == "chrome") {
-    std::cout << obs::EventsToChromeTrace(recorder.Events());
   } else {
-    throw FlagError("format",
-                    "expected text|jsonl|chrome, got '" + format + "'");
+    std::cout << obs::EventsToChromeTrace(recorder.Events());
   }
   return 0;
 }
@@ -789,11 +737,8 @@ int CmdTrace(const Flags& flags) {
 int CmdExplain(const Flags& flags) {
   obs::AttributionOptions options;
   options.top_k = flags.GetSize("top", 5);
-  const std::string format = flags.GetString("format", "text");
-  if (format != "text" && format != "chrome" && format != "json") {
-    throw FlagError("format",
-                    "expected text|chrome|json, got '" + format + "'");
-  }
+  const std::string format =
+      ChoiceFlag(flags, "format", {"text", "chrome", "json"});
 
   obs::SpanCollector collector;
   std::string policy_comment;
@@ -801,35 +746,24 @@ int CmdExplain(const Flags& flags) {
     // Train, drive the advisor to a standing recommendation, then replay
     // the recommended policy through the timeout-aware simulator, whose
     // spans go straight to the collector.
-    const AdvisorConfig config = AdvisorConfigFromFlags(flags);
-    const WorkloadProfile profile =
-        LoadProfileFromFile(flags.GetString("profile"));
-    std::cerr << "training hybrid model on " << profile.rows.size()
-              << " rows...\n";
-    const HybridModel model =
-        HybridModel::Train({&profile}, {}, config.fallback_sim);
-    OnlineAdvisor advisor(model, profile, config);
-    SprintBudget budget = SprintBudget::FromFraction(
-        config.base.budget_fraction, config.base.refill_seconds);
-    persist::DriveState state;
-    state.seed = flags.GetSize("seed", 1);
-    state = DriveSteps(advisor, budget, state, flags.GetSize("steps", 40),
-                       /*out=*/nullptr);
-    const auto rec = advisor.Recommend(state.clock_seconds);
+    const size_t sim_queries = CountFlag(flags, "queries", 2000);
+    AdvisorDrive drive(flags, /*steps_out=*/nullptr);
+    const auto rec = drive.advisor.Recommend(drive.state.clock_seconds);
 
-    ModelInput input = config.base;
+    ModelInput input = drive.config.base;
     input.utilization = flags.GetDouble("utilization", 0.6);
-    input.timeout_seconds = rec.has_value()
-                                ? rec->timeout_seconds
-                                : flags.GetDouble("timeout", 60.0);
-    const double mu_e_qph = model.PredictEffectiveRateQph(profile, input);
+    if (rec.has_value()) {
+      input.timeout_seconds = rec->timeout_seconds;
+    }
+    const WorkloadProfile& profile = drive.profile;
+    const double mu_e_qph =
+        drive.model.PredictEffectiveRateQph(profile, input);
     const double speedup = std::max(
         1.0, mu_e_qph / (profile.service_rate_per_second * kSecondsPerHour));
     const EmpiricalDistribution service(profile.service_time_samples);
-    const size_t sim_queries = flags.GetSize("queries", 2000);
     SimConfig sim =
         BuildSimConfig(profile, input, service, speedup, sim_queries,
-                       sim_queries / 10, flags.GetSize("seed", 1));
+                       sim_queries / 10, drive.state.seed);
     sim.span_sink = &collector;
     (void)SimulateQueue(sim);
     policy_comment =
@@ -859,8 +793,20 @@ int CmdExplain(const Flags& flags) {
   return kExitOk;
 }
 
-int CmdObsDiff(const std::string& path_a, const std::string& path_b,
-               const Flags& flags) {
+// A verb invoked without its positional operands: main prints the verb's
+// synopsis, the first line of its usage, and exits 2.
+struct OperandError {};
+
+// The two export files to compare are positional operands, ahead of the
+// threshold flags.
+int CmdObsDiff(int argc, char** argv) {
+  if (argc < 4 || std::string_view(argv[2]).rfind("--", 0) == 0 ||
+      std::string_view(argv[3]).rfind("--", 0) == 0) {
+    throw OperandError();
+  }
+  const std::string path_a = argv[2];
+  const std::string path_b = argv[3];
+  const Flags flags(argc, argv, 4);
   obs::DiffOptions options;
   options.max_rel = flags.GetDouble("max-rel", options.max_rel);
   options.approx_rel = flags.GetDouble("approx-rel", options.approx_rel);
@@ -874,33 +820,18 @@ int CmdObsDiff(const std::string& path_a, const std::string& path_b,
 // ------------------------------------------------ bounded model checking
 
 mc::InjectedBug ParseInjectedBugFlag(const Flags& flags) {
-  const std::string name = flags.GetString("inject-bug", "none");
-  const auto bug = mc::InjectedBugFromName(name);
-  if (!bug.has_value()) {
-    std::string names;
-    for (const mc::InjectedBug known : mc::kAllInjectedBugs) {
-      if (!names.empty()) {
-        names += '|';
-      }
-      names += mc::ToString(known);
-    }
-    throw FlagError("inject-bug",
-                    "expected " + names + ", got '" + name + "'");
+  std::vector<std::string> names;
+  for (const mc::InjectedBug bug : mc::kAllInjectedBugs) {
+    names.push_back(mc::ToString(bug));
   }
-  return *bug;
+  return *mc::InjectedBugFromName(ChoiceFlag(flags, "inject-bug", names));
 }
 
 bool ParseAlphabetFlag(const Flags& flags, bool fallback) {
-  const std::string name =
-      flags.GetString("alphabet", fallback ? "overload" : "default");
-  if (name == "default") {
-    return false;
+  if (!flags.Has("alphabet")) {
+    return fallback;
   }
-  if (name == "overload") {
-    return true;
-  }
-  throw FlagError("alphabet",
-                  "expected default|overload, got '" + name + "'");
+  return ChoiceFlag(flags, "alphabet", {"default", "overload"}) == "overload";
 }
 
 int CmdMc(const Flags& flags) {
@@ -992,11 +923,8 @@ robust::StormConfig StormConfigFromFlags(const Flags& flags,
 // testbed run of the slo, watch and whatif verbs.
 TestbedConfig StormSideFromFlags(const Flags& flags) {
   const robust::StormConfig storm = StormConfigFromFlags(flags, "storm");
-  const std::string side = flags.GetString("side", "hardened");
-  if (side != "hardened" && side != "baseline") {
-    throw FlagError("side", "expected hardened|baseline, got '" + side + "'");
-  }
-  return robust::MakeStormTestbedConfig(storm, side == "hardened");
+  return robust::MakeStormTestbedConfig(
+      storm, ChoiceFlag(flags, "side", {"hardened", "baseline"}) == "hardened");
 }
 
 // Replays one metastable-failure storm A/B (DESIGN.md §14): the same
@@ -1033,6 +961,8 @@ int CmdStorm(const Flags& flags) {
 // rendering) followed by the summary. Exits 6 when any objective burned
 // through its lifetime error budget.
 int RunSloCommand(const Flags& flags, bool watch) {
+  const std::string format =
+      watch ? std::string() : ChoiceFlag(flags, "format", {"text", "jsonl"});
   obs::SloConfig slo_config;
   if (flags.Has("objectives")) {
     const std::string text = ReadFileOrThrow(flags.GetString("objectives"));
@@ -1040,13 +970,10 @@ int RunSloCommand(const Flags& flags, bool watch) {
         "objectives", [&] { return obs::ParseSloObjectives(text); });
   }
   // Quick overrides; committed objectives files stay the source of truth.
-  if (flags.Has("window")) {
-    slo_config.window_seconds = flags.GetDouble("window");
-  }
-  if (flags.Has("capacity")) {
-    slo_config.timeline_capacity =
-        flags.GetSize("capacity", slo_config.timeline_capacity);
-  }
+  slo_config.window_seconds =
+      PositiveFlag(flags, "window", slo_config.window_seconds);
+  slo_config.timeline_capacity =
+      CountFlag(flags, "capacity", slo_config.timeline_capacity);
 
   const TestbedConfig config = flags.Has("storm")
                                    ? StormSideFromFlags(flags)
@@ -1060,16 +987,13 @@ int RunSloCommand(const Flags& flags, bool watch) {
     (void)Testbed::Run(config);  // Run() finishes the attached pipeline.
   }
 
-  const std::string format = flags.GetString("format", "text");
   std::string timeline;
   if (watch) {
     timeline = pipeline.FormatWatch();
   } else if (format == "text") {
     timeline = pipeline.FormatTimeline();
-  } else if (format == "jsonl") {
-    timeline = pipeline.FormatTimelineJsonl();
   } else {
-    throw FlagError("format", "expected text|jsonl, got '" + format + "'");
+    timeline = pipeline.FormatTimelineJsonl();
   }
   std::cout << timeline << pipeline.FormatSummary();
   if (flags.Has("out")) {
@@ -1108,16 +1032,10 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 
 // Shared report print + --save/--out/--require-gain tail of the whatif
 // verb (used both for fresh runs and for --load of a persisted report).
-int EmitWhatifReport(const whatif::Report& report, const Flags& flags) {
-  const std::string format = flags.GetString("format", "text");
-  std::string text;
-  if (format == "text") {
-    text = whatif::FormatReport(report);
-  } else if (format == "jsonl") {
-    text = whatif::FormatReportJsonl(report);
-  } else {
-    throw FlagError("format", "expected text|jsonl, got '" + format + "'");
-  }
+int EmitWhatifReport(const whatif::Report& report, const Flags& flags,
+                     const std::string& format) {
+  const std::string text = format == "text" ? whatif::FormatReport(report)
+                                            : whatif::FormatReportJsonl(report);
   std::cout << text;
   if (flags.Has("out")) {
     AtomicWriteFile(flags.GetString("out"), text);
@@ -1138,12 +1056,13 @@ int EmitWhatifReport(const whatif::Report& report, const Flags& flags) {
 }
 
 int CmdWhatif(const Flags& flags) {
+  const std::string format = ChoiceFlag(flags, "format", {"text", "jsonl"});
   if (flags.Has("load")) {
     // Re-render (and optionally re-gate) a persisted report; derived
     // columns are recomputed from the stored measurements, so the output
     // is byte-identical to the run that saved it.
     return EmitWhatifReport(
-        whatif::LoadReportFromFile(flags.GetString("load")), flags);
+        whatif::LoadReportFromFile(flags.GetString("load")), flags, format);
   }
 
   whatif::Scenario scenario;
@@ -1187,88 +1106,145 @@ int CmdWhatif(const Flags& flags) {
   if (plan.experiments.empty()) {
     throw FlagError("knobs", "no requested knob applies to this scenario");
   }
-  return EmitWhatifReport(whatif::RunWhatif(scenario, plan), flags);
+  return EmitWhatifReport(whatif::RunWhatif(scenario, plan), flags, format);
 }
 
+// Parses a verb's --flags, sizes the shared pool from --threads before any
+// stage touches ThreadPool::Global(), and runs the verb.
+template <int (*handler)(const Flags&)>
+int WithFlags(int argc, char** argv) {
+  const Flags flags(argc, argv, 2);
+  if (flags.Has("threads")) {
+    ThreadPool::SetGlobalSize(flags.GetSize("threads", 0));
+  }
+  return handler(flags);
+}
+
+void PrintUsage(std::ostream& out);
+
+int CmdHelp(int, char**) {
+  PrintUsage(std::cout);
+  return kExitOk;
+}
+
+// One verb: its name, its usage for `help` (the flags, then a summary;
+// continuation lines are indented under the first), and its handler,
+// which gets the whole command line.
+struct Verb {
+  const char* name;
+  const char* usage;
+  int (*run)(int argc, char** argv);
+};
+
+// Every verb, in `help` order. Dispatch, `help` and the usage errors all
+// read this table.
+constexpr Verb kVerbs[] = {
+    {"catalog", "                    list workloads and mechanisms",
+     WithFlags<CmdCatalog>},
+    {"profile", "--workload W --out F [--mechanism M --grid N ...]",
+     WithFlags<CmdProfile>},
+    {"calibrate", "--profile F --out F [--threads N]", WithFlags<CmdCalibrate>},
+    {"predict", "--profile F --utilization U --budget B [--timeout T\n"
+                "--refill R --model hybrid|noml|analytic --percentile Q]",
+     WithFlags<CmdPredict>},
+    {"explore", "--profile F --utilization U --budget B [--refill R\n"
+                "--iterations N]", WithFlags<CmdExplore>},
+    {"replay", "--profile F --trace F --budget B [--timeout T\n"
+               "--refill R]   (what-if on a recorded arrival trace)",
+     WithFlags<CmdReplay>},
+    {"faults", "[--workload W --seed N --toggle-fail P --breaker-trips R\n"
+               "--breaker-cooldown S --outliers P --flash-crowds R ...]\n"
+               "(deterministic fault-storm run; prints the fault trace)",
+     WithFlags<CmdFaults>},
+    {"checkpoint", "--profile F --out F [--steps N --seed S --budget B\n"
+                   "--refill R]   (drive the advisor, save a checkpoint)",
+     WithFlags<CmdCheckpoint>},
+    {"restore", "--checkpoint F [--steps N --out F]\n"
+                "(warm-restart the advisor and continue the drive)",
+     WithFlags<CmdRestore>},
+    {"stats", "[--profile F | --workload W] [--format text|json\n"
+              "--steps N --seed S ...]   (deterministic metrics\n"
+              "snapshot of a seeded observed run)", WithFlags<CmdStats>},
+    {"trace", "[--profile F | --workload W] [--format text|jsonl|chrome\n"
+              "--min-severity S --capacity N ...]   (sim-time flight\n"
+              "recorder export of the same run)", WithFlags<CmdTrace>},
+    {"explain", "[--profile F | --workload W] [--top K\n"
+                "--format text|chrome|json ...]   (exact per-query\n"
+                "latency attribution: signed span components summing\n"
+                "bit-for-bit to each response time, top-K slowest span\n"
+                "trees)", WithFlags<CmdExplain>},
+    {"obs-diff", "<a> <b> [--max-rel X --approx-rel X --abs-eps X]\n"
+                 "(compare two exports; exit 3 on threshold breach)",
+     CmdObsDiff},
+    {"mc", "[--horizon N --seed S --max-transitions N\n"
+           "--alphabet default|overload\n"
+           "--inject-bug none|budget-debt|breaker-signal-drop|\n"
+           "             shed-signal-drop\n"
+           "--export DIR | --replay FILE]\n"
+           "(bounded model checking of the advisor ladder:\n"
+           "exhaustive DFS with fingerprint dedup; minimized\n"
+           "counterexample + exit 4 on invariant violation;\n"
+           "--replay re-runs a recorded trace; --alphabet overload\n"
+           "adds shed/retry-storm actions and the shed rung)",
+     WithFlags<CmdMc>},
+    {"storm", "[--config F.storm --seed S --queries N --out F\n"
+              "--require-ratio X]\n"
+              "(metastable-failure A/B bench: the same deterministic\n"
+              "retry storm against the unprotected baseline and the\n"
+              "admission-controlled hardened server; exit 5 when the\n"
+              "hardened/baseline goodput ratio falls below X)",
+     WithFlags<CmdStorm>},
+    {"slo", "[--objectives F.slo --window S --capacity N\n"
+            "--format text|jsonl --out F\n"
+            "--storm F.storm --side hardened|baseline | <faults\n"
+            "flags>]   (streaming SLO telemetry of a seeded run:\n"
+            "byte-stable per-window timeline — quantile sketches,\n"
+            "goodput, shed, queue depth, sprint engages, budget —\n"
+            "plus burn-rate alert + anomaly summary; exit 6 when an\n"
+            "objective burns through its lifetime error budget)",
+     WithFlags<CmdSlo>},
+    {"watch", "[same flags as slo]   (render the same run as a\n"
+              "terminal-friendly per-window p99 bar chart with alert\n"
+              "markers; same exit-6 burn-through contract)",
+     WithFlags<CmdWatch>},
+    {"whatif", "[--storm F.storm --side hardened|baseline | <faults\n"
+               "flags>] [--knobs k1,k2,... --deltas d1,d2,...\n"
+               "--objectives F.slo --save F --load F\n"
+               "--format text|jsonl --out F --require-gain X]\n"
+               "(causal what-if profiler: exact counterfactual reruns\n"
+               "of the same seeded scenario under a knob x delta grid\n"
+               "— toggle-latency, service-rate, sprint-rate,\n"
+               "sprint-timeout, breaker-cooldown, retry-backoff,\n"
+               "admission, slo-window — reporting per experiment the\n"
+               "first-order span prediction, the measured delta and\n"
+               "the model error, with knobs ranked by marginal gain\n"
+               "per unit virtual speedup; byte-identical for any\n"
+               "--threads; exit 7 when --require-gain X is unmet)",
+     WithFlags<CmdWhatif>},
+    {"help", "                    print this message", CmdHelp},
+};
+
 void PrintUsage(std::ostream& out) {
-  out <<
-      "usage: msprint <command> [--flags]\n"
-      "commands:\n"
-      "  catalog                       list workloads and mechanisms\n"
-      "  profile   --workload W --out F [--mechanism M --grid N ...]\n"
-      "  calibrate --profile F --out F [--threads N]\n"
-      "  predict   --profile F --utilization U --budget B [--timeout T\n"
-      "            --refill R --model hybrid|noml|analytic --percentile Q]\n"
-      "  explore   --profile F --utilization U --budget B [--refill R\n"
-      "            --iterations N]\n"
-      "  replay    --profile F --trace F --budget B [--timeout T\n"
-      "            --refill R]   (what-if on a recorded arrival trace)\n"
-      "  faults    [--workload W --seed N --toggle-fail P --breaker-trips R\n"
-      "            --breaker-cooldown S --outliers P --flash-crowds R ...]\n"
-      "            (deterministic fault-storm run; prints the fault trace)\n"
-      "  checkpoint --profile F --out F [--steps N --seed S --budget B\n"
-      "            --refill R]   (drive the advisor, save a checkpoint)\n"
-      "  restore   --checkpoint F [--steps N --out F]\n"
-      "            (warm-restart the advisor and continue the drive)\n"
-      "  stats     [--profile F | --workload W] [--format text|json\n"
-      "            --steps N --seed S ...]   (deterministic metrics\n"
-      "            snapshot of a seeded observed run)\n"
-      "  trace     [--profile F | --workload W] [--format text|jsonl|chrome\n"
-      "            --min-severity S --capacity N ...]   (sim-time flight\n"
-      "            recorder export of the same run)\n"
-      "  explain   [--profile F | --workload W] [--top K\n"
-      "            --format text|chrome|json ...]   (exact per-query\n"
-      "            latency attribution: signed span components summing\n"
-      "            bit-for-bit to each response time, top-K slowest span\n"
-      "            trees)\n"
-      "  obs-diff  <a> <b> [--max-rel X --approx-rel X --abs-eps X]\n"
-      "            (compare two exports; exit 3 on threshold breach)\n"
-      "  mc        [--horizon N --seed S --max-transitions N\n"
-      "            --alphabet default|overload\n"
-      "            --inject-bug none|budget-debt|breaker-signal-drop|\n"
-      "                         shed-signal-drop\n"
-      "            --export DIR | --replay FILE]\n"
-      "            (bounded model checking of the advisor ladder:\n"
-      "            exhaustive DFS with fingerprint dedup; minimized\n"
-      "            counterexample + exit 4 on invariant violation;\n"
-      "            --replay re-runs a recorded trace; --alphabet overload\n"
-      "            adds shed/retry-storm actions and the shed rung)\n"
-      "  storm     [--config F.storm --seed S --queries N --out F\n"
-      "            --require-ratio X]\n"
-      "            (metastable-failure A/B bench: the same deterministic\n"
-      "            retry storm against the unprotected baseline and the\n"
-      "            admission-controlled hardened server; exit 5 when the\n"
-      "            hardened/baseline goodput ratio falls below X)\n"
-      "  slo       [--objectives F.slo --window S --capacity N\n"
-      "            --format text|jsonl --out F\n"
-      "            --storm F.storm --side hardened|baseline | <faults\n"
-      "            flags>]   (streaming SLO telemetry of a seeded run:\n"
-      "            byte-stable per-window timeline — quantile sketches,\n"
-      "            goodput, shed, queue depth, sprint engages, budget —\n"
-      "            plus burn-rate alert + anomaly summary; exit 6 when an\n"
-      "            objective burns through its lifetime error budget)\n"
-      "  watch     [same flags as slo]   (render the same run as a\n"
-      "            terminal-friendly per-window p99 bar chart with alert\n"
-      "            markers; same exit-6 burn-through contract)\n"
-      "  whatif    [--storm F.storm --side hardened|baseline | <faults\n"
-      "            flags>] [--knobs k1,k2,... --deltas d1,d2,...\n"
-      "            --objectives F.slo --save F --load F\n"
-      "            --format text|jsonl --out F --require-gain X]\n"
-      "            (causal what-if profiler: exact counterfactual reruns\n"
-      "            of the same seeded scenario under a knob x delta grid\n"
-      "            — toggle-latency, service-rate, sprint-rate,\n"
-      "            sprint-timeout, breaker-cooldown, retry-backoff,\n"
-      "            admission, slo-window — reporting per experiment the\n"
-      "            first-order span prediction, the measured delta and\n"
-      "            the model error, with knobs ranked by marginal gain\n"
-      "            per unit virtual speedup; byte-identical for any\n"
-      "            --threads; exit 7 when --require-gain X is unmet)\n"
-      "  help                          print this message\n"
-      "exit codes: 0 success, 1 runtime failure, 2 usage error,\n"
-      "            3 obs-diff threshold breach, 4 mc invariant violation,\n"
-      "            5 storm goodput-ratio gate breach,\n"
-      "            6 slo error-budget burn-through,\n"
-      "            7 whatif required-gain unmet\n";
+  constexpr size_t kNameWidth = 9;
+  out << "usage: msprint <command> [--flags]\n"
+         "commands:\n";
+  for (const Verb& verb : kVerbs) {
+    std::string name = verb.name;
+    name.resize(std::max(name.size(), kNameWidth), ' ');
+    out << "  " << name << ' ';
+    for (const char* c = verb.usage; *c != '\0'; ++c) {
+      out << *c;
+      if (*c == '\n') {
+        out << std::string(kNameWidth + 3, ' ');
+      }
+    }
+    out << "\n";
+  }
+  out << "exit codes: 0 success, 1 runtime failure, 2 usage error,\n"
+         "            3 obs-diff threshold breach, 4 mc invariant violation,\n"
+         "            5 storm goodput-ratio gate breach,\n"
+         "            6 slo error-budget burn-through,\n"
+         "            7 whatif required-gain unmet\n";
 }
 
 }  // namespace
@@ -1280,82 +1256,24 @@ int main(int argc, char** argv) {
     PrintUsage(std::cerr);
     return kExitUsage;
   }
-  const std::string command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
-    PrintUsage(std::cout);
-    return kExitOk;
+  std::string_view command = argv[1];
+  if (command == "--help" || command == "-h") {
+    command = "help";
   }
-  try {
-    if (command == "obs-diff") {
-      // Positional operands: the two export files to compare.
-      if (argc < 4 || std::string(argv[2]).rfind("--", 0) == 0 ||
-          std::string(argv[3]).rfind("--", 0) == 0) {
-        std::cerr << "usage: msprint obs-diff <a> <b> "
-                     "[--max-rel X --approx-rel X --abs-eps X]\n";
-        return kExitUsage;
-      }
-      const Flags diff_flags(argc, argv, 4);
-      return CmdObsDiff(argv[2], argv[3], diff_flags);
-    }
-    const Flags flags(argc, argv, 2);
-    // --threads sizes the shared pool every parallel stage draws from;
-    // it must be set before any stage touches ThreadPool::Global().
-    if (flags.Has("threads")) {
-      ThreadPool::SetGlobalSize(flags.GetSize("threads", 0));
-    }
-    if (command == "catalog") {
-      return CmdCatalog();
-    }
-    if (command == "profile") {
-      return CmdProfile(flags);
-    }
-    if (command == "calibrate") {
-      return CmdCalibrate(flags);
-    }
-    if (command == "predict") {
-      return CmdPredict(flags);
-    }
-    if (command == "explore") {
-      return CmdExplore(flags);
-    }
-    if (command == "replay") {
-      return CmdReplay(flags);
-    }
-    if (command == "faults") {
-      return CmdFaults(flags);
-    }
-    if (command == "checkpoint") {
-      return CmdCheckpoint(flags);
-    }
-    if (command == "restore") {
-      return CmdRestore(flags);
-    }
-    if (command == "stats") {
-      return CmdStats(flags);
-    }
-    if (command == "trace") {
-      return CmdTrace(flags);
-    }
-    if (command == "mc") {
-      return CmdMc(Flags(argc, argv, 2));
-    }
-    if (command == "storm") {
-      return CmdStorm(flags);
-    }
-    if (command == "slo") {
-      return CmdSlo(flags);
-    }
-    if (command == "watch") {
-      return CmdWatch(flags);
-    }
-    if (command == "whatif") {
-      return CmdWhatif(flags);
-    }
-    if (command == "explain") {
-      return CmdExplain(flags);
-    }
+  const Verb* verb = std::find_if(
+      std::begin(kVerbs), std::end(kVerbs),
+      [&](const Verb& v) { return command == v.name; });
+  if (verb == std::end(kVerbs)) {
     std::cerr << "unknown command: " << command << "\n";
     PrintUsage(std::cerr);
+    return kExitUsage;
+  }
+  try {
+    return verb->run(argc, argv);
+  } catch (const OperandError&) {
+    const std::string_view usage = verb->usage;
+    std::cerr << "usage: msprint " << verb->name << " "
+              << usage.substr(0, usage.find('\n')) << "\n";
     return kExitUsage;
   } catch (const FlagError& error) {
     // Bad invocation, not a runtime failure: usage exit code.
