@@ -31,10 +31,19 @@ class SloPipeline;
 // Currently attached sinks; nullptr when observability is idle.
 MetricsRegistry* ActiveMetrics();
 FlightRecorder* ActiveRecorder();
+// The session's span collector and streaming SLO pipeline (src/obs/slo.h).
+// Only Testbed::Run reads them, once per run and only when its config
+// names no Sinks.
 SpanCollector* ActiveSpans();
-// The attached streaming SLO pipeline (src/obs/slo.h); call sites cache
-// the pointer once per run and feed it directly from serial paths.
 SloPipeline* ActiveSlo();
+
+// The per-run sinks a testbed run records into (TestbedConfig::sinks):
+// the post-run span sweep into `spans` and the live SLO feed into `slo`.
+// Caller-owned; a null field records nothing of its kind.
+struct Sinks {
+  SpanCollector* spans = nullptr;
+  SloPipeline* slo = nullptr;
+};
 
 // RAII attach/detach. Constructing with nullptrs is allowed (useful to
 // mask an outer session). The previous attachment is restored on

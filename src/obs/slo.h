@@ -5,7 +5,8 @@
 // scheme), and an EWMA z-score anomaly detector on any windowed signal.
 //
 // The pipeline is fed only from serial deterministic event-loop paths
-// (testbed, sim, drives) at sim timestamps — the FlightRecorder rule — so
+// (the testbed's, through TestbedConfig::sinks or the session) at sim
+// timestamps — the FlightRecorder rule — so
 // every export (timeline text/jsonl, summary) is byte-identical for any
 // MSPRINT_THREADS. Full pipeline state serializes bit-exactly for
 // checkpoints: a warm restart resumes mid-window and reproduces the

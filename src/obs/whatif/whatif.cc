@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "src/common/thread_pool.h"
@@ -43,8 +44,6 @@ bool ParseKnob(std::string_view name, Knob* out) {
 }
 
 bool Applicable(const Scenario& scenario, Knob knob) {
-  const bool slo_on =
-      scenario.evaluate_slo && !scenario.slo.objectives.empty();
   if (scenario.engine == Engine::kSim) {
     switch (knob) {
       case Knob::kServiceRate:
@@ -53,11 +52,10 @@ bool Applicable(const Scenario& scenario, Knob knob) {
         return true;
       case Knob::kAdmission:
         return scenario.sim.admission.Enabled();
-      case Knob::kSloWindow:
-        return slo_on;
       default:
         // Toggle latency, breakers and client retries are testbed-only
-        // dynamics; the first-principles simulator has no such state.
+        // dynamics; the first-principles simulator has no such state, and
+        // feeds no SLO pipeline whose window could move.
         return false;
     }
   }
@@ -79,7 +77,7 @@ bool Applicable(const Scenario& scenario, Knob knob) {
     case Knob::kAdmission:
       return tb.admission.Enabled();
     case Knob::kSloWindow:
-      return slo_on;
+      return scenario.slo.has_value() && !scenario.slo->objectives.empty();
   }
   return false;
 }
@@ -87,7 +85,9 @@ bool Applicable(const Scenario& scenario, Knob knob) {
 void ApplyKnob(Scenario& scenario, Knob knob, double delta) {
   const double scale = 1.0 + delta;
   if (knob == Knob::kSloWindow) {
-    scenario.slo.window_seconds *= scale;
+    if (scenario.slo.has_value()) {
+      scenario.slo->window_seconds *= scale;
+    }
     return;
   }
   if (scenario.engine == Engine::kSim) {
@@ -187,6 +187,11 @@ Plan PlanExperiments(const Scenario& scenario, const std::vector<Knob>& knobs,
   if (deltas.empty()) {
     throw std::invalid_argument("whatif plan: empty delta grid");
   }
+  if (scenario.engine == Engine::kSim && scenario.slo.has_value()) {
+    throw std::invalid_argument(
+        "whatif plan: the simulator feeds no SLO pipeline; objectives need "
+        "the testbed engine");
+  }
   for (double d : deltas) {
     if (!ValidDelta(d)) {
       throw std::invalid_argument(
@@ -264,66 +269,6 @@ double PredictedMeanSeconds(const Measurement& base, Knob knob,
 
 namespace {
 
-// Post-hoc SLO event kinds, in feed order at equal timestamps (the live
-// loops feed arrival before shed before timeout/engage before response).
-enum class SloEventKind : uint8_t {
-  kArrival = 0,
-  kShed = 1,
-  kTimeout = 2,
-  kEngage = 3,
-  kResponse = 4,
-};
-
-struct SloEvent {
-  double time = 0.0;
-  SloEventKind kind = SloEventKind::kArrival;
-  double response_seconds = 0.0;
-  bool good = false;
-};
-
-void FeedSlo(const Scenario& scenario, std::vector<SloEvent>& events,
-             double end_time, Measurement& m) {
-  // Deterministic chronological order: the event list is built in trace
-  // order (itself deterministic), so a stable sort by (time, kind) yields
-  // the same feed for any thread count.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SloEvent& a, const SloEvent& b) {
-                     if (a.time != b.time) {
-                       return a.time < b.time;
-                     }
-                     return static_cast<uint8_t>(a.kind) <
-                            static_cast<uint8_t>(b.kind);
-                   });
-  obs::SloPipeline pipeline(scenario.slo);
-  for (const SloEvent& ev : events) {
-    switch (ev.kind) {
-      case SloEventKind::kArrival:
-        pipeline.OnArrival(ev.time);
-        break;
-      case SloEventKind::kShed:
-        pipeline.OnShed(ev.time);
-        break;
-      case SloEventKind::kTimeout:
-        pipeline.OnTimeout(ev.time);
-        break;
-      case SloEventKind::kEngage:
-        pipeline.OnSprintEngage(ev.time);
-        break;
-      case SloEventKind::kResponse:
-        pipeline.OnResponse(ev.time, ev.response_seconds, ev.good);
-        break;
-    }
-  }
-  pipeline.Finish(end_time);
-  m.slo_alerts_fired = pipeline.AlertsFired();
-  uint64_t bad = 0;
-  for (const obs::SloObjectiveState& st : pipeline.objective_states()) {
-    bad += st.bad_windows;
-  }
-  m.slo_bad_windows = bad;
-  m.slo_burned_through = pipeline.BurnedThrough();
-}
-
 void SummarizeSpans(const std::vector<obs::QuerySpan>& spans,
                     Measurement& m) {
   m.queries = spans.size();
@@ -342,42 +287,24 @@ void SummarizeSpans(const std::vector<obs::QuerySpan>& spans,
 Measurement RunOneTestbed(const Scenario& scenario) {
   Measurement m;
   obs::SpanCollector spans;
+  std::optional<obs::SloPipeline> pipeline;
+  if (scenario.slo.has_value()) {
+    pipeline.emplace(*scenario.slo);
+  }
+  const obs::Sinks sinks{&spans, pipeline ? &*pipeline : nullptr};
   TestbedConfig config = scenario.testbed;
-  config.span_sink = &spans;
-  const RunTrace trace = Testbed::Run(config);
+  config.sinks = &sinks;
+  const RunTrace trace = Testbed::Run(config);  // finishes the pipeline
   SummarizeSpans(spans.TakeSpans(), m);
   m.p50_seconds = trace.PercentileResponseTime(0.5);
   m.p99_seconds = trace.PercentileResponseTime(0.99);
   m.goodput_per_second = trace.goodput_per_second;
-  if (scenario.evaluate_slo) {
-    // Reconstruct the live feed from the post-warmup trace: arrivals,
-    // sheds, responses (good = served, as the live loop reports), and —
-    // when a sprint engaged — the coincident timeout+engage pair at
-    // sprint_begin. Timeouts whose sprint was denied are not in the
-    // trace's timeline and are omitted (queue depth / budget level
-    // likewise carry no post-hoc data).
-    std::vector<SloEvent> events;
-    events.reserve(trace.queries.size() * 2);
-    for (const Query& q : trace.queries) {
-      if (q.shed) {
-        events.push_back({q.arrival, SloEventKind::kShed, 0.0, false});
-        continue;
-      }
-      events.push_back({q.arrival, SloEventKind::kArrival, 0.0, false});
-      if (q.sprinted && q.sprint_begin >= 0.0) {
-        if (q.timed_out) {
-          events.push_back(
-              {q.sprint_begin, SloEventKind::kTimeout, 0.0, false});
-        }
-        events.push_back(
-            {q.sprint_begin, SloEventKind::kEngage, 0.0, false});
-      }
-      if (q.depart >= 0.0) {
-        events.push_back({q.depart, SloEventKind::kResponse,
-                          q.ResponseTime(), q.Served()});
-      }
+  if (pipeline.has_value()) {
+    m.slo_alerts_fired = pipeline->AlertsFired();
+    for (const obs::SloObjectiveState& st : pipeline->objective_states()) {
+      m.slo_bad_windows += st.bad_windows;
     }
-    FeedSlo(scenario, events, trace.makespan, m);
+    m.slo_burned_through = pipeline->BurnedThrough();
   }
   return m;
 }
@@ -387,9 +314,7 @@ Measurement RunOneSim(const Scenario& scenario) {
   obs::SpanCollector spans;
   SimConfig config = scenario.sim;
   config.span_sink = &spans;
-  std::vector<SimQuery> trace;
-  const SimResult result =
-      SimulateQueue(config, scenario.evaluate_slo ? &trace : nullptr);
+  const SimResult result = SimulateQueue(config);
   SummarizeSpans(spans.TakeSpans(), m);
   m.p50_seconds = result.PercentileResponseTime(0.5);
   m.p99_seconds = result.PercentileResponseTime(0.99);
@@ -398,21 +323,6 @@ Measurement RunOneSim(const Scenario& scenario) {
           ? static_cast<double>(result.response_times.size()) /
                 result.makespan
           : 0.0;
-  if (scenario.evaluate_slo) {
-    std::vector<SloEvent> events;
-    events.reserve(trace.size() * 2);
-    for (const SimQuery& q : trace) {
-      if (q.shed) {
-        events.push_back({q.arrival, SloEventKind::kShed, 0.0, false});
-        continue;
-      }
-      events.push_back({q.arrival, SloEventKind::kArrival, 0.0, false});
-      // The simulator has no badput notion: every response is good.
-      events.push_back(
-          {q.depart, SloEventKind::kResponse, q.ResponseTime(), true});
-    }
-    FeedSlo(scenario, events, result.makespan, m);
-  }
   return m;
 }
 
@@ -494,7 +404,7 @@ Report RunWhatif(const Scenario& scenario, const Plan& plan,
   });
 
   Report report;
-  report.evaluate_slo = scenario.evaluate_slo;
+  report.evaluate_slo = scenario.slo.has_value();
   report.base = slots[0];
   report.experiments.resize(plan.experiments.size());
   for (size_t i = 0; i < plan.experiments.size(); ++i) {

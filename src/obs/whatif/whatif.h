@@ -27,16 +27,19 @@
 // Determinism contract: RunWhatif fans experiments over
 // ThreadPool::Global() (each item writes slot i only, merge in index
 // order) and masks the process-global ObsSession for the duration, so
-// every export is byte-identical for any MSPRINT_THREADS. Workers collect
-// spans through the engines' span_sink hook and evaluate SLO objectives
-// post-hoc on a worker-local pipeline — the global session is never
-// touched off the serial path.
+// every export is byte-identical for any MSPRINT_THREADS. Each worker
+// passes its own span collector, and on a testbed scenario with
+// objectives its own SloPipeline, through the run's config (the
+// testbed's TestbedConfig::sinks, the simulator's SimConfig::span_sink):
+// the pipeline is fed live by the same hooks `msprint slo` reads, and the
+// global session is never touched off the serial path.
 
 #ifndef MSPRINT_SRC_OBS_WHATIF_WHATIF_H_
 #define MSPRINT_SRC_OBS_WHATIF_WHATIF_H_
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,19 +77,18 @@ bool ParseKnob(std::string_view name, Knob* out);
 enum class Engine : uint8_t { kTestbed = 0, kSim = 1 };
 
 // One scenario: a fully specified engine config plus (optionally) SLO
-// objectives evaluated post-hoc over each rerun's trace.
+// objectives evaluated on each rerun.
 struct Scenario {
   Engine engine = Engine::kTestbed;
   TestbedConfig testbed;
   // Used when engine == kSim. sim.service is caller-owned and must
   // outlive every rerun.
   SimConfig sim;
-  // Objectives are evaluated post-hoc from each rerun's per-query trace
-  // (arrivals, sheds, responses) on a worker-local pipeline, so alert
-  // counts are comparable across experiments. Signals that need live
-  // engine state (queue depth, budget level) carry no data post-hoc.
-  obs::SloConfig slo;
-  bool evaluate_slo = false;
+  // When set, every testbed rerun feeds a worker-local pipeline built from
+  // these objectives, live, through TestbedConfig::sinks: the same feed
+  // `msprint slo` prints, so its counts agree with that verb's on the same
+  // run. The simulator feeds no pipeline, so a kSim scenario takes none.
+  std::optional<obs::SloConfig> slo;
 };
 
 // One planned experiment: perturb `knob` by relative delta `delta`
@@ -116,7 +118,8 @@ struct Plan {
 std::vector<Knob> AllKnobs();
 
 // Crosses knobs x deltas. Throws std::invalid_argument on an invalid
-// delta (non-finite, <= -1, or 0: a null experiment) or an empty grid.
+// delta (non-finite, <= -1, or 0: a null experiment), an empty grid, or a
+// kSim scenario with objectives.
 Plan PlanExperiments(const Scenario& scenario, const std::vector<Knob>& knobs,
                      const std::vector<double>& deltas);
 

@@ -268,17 +268,14 @@ obs::SloConfig StormSloConfig(const StormConfig& storm) {
   return slo;
 }
 
-// Runs one side with a streaming SLO pipeline attached (preserving any
-// outer metrics/recorder sinks) and reports its alert telemetry.
+// Runs one side with a streaming SLO pipeline among its sinks and reports
+// its alert telemetry.
 StormSideStats RunStormSide(const StormConfig& config, bool hardened) {
   obs::SloPipeline pipeline(StormSloConfig(config));
-  RunTrace trace;
-  {
-    obs::ObsSession session(obs::ActiveMetrics(), obs::ActiveRecorder(),
-                            obs::ActiveSpans(), &pipeline);
-    trace = Testbed::Run(MakeStormTestbedConfig(config, hardened));
-  }
-  StormSideStats stats = SummarizeStormSide(trace);
+  const obs::Sinks sinks{nullptr, &pipeline};
+  TestbedConfig testbed = MakeStormTestbedConfig(config, hardened);
+  testbed.sinks = &sinks;
+  StormSideStats stats = SummarizeStormSide(Testbed::Run(testbed));
   stats.first_alert_seconds = pipeline.FirstAlertSeconds();
   stats.alert_fires = pipeline.AlertsFired();
   stats.alert_clears = pipeline.AlertsCleared();

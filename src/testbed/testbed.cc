@@ -140,9 +140,10 @@ double Testbed::SprintedRemainingSeconds(const WorkloadSpec& spec,
 
 namespace {
 
-// One run. `allow_one_slot` is false only when the one-slot recursion
-// hands a run over to the event loop.
-RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
+// One run recording into `sinks`. `allow_one_slot` is false only when the
+// one-slot recursion hands a run over to the event loop.
+RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
+                 bool allow_one_slot) {
   if (config.num_queries == 0 || config.slots < 1 ||
       config.utilization <= 0.0) {
     throw std::invalid_argument("invalid TestbedConfig");
@@ -266,7 +267,7 @@ RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
               : nullptr;
   // Streaming SLO pipeline, fed at the same serial points as the flight
   // recorder. One cached pointer: the idle cost is a null check per site.
-  obs::SloPipeline* slo = obs::ActiveSlo();
+  obs::SloPipeline* const slo = sinks.slo;
 
   const double timeout = config.disable_sprinting
                              ? std::numeric_limits<double>::infinity()
@@ -565,7 +566,7 @@ RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
         // Whether an arrival at the dispatch instant is already queued
         // depends on the event queue's push order. Nothing has been
         // recorded yet, so the event loop replays the run.
-        return RunOnce(config, /*allow_one_slot=*/false);
+        return RunOnce(config, sinks, /*allow_one_slot=*/false);
       }
       const double timeout_at = dispatch(i, now, later - i - 1);
       if (timeout_at != kNever) {
@@ -806,9 +807,7 @@ RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
   // query (the same slice as trace.queries, in id order) into exact causal
   // components. Serial code, sim-time stamps, one batch append — the run
   // pays nothing when no collector is attached.
-  obs::SpanCollector* span_sink =
-      config.span_sink != nullptr ? config.span_sink : obs::ActiveSpans();
-  if (span_sink != nullptr) {
+  if (sinks.spans != nullptr) {
     // Per-workload phase fractions, fetched once; SpanInputs keep stable
     // pointers into this cache so the whole sweep can quantize in one
     // batch call.
@@ -850,7 +849,7 @@ RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
       in.num_phases = num_phases[w];
       inputs.push_back(in);
     }
-    span_sink->RecordBatch(obs::BuildQuerySpanBatch(inputs));
+    sinks.spans->RecordBatch(obs::BuildQuerySpanBatch(inputs));
   }
   return trace;
 }
@@ -858,7 +857,13 @@ RunTrace RunOnce(const TestbedConfig& config, bool allow_one_slot) {
 }  // namespace
 
 RunTrace Testbed::Run(const TestbedConfig& config) {
-  return RunOnce(config, /*allow_one_slot=*/true);
+  // The config's sinks when set, else the session's; every SLO hook, the
+  // one-slot gate and the span sweep read this one value.
+  const obs::Sinks sinks =
+      config.sinks != nullptr
+          ? *config.sinks
+          : obs::Sinks{obs::ActiveSpans(), obs::ActiveSlo()};
+  return RunOnce(config, sinks, /*allow_one_slot=*/true);
 }
 
 }  // namespace msprint

@@ -19,13 +19,14 @@
 // the random decision forest learns as the effective sprint rate.
 //
 // A run with one slot, no admission, no retries and a fault plan that
-// injects nothing, with no metrics registry, flight recorder or SLO
-// pipeline attached (a span sink may be), executes as an exact recursion
-// over its queries instead of through the event queue. Every profiler run
-// takes it, and so do fault-free `explain --workload` and `whatif
-// --workload` runs; storms, admission, retries, faults, run-time telemetry
-// and more than one slot take the event loop. Both paths produce the same
-// bits (DESIGN.md §12).
+// injects nothing, with no metrics registry or flight recorder in the
+// session and no SLO pipeline among its sinks (a span collector may be),
+// executes as an exact recursion over its queries instead of through the
+// event queue. Every profiler run takes it, and so do fault-free `explain
+// --workload` runs and `whatif --workload` runs without objectives;
+// storms, admission, retries, faults, run-time telemetry and more than one
+// slot take the event loop. Both paths produce the same bits (DESIGN.md
+// §12).
 
 #ifndef MSPRINT_SRC_TESTBED_TESTBED_H_
 #define MSPRINT_SRC_TESTBED_TESTBED_H_
@@ -45,7 +46,7 @@
 namespace msprint {
 
 namespace obs {
-class SpanCollector;
+struct Sinks;
 }  // namespace obs
 
 // One profiling run's configuration (the "workload conditions" half of the
@@ -100,11 +101,11 @@ struct TestbedConfig {
   // negative time.
   double sprint_boost = 1.0;
 
-  // When set, the post-run span sweep records into this collector instead
-  // of consulting obs::ActiveSpans() — lets counterfactual reruns on pool
-  // workers collect spans without touching the process-global ObsSession
-  // (which is reserved for serial call sites).
-  obs::SpanCollector* span_sink = nullptr;
+  // The run's span collector and SLO pipeline. When set, the run records
+  // into these alone, so a run on a pool worker never touches the global
+  // ObsSession; unset, it falls back to the session's. Metrics and the
+  // flight recorder are always the session's.
+  const obs::Sinks* sinks = nullptr;
 };
 
 // Everything the profiler captures about one run (Section 2.1: "response

@@ -105,6 +105,15 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
             kExitUsage);
   EXPECT_EQ(RunMsprint("whatif --queries 50 --deltas 0"), kExitUsage);
   EXPECT_EQ(RunMsprint("slo --queries 50 --format bogus"), kExitUsage);
+  // A flag the verb never reads, misspelled or meant for another verb, is
+  // refused before the run instead of being silently ignored.
+  const std::string unread_err = ::testing::TempDir() + "/cli_unread.err";
+  EXPECT_EQ(RunMsprint("faults --queries 200 --bugdet 0.9", unread_err),
+            kExitUsage);
+  EXPECT_NE(ReadFileOrEmpty(unread_err).find("flag bugdet: "),
+            std::string::npos)
+      << ReadFileOrEmpty(unread_err);
+  EXPECT_EQ(RunMsprint("watch --queries 300 --format bogus"), kExitUsage);
   // A run size the testbed cannot run is a bad flag value on every
   // testbed verb, reported before any run starts.
   const std::string dir = ::testing::TempDir();

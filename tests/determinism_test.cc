@@ -1560,7 +1560,8 @@ std::string TestbedRunsGoldenExport() {
   std::string out;
   for (auto& [name, config] : cases) {
     obs::SpanCollector spans;
-    config.span_sink = &spans;
+    const obs::Sinks sinks{&spans, nullptr};
+    config.sinks = &sinks;
     const RunTrace trace = Testbed::Run(config);
     out += "== " + name + "\n" + FormatRunAggregates(trace);
     out += "median " + GoldenDouble(trace.MedianResponseTime()) + "\n";

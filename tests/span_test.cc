@@ -16,6 +16,7 @@
 #include "src/obs/diff.h"
 #include "src/obs/export.h"
 #include "src/obs/obs.h"
+#include "src/obs/slo.h"
 #include "src/obs/span.h"
 #include "src/sim/queue_simulator.h"
 #include "src/testbed/testbed.h"
@@ -211,6 +212,33 @@ TEST(SpanRecordingTest, TwoArgObsSessionMasksSpans) {
   }
   EXPECT_EQ(outer.recorded(), 0u);
   EXPECT_EQ(ActiveSpans(), &outer);
+}
+
+// TestbedConfig::sinks replaces the session's span collector and SLO
+// pipeline for its run: a run with sinks records only into its own, and a
+// run without records into the session's, from the same hooks.
+TEST(SpanRecordingTest, ConfigSinksReplaceTheSession) {
+  SpanCollector session_spans;
+  SloPipeline session_slo;
+  ObsSession session(nullptr, nullptr, &session_spans, &session_slo);
+
+  SpanCollector own_spans;
+  SloPipeline own_slo;
+  const Sinks sinks{&own_spans, &own_slo};
+  TestbedConfig config = StormConfig(7);
+  config.sinks = &sinks;
+  const RunTrace trace = Testbed::Run(config);
+  EXPECT_EQ(own_spans.recorded(), trace.queries.size());
+  EXPECT_GT(own_slo.windows_closed(), 0u);
+  EXPECT_EQ(session_spans.recorded(), 0u);
+  EXPECT_EQ(session_slo.windows_closed(), 0u);
+
+  config.sinks = nullptr;
+  (void)Testbed::Run(config);
+  EXPECT_EQ(session_spans.recorded(), trace.queries.size());
+  EXPECT_EQ(session_slo.FormatTimeline(), own_slo.FormatTimeline());
+  EXPECT_EQ(session_slo.FormatSummary(), own_slo.FormatSummary());
+  EXPECT_EQ(own_spans.recorded(), trace.queries.size());
 }
 
 // The simulator's only span sink is SimConfig::span_sink. A collector

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/obs/obs.h"
 #include "src/obs/span.h"
 #include "src/testbed/testbed.h"
 #include "tests/sim_compare.h"
@@ -353,12 +354,14 @@ TEST(TestbedSingleSlotOracleTest, RecursionMatchesEventLoopBitForBit) {
   for (int k = 0; k < 1000; ++k) {
     obs::SpanCollector recursion_spans;
     obs::SpanCollector loop_spans;
+    const obs::Sinks recursion_sinks{&recursion_spans, nullptr};
+    const obs::Sinks loop_sinks{&loop_spans, nullptr};
     TestbedConfig recursion = RandomOneSlotConfig(rng);
-    recursion.span_sink = &recursion_spans;
+    recursion.sinks = &recursion_sinks;
     TestbedConfig loop = recursion;
     loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
     loop.admission.queue_cap = loop.num_queries + 1;
-    loop.span_sink = &loop_spans;
+    loop.sinks = &loop_sinks;
 
     const RunTrace a = Testbed::Run(recursion);
     const RunTrace b = Testbed::Run(loop);
@@ -433,11 +436,13 @@ TEST(TestbedSingleSlotOracleTest, TieHandsRunToEventLoop) {
 
   obs::SpanCollector recursion_spans;
   obs::SpanCollector loop_spans;
-  recursion.span_sink = &recursion_spans;
+  const obs::Sinks recursion_sinks{&recursion_spans, nullptr};
+  const obs::Sinks loop_sinks{&loop_spans, nullptr};
+  recursion.sinks = &recursion_sinks;
   TestbedConfig loop = recursion;
   loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
   loop.admission.queue_cap = loop.num_queries + 1;
-  loop.span_sink = &loop_spans;
+  loop.sinks = &loop_sinks;
   const RunTrace a = Testbed::Run(recursion);
   const RunTrace b = Testbed::Run(loop);
   ExpectSameRunTrace(a, b);

@@ -2,8 +2,9 @@
 // knob registry and plan validation, the first-order-prediction-equals-
 // exact-rerun property on interference-free workloads, bounded model
 // error under contention, byte-identical reports across pool sizes, a
-// pinned measured gain on the committed storm scenario, and the bit-exact
-// persistence round trip with its corruption harness.
+// pinned measured gain on the committed storm scenario, SLO columns equal
+// to a live-fed pipeline's, and the bit-exact persistence round trip with
+// its corruption harness.
 
 #include "src/obs/whatif/whatif.h"
 
@@ -16,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "src/common/distribution.h"
 #include "src/common/thread_pool.h"
+#include "src/obs/obs.h"
 #include "src/persist/persist.h"
 #include "src/robust/storm.h"
 
@@ -43,6 +45,26 @@ Scenario SmallTestbedScenario() {
   scenario.testbed.seed = 7;
   scenario.testbed.utilization = 0.6;
   return scenario;
+}
+
+// Objectives on signals only a live feed carries (queue depth at dispatch,
+// budget level at response) and on p99, at 600 s windows.
+obs::SloConfig LiveSignalObjectives() {
+  obs::SloConfig slo;
+  slo.window_seconds = 600.0;
+  const auto add = [&](obs::SloSignal signal, obs::SloOp op,
+                       double threshold) {
+    obs::SloObjective objective;
+    objective.signal = signal;
+    objective.op = op;
+    objective.threshold = threshold;
+    objective.budget = 0.05;
+    slo.objectives.push_back(objective);
+  };
+  add(obs::SloSignal::kQueueDepth, obs::SloOp::kLt, 3.0);
+  add(obs::SloSignal::kBudgetLevel, obs::SloOp::kGt, 0.0);
+  add(obs::SloSignal::kP99, obs::SloOp::kLt, 400.0);
+  return slo;
 }
 
 TEST(WhatifPlanTest, CrossesKnobsWithDeltasKnobMajor) {
@@ -91,6 +113,20 @@ TEST(WhatifPlanTest, RejectsInvalidDeltas) {
       std::invalid_argument);
   EXPECT_THROW(PlanExperiments(scenario, knobs, {}), std::invalid_argument);
   EXPECT_THROW(PlanExperiments(scenario, {}, {0.25}),
+               std::invalid_argument);
+}
+
+// The simulator feeds no SLO pipeline, so a simulated scenario cannot
+// carry objectives.
+TEST(WhatifPlanTest, RefusesObjectivesOnSimScenario) {
+  const DeterministicDistribution service(1.0);
+  Scenario scenario;
+  scenario.engine = Engine::kSim;
+  scenario.sim.service = &service;
+  EXPECT_NO_THROW(PlanExperiments(scenario, {Knob::kServiceRate}, {1.0}));
+  scenario.slo = LiveSignalObjectives();
+  EXPECT_FALSE(Applicable(scenario, Knob::kSloWindow));
+  EXPECT_THROW(PlanExperiments(scenario, {Knob::kServiceRate}, {1.0}),
                std::invalid_argument);
 }
 
@@ -166,18 +202,29 @@ TEST(WhatifPropertyTest, PredictionBoundedOnContendedWorkload) {
 TEST(WhatifDeterminismTest, ReportBytesIdenticalAcrossPoolSizes) {
   Scenario scenario = SmallTestbedScenario();
   scenario.testbed.num_queries = 300;
-  const Plan plan = PlanExperiments(
-      scenario, {Knob::kServiceRate, Knob::kToggleLatency, Knob::kSprintRate},
-      {-0.5, 1.0});
-
   ThreadPool serial(1);
   ThreadPool wide(4);
-  const std::string a = FormatReport(RunWhatif(scenario, plan, &serial));
-  const std::string b = FormatReport(RunWhatif(scenario, plan, &wide));
-  EXPECT_EQ(a, b);
-  const std::string ja = FormatReportJsonl(RunWhatif(scenario, plan, &serial));
-  const std::string jb = FormatReportJsonl(RunWhatif(scenario, plan, &wide));
-  EXPECT_EQ(ja, jb);
+  // Without objectives, then with a worker-local pipeline on every rerun.
+  for (const bool with_objectives : {false, true}) {
+    if (with_objectives) {
+      scenario.slo = LiveSignalObjectives();
+    }
+    const Plan plan = PlanExperiments(
+        scenario,
+        {Knob::kServiceRate, Knob::kToggleLatency, Knob::kSprintRate,
+         Knob::kSloWindow},
+        {-0.5, 1.0});
+    SCOPED_TRACE(with_objectives ? "with objectives" : "without objectives");
+    const std::string a = FormatReport(RunWhatif(scenario, plan, &serial));
+    const std::string b = FormatReport(RunWhatif(scenario, plan, &wide));
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a.find("whatif/base/slo_alerts") != std::string::npos,
+              with_objectives);
+    const std::string ja =
+        FormatReportJsonl(RunWhatif(scenario, plan, &serial));
+    const std::string jb = FormatReportJsonl(RunWhatif(scenario, plan, &wide));
+    EXPECT_EQ(ja, jb);
+  }
 }
 
 // The committed storm scenario (bench/storms/default.storm) under the
@@ -214,16 +261,16 @@ TEST(WhatifStormTest, PinnedServiceRateGainOnCommittedStorm) {
   EXPECT_EQ(report.ranking[0].knob, Knob::kServiceRate);
 }
 
-TEST(WhatifSloTest, ObjectivesEvaluatedPostHocPerExperiment) {
+TEST(WhatifSloTest, ObjectivesEvaluatedPerExperiment) {
   Scenario scenario = SmallTestbedScenario();
-  scenario.evaluate_slo = true;
-  scenario.slo.window_seconds = 200.0;
+  scenario.slo.emplace();
+  scenario.slo->window_seconds = 200.0;
   obs::SloObjective objective;
   objective.signal = obs::SloSignal::kP99;
   objective.op = obs::SloOp::kLt;
   objective.threshold = 1.0;  // unreachably tight: every window is bad
   objective.budget = 0.01;
-  scenario.slo.objectives.push_back(objective);
+  scenario.slo->objectives.push_back(objective);
   ASSERT_TRUE(Applicable(scenario, Knob::kSloWindow));
   const Plan plan = PlanExperiments(
       scenario, {Knob::kServiceRate, Knob::kSloWindow}, {1.0});
@@ -233,6 +280,54 @@ TEST(WhatifSloTest, ObjectivesEvaluatedPostHocPerExperiment) {
   EXPECT_TRUE(report.base.slo_burned_through);
   const std::string text = FormatReport(report);
   EXPECT_NE(text.find("whatif/base/slo_alerts"), std::string::npos);
+}
+
+// whatif's SLO columns come from the live feed `msprint slo` reads: for the
+// base and every experiment they equal those of a direct run of the
+// perturbed config with a pipeline built from the perturbed objectives
+// attached. The scenario is `msprint whatif --workload Jacobi --seed 7
+// --queries 1200`. Queue depth, budget level, warmup attempts and denied
+// sprints' timeouts reach a pipeline only through the live feed.
+TEST(WhatifSloTest, ColumnsEqualDirectRunWithPipelineAttached) {
+  Scenario scenario;
+  scenario.testbed.utilization = 0.6;
+  scenario.testbed.num_queries = 1200;
+  scenario.testbed.warmup_queries = 120;
+  scenario.testbed.seed = 7;
+  scenario.slo = LiveSignalObjectives();
+  const Plan plan = PlanExperiments(
+      scenario,
+      {Knob::kServiceRate, Knob::kSprintTimeout, Knob::kSloWindow},
+      {-0.5, 1.0});
+  ASSERT_EQ(plan.experiments.size(), 6u);
+  const Report report = RunWhatif(scenario, plan);
+
+  for (size_t i = 0; i <= plan.experiments.size(); ++i) {
+    Scenario direct = scenario;
+    if (i > 0) {
+      ApplyKnob(direct, plan.experiments[i - 1].knob,
+                plan.experiments[i - 1].delta);
+    }
+    obs::SloPipeline pipeline(*direct.slo);
+    {
+      obs::ObsSession session(nullptr, nullptr, nullptr, &pipeline);
+      (void)Testbed::Run(direct.testbed);
+    }
+    uint64_t bad_windows = 0;
+    for (const obs::SloObjectiveState& state : pipeline.objective_states()) {
+      bad_windows += state.bad_windows;
+    }
+    const Measurement& m =
+        i == 0 ? report.base : report.experiments[i - 1].measured;
+    SCOPED_TRACE(::testing::Message() << "slot " << i);
+    EXPECT_EQ(m.slo_alerts_fired, pipeline.AlertsFired());
+    EXPECT_EQ(m.slo_bad_windows, bad_windows);
+    EXPECT_EQ(m.slo_burned_through, pipeline.BurnedThrough());
+    if (i == 0) {
+      EXPECT_GT(pipeline.AlertsFired(), 0u);
+      EXPECT_GT(bad_windows, 0u);
+    }
+  }
 }
 
 Report SmallReport() {

@@ -3,6 +3,7 @@
 // defined in src/common/exit_codes.h.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -83,6 +84,23 @@ size_t ParseSizeFlag(const std::string& name, const std::string& text) {
   }
 }
 
+// The flags a verb reads besides --threads: up to four lists of
+// space-separated names, so that a list several verbs share is written
+// once.
+using FlagLists = std::array<std::string_view, 4>;
+
+// True when the space-separated `list` contains `name`.
+bool Names(std::string_view list, std::string_view name) {
+  for (size_t begin = 0; begin < list.size();) {
+    const size_t end = std::min(list.find(' ', begin), list.size());
+    if (list.substr(begin, end - begin) == name) {
+      return true;
+    }
+    begin = end + 1;
+  }
+  return false;
+}
+
 class Flags {
  public:
   // Every flag takes a value: `--name value`.
@@ -132,6 +150,19 @@ class Flags {
   }
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
+
+  // Throws for the first given flag, other than --threads, that no list
+  // in `known` names.
+  void RefuseOthers(const FlagLists& known, const std::string& verb) const {
+    for (const auto& entry : values_) {
+      const bool listed = std::any_of(
+          known.begin(), known.end(),
+          [&](std::string_view list) { return Names(list, entry.first); });
+      if (!listed && entry.first != "threads") {
+        throw FlagError(entry.first, "not a flag of msprint " + verb);
+      }
+    }
+  }
 
   // Throws the missing-flag error for the first of `names` not given.
   void Require(std::initializer_list<std::string> names) const {
@@ -204,6 +235,10 @@ double PositiveFlag(const Flags& flags, const std::string& name,
   }
   return value;
 }
+
+// The flags ModelInputFromFlags reads.
+constexpr std::string_view kModelInputFlags =
+    "utilization timeout budget refill";
 
 // The model input that --utilization, --timeout, --budget and --refill
 // describe; absent flags keep ModelInput's defaults, or `utilization`.
@@ -419,6 +454,12 @@ int CmdExplore(const Flags& flags) {
   return 0;
 }
 
+// The flags TestbedConfigFromFlags reads, besides kModelInputFlags.
+constexpr std::string_view kTestbedFlags =
+    "workload mechanism queries seed fault-seed toggle-fail breaker-trips "
+    "breaker-cooldown outliers outlier-multiplier flash-crowds "
+    "crowd-duration crowd-intensity";
+
 // The seeded testbed run, under a deterministic fault storm, that `faults`
 // and the testbed forms of the observing verbs share.
 TestbedConfig TestbedConfigFromFlags(const Flags& flags) {
@@ -592,6 +633,11 @@ persist::DriveState DriveSteps(OnlineAdvisor& advisor, SprintBudget& budget,
   }
   return state;
 }
+
+// The flags AdvisorConfigFromFlags and AdvisorDrive read, besides
+// kModelInputFlags.
+constexpr std::string_view kAdvisorFlags =
+    "profile seed steps arrival iterations chains rate-window sim-queries";
 
 AdvisorConfig AdvisorConfigFromFlags(const Flags& flags) {
   AdvisorConfig config;
@@ -772,8 +818,9 @@ int CmdExplain(const Flags& flags) {
         " timeout=" + obs::StableDouble(input.timeout_seconds) +
         " speedup=" + obs::StableDouble(speedup) + "\n";
   } else {
-    const TestbedConfig config = TestbedConfigFromFlags(flags);
-    obs::ObsSession session(nullptr, nullptr, &collector);
+    const obs::Sinks sinks{&collector, nullptr};
+    TestbedConfig config = TestbedConfigFromFlags(flags);
+    config.sinks = &sinks;
     (void)Testbed::Run(config);
   }
 
@@ -797,9 +844,11 @@ int CmdExplain(const Flags& flags) {
 // synopsis, the first line of its usage, and exits 2.
 struct OperandError {};
 
+struct Verb;
+
 // The two export files to compare are positional operands, ahead of the
 // threshold flags.
-int CmdObsDiff(int argc, char** argv) {
+int CmdObsDiff(const Verb&, int argc, char** argv) {
   if (argc < 4 || std::string_view(argv[2]).rfind("--", 0) == 0 ||
       std::string_view(argv[3]).rfind("--", 0) == 0) {
     throw OperandError();
@@ -919,6 +968,9 @@ robust::StormConfig StormConfigFromFlags(const Flags& flags,
   return config;
 }
 
+// The flags StormSideFromFlags reads.
+constexpr std::string_view kStormSideFlags = "storm side seed queries";
+
 // One side (--side hardened|baseline) of the --storm scenario: the
 // testbed run of the slo, watch and whatif verbs.
 TestbedConfig StormSideFromFlags(const Flags& flags) {
@@ -975,17 +1027,12 @@ int RunSloCommand(const Flags& flags, bool watch) {
   slo_config.timeline_capacity =
       CountFlag(flags, "capacity", slo_config.timeline_capacity);
 
-  const TestbedConfig config = flags.Has("storm")
-                                   ? StormSideFromFlags(flags)
-                                   : TestbedConfigFromFlags(flags);
-
+  TestbedConfig config = flags.Has("storm") ? StormSideFromFlags(flags)
+                                             : TestbedConfigFromFlags(flags);
   obs::SloPipeline pipeline(slo_config);
-  obs::MetricsRegistry metrics;
-  obs::FlightRecorder recorder;
-  {
-    obs::ObsSession session(&metrics, &recorder, nullptr, &pipeline);
-    (void)Testbed::Run(config);  // Run() finishes the attached pipeline.
-  }
+  const obs::Sinks sinks{nullptr, &pipeline};
+  config.sinks = &sinks;
+  (void)Testbed::Run(config);  // Run() finishes the pipeline.
 
   std::string timeline;
   if (watch) {
@@ -1072,7 +1119,6 @@ int CmdWhatif(const Flags& flags) {
     const std::string text = ReadFileOrThrow(flags.GetString("objectives"));
     scenario.slo = ParseFlagValue(
         "objectives", [&] { return obs::ParseSloObjectives(text); });
-    scenario.evaluate_slo = true;
   }
 
   std::vector<whatif::Knob> knobs;
@@ -1109,11 +1155,23 @@ int CmdWhatif(const Flags& flags) {
   return EmitWhatifReport(whatif::RunWhatif(scenario, plan), flags, format);
 }
 
-// Parses a verb's --flags, sizes the shared pool from --threads before any
-// stage touches ThreadPool::Global(), and runs the verb.
+// One verb: its name, its usage for `help` (the flags, then a summary;
+// continuation lines are indented under the first), the flags its handler
+// reads, and its handler, which gets the verb and the whole command line.
+struct Verb {
+  const char* name;
+  const char* usage;
+  FlagLists flags;
+  int (*run)(const Verb& verb, int argc, char** argv);
+};
+
+// Parses a verb's --flags, refuses any the verb does not read, sizes the
+// shared pool from --threads before any stage touches
+// ThreadPool::Global(), and runs the verb.
 template <int (*handler)(const Flags&)>
-int WithFlags(int argc, char** argv) {
+int WithFlags(const Verb& verb, int argc, char** argv) {
   const Flags flags(argc, argv, 2);
+  flags.RefuseOthers(verb.flags, verb.name);
   if (flags.Has("threads")) {
     ThreadPool::SetGlobalSize(flags.GetSize("threads", 0));
   }
@@ -1122,60 +1180,63 @@ int WithFlags(int argc, char** argv) {
 
 void PrintUsage(std::ostream& out);
 
-int CmdHelp(int, char**) {
+int CmdHelp(const Verb&, int, char**) {
   PrintUsage(std::cout);
   return kExitOk;
 }
 
-// One verb: its name, its usage for `help` (the flags, then a summary;
-// continuation lines are indented under the first), and its handler,
-// which gets the whole command line.
-struct Verb {
-  const char* name;
-  const char* usage;
-  int (*run)(int argc, char** argv);
-};
-
 // Every verb, in `help` order. Dispatch, `help` and the usage errors all
 // read this table.
 constexpr Verb kVerbs[] = {
-    {"catalog", "                    list workloads and mechanisms",
+    {"catalog", "                    list workloads and mechanisms", {},
      WithFlags<CmdCatalog>},
     {"profile", "--workload W --out F [--mechanism M --grid N ...]",
+     {"workload mix-with interference mechanism throttle sprint-cpu grid "
+      "queries seed out"},
      WithFlags<CmdProfile>},
-    {"calibrate", "--profile F --out F [--threads N]", WithFlags<CmdCalibrate>},
+    {"calibrate", "--profile F --out F [--threads N]", {"profile out"},
+     WithFlags<CmdCalibrate>},
     {"predict", "--profile F --utilization U --budget B [--timeout T\n"
                 "--refill R --model hybrid|noml|analytic --percentile Q]",
+     {"profile arrival model percentile", kModelInputFlags},
      WithFlags<CmdPredict>},
     {"explore", "--profile F --utilization U --budget B [--refill R\n"
-                "--iterations N]", WithFlags<CmdExplore>},
+                "--iterations N]",
+     {"profile arrival iterations", kModelInputFlags}, WithFlags<CmdExplore>},
     {"replay", "--profile F --trace F --budget B [--timeout T\n"
                "--refill R]   (what-if on a recorded arrival trace)",
-     WithFlags<CmdReplay>},
+     {"profile trace", kModelInputFlags}, WithFlags<CmdReplay>},
     {"faults", "[--workload W --seed N --toggle-fail P --breaker-trips R\n"
                "--breaker-cooldown S --outliers P --flash-crowds R ...]\n"
                "(deterministic fault-storm run; prints the fault trace)",
-     WithFlags<CmdFaults>},
+     {"mc-trace", kTestbedFlags, kModelInputFlags}, WithFlags<CmdFaults>},
     {"checkpoint", "--profile F --out F [--steps N --seed S --budget B\n"
                    "--refill R]   (drive the advisor, save a checkpoint)",
-     WithFlags<CmdCheckpoint>},
+     {"out", kAdvisorFlags, kModelInputFlags}, WithFlags<CmdCheckpoint>},
     {"restore", "--checkpoint F [--steps N --out F]\n"
                 "(warm-restart the advisor and continue the drive)",
-     WithFlags<CmdRestore>},
+     {"checkpoint steps out"}, WithFlags<CmdRestore>},
     {"stats", "[--profile F | --workload W] [--format text|json\n"
               "--steps N --seed S ...]   (deterministic metrics\n"
-              "snapshot of a seeded observed run)", WithFlags<CmdStats>},
+              "snapshot of a seeded observed run)",
+     {"format capacity", kAdvisorFlags, kTestbedFlags, kModelInputFlags},
+     WithFlags<CmdStats>},
     {"trace", "[--profile F | --workload W] [--format text|jsonl|chrome\n"
               "--min-severity S --capacity N ...]   (sim-time flight\n"
-              "recorder export of the same run)", WithFlags<CmdTrace>},
+              "recorder export of the same run)",
+     {"format capacity min-severity", kAdvisorFlags, kTestbedFlags,
+      kModelInputFlags},
+     WithFlags<CmdTrace>},
     {"explain", "[--profile F | --workload W] [--top K\n"
                 "--format text|chrome|json ...]   (exact per-query\n"
                 "latency attribution: signed span components summing\n"
                 "bit-for-bit to each response time, top-K slowest span\n"
-                "trees)", WithFlags<CmdExplain>},
+                "trees)",
+     {"top format", kAdvisorFlags, kTestbedFlags, kModelInputFlags},
+     WithFlags<CmdExplain>},
     {"obs-diff", "<a> <b> [--max-rel X --approx-rel X --abs-eps X]\n"
                  "(compare two exports; exit 3 on threshold breach)",
-     CmdObsDiff},
+     {}, CmdObsDiff},
     {"mc", "[--horizon N --seed S --max-transitions N\n"
            "--alphabet default|overload\n"
            "--inject-bug none|budget-debt|breaker-signal-drop|\n"
@@ -1186,6 +1247,7 @@ constexpr Verb kVerbs[] = {
            "counterexample + exit 4 on invariant violation;\n"
            "--replay re-runs a recorded trace; --alphabet overload\n"
            "adds shed/retry-storm actions and the shed rung)",
+     {"horizon seed max-transitions alphabet inject-bug export replay"},
      WithFlags<CmdMc>},
     {"storm", "[--config F.storm --seed S --queries N --out F\n"
               "--require-ratio X]\n"
@@ -1193,7 +1255,7 @@ constexpr Verb kVerbs[] = {
               "retry storm against the unprotected baseline and the\n"
               "admission-controlled hardened server; exit 5 when the\n"
               "hardened/baseline goodput ratio falls below X)",
-     WithFlags<CmdStorm>},
+     {"config seed queries out require-ratio"}, WithFlags<CmdStorm>},
     {"slo", "[--objectives F.slo --window S --capacity N\n"
             "--format text|jsonl --out F\n"
             "--storm F.storm --side hardened|baseline | <faults\n"
@@ -1202,10 +1264,14 @@ constexpr Verb kVerbs[] = {
             "goodput, shed, queue depth, sprint engages, budget —\n"
             "plus burn-rate alert + anomaly summary; exit 6 when an\n"
             "objective burns through its lifetime error budget)",
+     {"format objectives window capacity out", kStormSideFlags, kTestbedFlags,
+      kModelInputFlags},
      WithFlags<CmdSlo>},
     {"watch", "[same flags as slo]   (render the same run as a\n"
               "terminal-friendly per-window p99 bar chart with alert\n"
               "markers; same exit-6 burn-through contract)",
+     {"objectives window capacity out", kStormSideFlags, kTestbedFlags,
+      kModelInputFlags},
      WithFlags<CmdWatch>},
     {"whatif", "[--storm F.storm --side hardened|baseline | <faults\n"
                "flags>] [--knobs k1,k2,... --deltas d1,d2,...\n"
@@ -1220,8 +1286,10 @@ constexpr Verb kVerbs[] = {
                "the model error, with knobs ranked by marginal gain\n"
                "per unit virtual speedup; byte-identical for any\n"
                "--threads; exit 7 when --require-gain X is unmet)",
+     {"knobs deltas objectives save load format out require-gain",
+      kStormSideFlags, kTestbedFlags, kModelInputFlags},
      WithFlags<CmdWhatif>},
-    {"help", "                    print this message", CmdHelp},
+    {"help", "                    print this message", {}, CmdHelp},
 };
 
 void PrintUsage(std::ostream& out) {
@@ -1269,7 +1337,7 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   try {
-    return verb->run(argc, argv);
+    return verb->run(*verb, argc, argv);
   } catch (const OperandError&) {
     const std::string_view usage = verb->usage;
     std::cerr << "usage: msprint " << verb->name << " "
