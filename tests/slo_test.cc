@@ -640,10 +640,12 @@ TEST(SloStateTest, RestoreRejectsMisshapenClosedRing) {
 // tests/golden/slo_windows.txt pins every SLO export byte for byte across
 // gaps of empty windows. It was generated by the pipeline that built and
 // stored every closed window, and the pipeline that stores only windows
-// with data or mask bits must reproduce it. Each data window holds one
-// response, so every printed window quantile is that exact sample. Exports
-// up to kGoldenFullBytes are recorded in full, longer ones as their length
-// and CRC-32.
+// with data or mask bits must reproduce it. In the sparse cases each data
+// window holds one response, so every printed window quantile is that
+// exact sample. The dense cases were generated by the pipeline that kept
+// its stored windows in a deque, and pin the ring that recycles them.
+// Exports up to kGoldenFullBytes are recorded in full, longer ones as
+// their length and CRC-32.
 //
 // Regenerate (only when intentionally changing export bytes) with
 // MSPRINT_UPDATE_GOLDEN=1 ./build/tests/slo_test
@@ -696,9 +698,99 @@ void FeedGoldenWindow(SloPipeline& pipeline, uint64_t index, int k) {
   if (k % 3 != 2) pipeline.OnBudgetLevel(t + 3.0, 10.0 - 0.5 * k);
 }
 
-// Exports of every config x capacity case, the uninterrupted pipeline in
-// full and a pipeline saved and restored inside the last long gap as
-// digests; `resumed_matches` reports whether the two agree.
+// One data window of a storm-shaped stream: one to four attempts, each an
+// arrival, a queue-depth sample and a response spread over the sketch's
+// buckets, with sheds, sprint engages, aborts, timeouts and budget levels
+// cycling with the ordinal.
+void FeedDenseWindow(SloPipeline& pipeline, uint64_t index, int k) {
+  const double t = (static_cast<double>(index) + 0.05) * kGoldenWindow;
+  for (int j = 0; j <= k % 4; ++j) {
+    const double at = t + 0.8 * j;
+    pipeline.OnArrival(at);
+    pipeline.OnQueueDepth(at, (k + j) % 9);
+    pipeline.OnResponse(at + 0.3, 0.25 + 0.5 * ((7 * k + 3 * j) % 17),
+                        (k + j) % 5 != 0);
+    if ((k + j) % 6 == 0) pipeline.OnShed(at + 0.4);
+    if ((k + 2 * j) % 3 == 0) pipeline.OnSprintEngage(at + 0.5);
+  }
+  if (k % 7 == 3) {
+    pipeline.OnSprintAbort(t + 4.0);
+    pipeline.OnTimeout(t + 4.0);
+  }
+  if (k % 2 == 0) pipeline.OnBudgetLevel(t + 4.5, 20.0 - 0.125 * (k % 97));
+}
+
+// 399 gaps of 0-20 empty windows from a fixed LCG: 400 data windows over
+// about 4,400, so every retained range fills and wraps many times.
+std::vector<uint64_t> DenseGaps() {
+  std::vector<uint64_t> gaps;
+  uint64_t state = 7;
+  for (int k = 0; k < 399; ++k) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    gaps.push_back((state >> 33) % 21);
+  }
+  return gaps;
+}
+
+// One golden case: `feed` fills a data window, and consecutive data
+// windows lie 1 + gaps[k] windows apart. The uninterrupted pipeline's
+// exports go in full, and those of a pipeline saved and restored just
+// before data window `split` as digests; returns whether the two agree.
+template <typename Feed>
+bool AppendGoldenCase(std::string& out, const std::string& name,
+                      const SloConfig& config,
+                      const std::vector<uint64_t>& gaps, size_t split,
+                      Feed feed) {
+  const double longest = std::max(config.burn.fast_long_seconds,
+                                  config.burn.slow_long_seconds);
+  const uint64_t retained = std::max<uint64_t>(
+      config.timeline_capacity,
+      static_cast<uint64_t>(std::ceil(longest / kGoldenWindow)) + 1);
+  FlightRecorder recorder(1 << 16);
+  SloPipeline uninterrupted(config);
+  SloPipeline first(config);
+  std::string split_state;
+  std::optional<SloPipeline> resumed;
+  uint64_t index = 0;
+  for (size_t k = 0; k <= gaps.size(); ++k) {
+    if (k == split) {
+      split_state = first.SaveState();
+      resumed.emplace(SloPipeline::RestoreState(split_state));
+    }
+    {
+      ObsSession session(nullptr, &recorder);
+      feed(uninterrupted, index, static_cast<int>(k));
+    }
+    feed(resumed ? *resumed : first, index, static_cast<int>(k));
+    if (k < gaps.size()) index += 1 + gaps[k];
+  }
+  const double end = (static_cast<double>(index) + 3.0) * kGoldenWindow;
+  {
+    ObsSession session(nullptr, &recorder);
+    uninterrupted.Finish(end);
+  }
+  resumed->Finish(end);
+
+  const std::string label =
+      name + " capacity " + std::to_string(config.timeline_capacity);
+  out += "== " + label + " retained " + std::to_string(retained) +
+         " data windows " + std::to_string(gaps.size() + 1) + "\n";
+  AppendGoldenExports(out, "final", uninterrupted, /*full=*/true);
+  AppendGolden(out, "final events", recorder.FormatTail(), true);
+  AppendGolden(out, "split state", Hex(split_state), true);
+  AppendGoldenExports(out, "resumed", *resumed, /*full=*/false);
+  return resumed->FormatTimeline() == uninterrupted.FormatTimeline() &&
+         resumed->FormatTimelineJsonl() ==
+             uninterrupted.FormatTimelineJsonl() &&
+         resumed->FormatWatch() == uninterrupted.FormatWatch() &&
+         resumed->FormatSummary() == uninterrupted.FormatSummary() &&
+         resumed->SaveState() == uninterrupted.SaveState();
+}
+
+// Exports of every config x capacity case over ten data windows with
+// growing gaps, saved and restored inside the last long gap, then of a
+// dense storm-shaped stream saved and restored inside the dense stretch;
+// `resumed_matches` reports whether every resumed pipeline agrees.
 std::string SloGoldenExport(bool* resumed_matches) {
   const std::vector<std::pair<std::string, std::string>> configs = {
       {"default", ""},
@@ -735,50 +827,17 @@ std::string SloGoldenExport(bool* resumed_matches) {
       const std::vector<uint64_t> gaps = {
           0, 1, capacity - 1, capacity, retained - 1, retained,
           3 * retained + 5, 3 * retained + 5, 0};
-      const size_t split = 7;
-
-      FlightRecorder recorder(1 << 16);
-      SloPipeline uninterrupted(config);
-      SloPipeline first(config);
-      std::string split_state;
-      std::optional<SloPipeline> resumed;
-      uint64_t index = 0;
-      for (size_t k = 0; k <= gaps.size(); ++k) {
-        if (k == split) {
-          split_state = first.SaveState();
-          resumed.emplace(SloPipeline::RestoreState(split_state));
-        }
-        {
-          ObsSession session(nullptr, &recorder);
-          FeedGoldenWindow(uninterrupted, index, static_cast<int>(k));
-        }
-        FeedGoldenWindow(resumed ? *resumed : first, index,
-                         static_cast<int>(k));
-        if (k < gaps.size()) index += 1 + gaps[k];
-      }
-      const double end = (static_cast<double>(index) + 3.0) * kGoldenWindow;
-      {
-        ObsSession session(nullptr, &recorder);
-        uninterrupted.Finish(end);
-      }
-      resumed->Finish(end);
-
-      const std::string label =
-          name + " capacity " + std::to_string(capacity);
-      out += "== " + label + " retained " + std::to_string(retained) +
-             " data windows " + std::to_string(gaps.size() + 1) + "\n";
-      AppendGoldenExports(out, "final", uninterrupted, /*full=*/true);
-      AppendGolden(out, "final events", recorder.FormatTail(), true);
-      AppendGolden(out, "split state", Hex(split_state), true);
-      AppendGoldenExports(out, "resumed", *resumed, /*full=*/false);
-      *resumed_matches =
-          *resumed_matches &&
-          resumed->FormatTimeline() == uninterrupted.FormatTimeline() &&
-          resumed->FormatTimelineJsonl() ==
-              uninterrupted.FormatTimelineJsonl() &&
-          resumed->FormatWatch() == uninterrupted.FormatWatch() &&
-          resumed->FormatSummary() == uninterrupted.FormatSummary() &&
-          resumed->SaveState() == uninterrupted.SaveState();
+      *resumed_matches &= AppendGoldenCase(out, name, config, gaps,
+                                           /*split=*/7, FeedGoldenWindow);
+    }
+  }
+  for (const size_t c : {0, 1}) {
+    for (const uint64_t capacity : {7, 64}) {
+      SloConfig config = ParseSloObjectives(configs[c].second);
+      config.timeline_capacity = capacity;
+      *resumed_matches &=
+          AppendGoldenCase(out, "dense " + configs[c].first, config,
+                           DenseGaps(), /*split=*/150, FeedDenseWindow);
     }
   }
   return out;
