@@ -26,6 +26,7 @@
 #include "src/explore/explorer.h"
 #include "src/ml/neural_net.h"
 #include "src/common/thread_pool.h"
+#include "src/obs/attrib.h"
 #include "src/obs/obs.h"
 #include "src/obs/sketch.h"
 #include "src/obs/slo.h"
@@ -152,22 +153,55 @@ BENCHMARK(BM_TestbedRun)->Arg(1000)->Arg(10000);
 // nothing but routes the run through the event loop: one slot without
 // admission runs as the single-slot recursion, so this keeps the event
 // loop's own number.
-void BM_TestbedRunEventLoop(benchmark::State& state) {
+TestbedConfig EventLoopConfig(size_t num_queries) {
   TestbedConfig config;
   config.mix = QueryMix::Single(WorkloadId::kJacobi);
   config.policy.mechanism = MechanismId::kDvfs;
   config.utilization = 0.8;
-  config.num_queries = static_cast<size_t>(state.range(0));
+  config.num_queries = num_queries;
   config.warmup_queries = config.num_queries / 10;
   config.seed = 3;
   config.admission.policy = robust::AdmissionPolicy::kQueueCap;
   config.admission.queue_cap = config.num_queries + 1;
+  return config;
+}
+
+void BM_TestbedRunEventLoop(benchmark::State& state) {
+  const TestbedConfig config =
+      EventLoopConfig(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Testbed::Run(config).mean_response_time);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TestbedRunEventLoop)->Arg(1000);
+
+// BM_TestbedRunEventLoop's run with every obs sink attached (registry,
+// flight recorder, span collector, SLO pipeline), then the reports
+// perfbench's attached storm pass renders from them: attribution,
+// timeline, summary and snapshot. The CI obs job holds its ratio to
+// BM_TestbedRunEventLoop, measured in the same run, within a budget.
+void BM_TestbedRunAttached(benchmark::State& state) {
+  const TestbedConfig config =
+      EventLoopConfig(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    obs::MetricsRegistry metrics;
+    obs::FlightRecorder recorder;
+    obs::SpanCollector spans;
+    obs::SloPipeline slo;
+    {
+      obs::ObsSession session(&metrics, &recorder, &spans, &slo);
+      benchmark::DoNotOptimize(Testbed::Run(config).mean_response_time);
+    }
+    const std::string report =
+        obs::FormatAttribution(obs::Attribute(spans.TakeSpans(), {})) +
+        slo.FormatTimeline() + slo.FormatSummary() +
+        metrics.Snapshot().ToText();
+    benchmark::DoNotOptimize(report.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TestbedRunAttached)->Arg(1000);
 
 // One whatif fan-out on the serial pool: a base run plus two knob
 // experiments over a 300-query testbed (span collection on for every

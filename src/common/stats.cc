@@ -1,7 +1,9 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <ranges>
 #include <stdexcept>
 
 namespace msprint {
@@ -84,6 +86,33 @@ double EmpiricalCdf::Probability(double x) const {
 
 double EmpiricalCdf::Value(double q) const {
   return Quantile(sorted_, q);
+}
+
+LogHistogram::BucketTable LogHistogram::BuildBucketTable() {
+  // The mapping BucketIndex reproduces, on the tracked range.
+  auto bucket_of = [](uint64_t bits) {
+    const double position =
+        std::log10(std::bit_cast<double>(bits) / kMinTracked) *
+        static_cast<double>(kBucketsPerDecade);
+    return std::min(1 + static_cast<size_t>(position), NumBuckets() - 2);
+  };
+  const uint64_t min_bits = std::bit_cast<uint64_t>(kMinTracked);
+  const uint64_t max_bits = std::bit_cast<uint64_t>(kMaxTracked);
+  BucketTable table{};
+  table.lower[1] = kMinTracked;
+  table.lower[NumBuckets() - 1] = kMaxTracked;
+  // Positive doubles order as their bit patterns: bisect the tracked
+  // patterns for the first whose bucket reaches i.
+  const auto tracked = std::views::iota(min_bits, max_bits);
+  for (size_t i = 2; i < NumBuckets() - 1; ++i) {
+    table.lower[i] = std::bit_cast<double>(*std::ranges::partition_point(
+        tracked, [&](uint64_t bits) { return bucket_of(bits) < i; }));
+  }
+  for (uint64_t e = kFirstOctave; e <= kLastOctave; ++e) {
+    table.octave_bucket[e - kFirstOctave] =
+        static_cast<uint8_t>(bucket_of(std::max(min_bits, e << 52)));
+  }
+  return table;
 }
 
 double TailFraction(const std::vector<double>& values, double threshold) {

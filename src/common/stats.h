@@ -7,6 +7,7 @@
 #define MSPRINT_SRC_COMMON_STATS_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -108,18 +109,24 @@ class LogHistogram {
     return kDecades * kBucketsPerDecade + 2;
   }
 
-  // Bucket index of a finite, non-negative value.
+  // Bucket index of a finite, non-negative value: 1 + floor(5 *
+  // log10(v / kMinTracked)), clamped to the tracked buckets. A table gives
+  // the bucket at the start of v's binary octave; an octave spans
+  // log10(2) * 5 ~ 1.5 buckets, so two compares against bucket lower
+  // bounds finish the job without calling std::log10.
   static size_t BucketIndex(double v) {
-    if (v < kMinTracked) {
+    if (!(v >= kMinTracked)) {  // a NaN must not index the table
       return 0;
     }
     if (v >= kMaxTracked) {
       return NumBuckets() - 1;
     }
-    const double position =
-        std::log10(v / kMinTracked) * static_cast<double>(kBucketsPerDecade);
-    const size_t index = 1 + static_cast<size_t>(position);
-    return std::min(index, NumBuckets() - 2);
+    const BucketTable& table = Table();
+    size_t index = table.octave_bucket[(std::bit_cast<uint64_t>(v) >> 52) -
+                                       kFirstOctave];
+    index += static_cast<size_t>(v >= table.lower[index + 1]);
+    index += static_cast<size_t>(v >= table.lower[index + 1]);
+    return index;
   }
 
   // Lower bound of bucket `i` (0 for the underflow bucket).
@@ -146,6 +153,26 @@ class LogHistogram {
            std::pow(10.0, static_cast<double>(i) /
                               static_cast<double>(kBucketsPerDecade));
   }
+
+  // BucketIndex's lookup tables, built once by bisection over the bit
+  // patterns of doubles from the log10 expression above, so they
+  // reproduce that expression's mapping on any libm. `lower[i]` is the
+  // smallest double in bucket i for 1 <= i < NumBuckets();
+  // `octave_bucket[e - kFirstOctave]` is the bucket of the smallest
+  // tracked double whose biased binary exponent is e.
+  static constexpr uint64_t kFirstOctave =
+      std::bit_cast<uint64_t>(kMinTracked) >> 52;
+  static constexpr uint64_t kLastOctave =
+      (std::bit_cast<uint64_t>(kMaxTracked) - 1) >> 52;
+  struct BucketTable {
+    double lower[kDecades * kBucketsPerDecade + 2];  // NumBuckets()
+    uint8_t octave_bucket[kLastOctave - kFirstOctave + 1];
+  };
+  static const BucketTable& Table() {
+    static const BucketTable table = BuildBucketTable();
+    return table;
+  }
+  static BucketTable BuildBucketTable();
 
   LogHistogram() : buckets_(NumBuckets(), 0) {}
 

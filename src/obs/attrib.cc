@@ -90,19 +90,25 @@ AttributionReport Attribute(const std::vector<QuerySpan>& spans,
     first = false;
   }
 
-  // Top-K slowest, ties toward the lower query id. Partial sort of a copy;
-  // K is small.
-  std::vector<QuerySpan> sorted = spans;
+  // Top-K slowest, ties toward the lower query id. Partial sort of
+  // pointers, so only the K winners are copied; the comparisons, and so
+  // the order of equal keys, are those of sorting the spans themselves.
+  std::vector<const QuerySpan*> sorted(spans.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    sorted[i] = &spans[i];
+  }
   const size_t k = std::min(options.top_k, sorted.size());
   std::partial_sort(sorted.begin(), sorted.begin() + k, sorted.end(),
-                    [](const QuerySpan& a, const QuerySpan& b) {
-                      if (a.ResponseTicks() != b.ResponseTicks()) {
-                        return a.ResponseTicks() > b.ResponseTicks();
+                    [](const QuerySpan* a, const QuerySpan* b) {
+                      if (a->ResponseTicks() != b->ResponseTicks()) {
+                        return a->ResponseTicks() > b->ResponseTicks();
                       }
-                      return a.id < b.id;
+                      return a->id < b->id;
                     });
-  sorted.resize(k);
-  report.slowest = std::move(sorted);
+  report.slowest.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    report.slowest.push_back(*sorted[i]);
+  }
   return report;
 }
 

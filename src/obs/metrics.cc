@@ -74,9 +74,17 @@ void AtomicMaxDouble(std::atomic<uint64_t>& slot, double v) {
 
 // to_chars with a precision formats exactly as printf does with the
 // matching conversion (general, precision 17 is %.17g), without printf's
-// format parsing and locale machinery.
+// format parsing and locale machinery. %.17g prints an integral value in
+// (0, 1e15) as its integer digits, so those take the integer conversion.
 void AppendStableDouble(std::string& out, double value) {
   char buf[40];
+  if (value > 0.0 && value < 1e15) {
+    const uint64_t integral = static_cast<uint64_t>(value);
+    if (static_cast<double>(integral) == value) {
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), integral).ptr);
+      return;
+    }
+  }
   const std::to_chars_result result = std::to_chars(
       buf, buf + sizeof(buf), value, std::chars_format::general, 17);
   out.append(buf, result.ptr);
@@ -132,6 +140,27 @@ void Histogram::Record(double value) {
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicMinDouble(min_bits_, value);
   AtomicMaxDouble(max_bits_, value);
+}
+
+void Histogram::RecordAll(const LogHistogram& local) {
+  const size_t shard = ThreadSlot() & (shards_ - 1);
+  if (local.rejected() > 0) {
+    rejected_[shard].fetch_add(local.rejected(), std::memory_order_relaxed);
+  }
+  if (local.count() == 0) {
+    return;
+  }
+  for (size_t bucket = 0; bucket < LogHistogram::NumBuckets(); ++bucket) {
+    if (const uint64_t n = local.buckets()[bucket]; n > 0) {
+      buckets_[shard * LogHistogram::NumBuckets() + bucket].fetch_add(
+          n, std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(local.count(), std::memory_order_relaxed);
+  // The local min and max are the first-recorded of their equals, as the
+  // CAS loops keep, so a signed zero survives as it would per sample.
+  AtomicMinDouble(min_bits_, local.min());
+  AtomicMaxDouble(max_bits_, local.max());
 }
 
 LogHistogram Histogram::Merged() const {

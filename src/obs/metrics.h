@@ -75,6 +75,11 @@ class Histogram {
   // (counted separately), mirroring LogHistogram::Record.
   void Record(double value);
 
+  // Adds every sample of `local` at once, as Record on each of them in
+  // their order would: a run fills a local LogHistogram and publishes it
+  // once, not per sample.
+  void RecordAll(const LogHistogram& local);
+
   // Merges every shard (in slot order) into a summarizable LogHistogram.
   LogHistogram Merged() const;
 

@@ -43,7 +43,16 @@ bool QuantileSketch::Insert(double value) {
   } else {
     const int32_t index =
         static_cast<int32_t>(std::ceil(std::log(value) * inv_log_gamma_));
-    ++buckets_[index];
+    const auto bucket = std::lower_bound(
+        buckets_.begin(), buckets_.end(), index,
+        [](const std::pair<int32_t, uint64_t>& b, int32_t i) {
+          return b.first < i;
+        });
+    if (bucket != buckets_.end() && bucket->first == index) {
+      ++bucket->second;
+    } else {
+      buckets_.insert(bucket, {index, 1});
+    }
   }
   ++count_;
   if (!has_bounds_) {
@@ -85,6 +94,16 @@ bool QuantileSketch::IsFresh(double relative_accuracy) const {
          std::bit_cast<uint64_t>(max_) == 0 &&
          std::bit_cast<uint64_t>(relative_accuracy_) ==
              std::bit_cast<uint64_t>(relative_accuracy);
+}
+
+void QuantileSketch::Clear() {
+  buckets_.clear();
+  zero_count_ = 0;
+  count_ = 0;
+  rejected_ = 0;
+  has_bounds_ = false;
+  min_ = 0.0;
+  max_ = 0.0;
 }
 
 std::string QuantileSketch::Serialize() const {
@@ -151,7 +170,7 @@ QuantileSketch QuantileSketch::Deserialize(std::string_view bytes) {
       Malformed("bucket count overflow");
     }
     bucket_total += bucket_count;
-    sketch.buckets_.emplace_hint(sketch.buckets_.end(), index, bucket_count);
+    sketch.buckets_.emplace_back(index, bucket_count);
   }
   if (bucket_total > UINT64_MAX - sketch.zero_count_ ||
       bucket_total + sketch.zero_count_ != sketch.count_) {

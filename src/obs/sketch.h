@@ -17,9 +17,10 @@
 #define MSPRINT_SRC_OBS_SKETCH_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace msprint {
 namespace obs {
@@ -47,6 +48,11 @@ class QuantileSketch {
   // QuantileSketch(relative_accuracy), bit for bit.
   bool IsFresh(double relative_accuracy) const;
 
+  // Empties the sketch, keeping its accuracy and its bucket storage:
+  // afterwards IsFresh(relative_accuracy()) holds. Unlike constructing a
+  // fresh sketch, it allocates nothing and calls no libm.
+  void Clear();
+
   uint64_t count() const { return count_; }
   uint64_t rejected() const { return rejected_; }
   double min() const { return has_bounds_ ? min_ : 0.0; }
@@ -65,9 +71,10 @@ class QuantileSketch {
   double relative_accuracy_;
   double gamma_;
   double inv_log_gamma_;
-  // Sorted bucket index -> sample count. std::map keeps Serialize output
-  // canonical without a separate sort.
-  std::map<int32_t, uint64_t> buckets_;
+  // (bucket index, sample count) pairs sorted by index, which keeps
+  // Serialize output canonical. A window's samples fall in a few dozen
+  // buckets, so a flat vector beats a node per bucket.
+  std::vector<std::pair<int32_t, uint64_t>> buckets_;
   uint64_t zero_count_ = 0;  // samples below kMinTracked
   uint64_t count_ = 0;       // accepted samples (includes zero bucket)
   uint64_t rejected_ = 0;

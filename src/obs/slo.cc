@@ -94,10 +94,18 @@ void SetBounds(SloWindow& window, uint64_t index, double window_seconds) {
   window.end = window.begin + window_seconds;
 }
 
-SloWindow MakeWindow(uint64_t index, const SloConfig& config) {
-  SloWindow window(config.sketch_relative_accuracy);
-  SetBounds(window, index, config.window_seconds);
-  return window;
+// Turns `w` into a freshly opened window at `index`, keeping its sketch's
+// storage: no allocation and no std::log. Resets every field; the dense
+// cases of the SLO golden recycle windows with each one set.
+void ReopenWindow(SloWindow& w, uint64_t index, double window_seconds) {
+  w.response.Clear();
+  w.response_sum = 0.0;
+  w.arrivals = w.responses = w.good = w.bad = 0;
+  w.shed = w.engages = w.aborts = w.timeouts = 0;
+  w.has_queue_depth = w.has_budget = false;
+  w.queue_depth = w.budget_level = 0.0;
+  w.evaluated_mask = w.violation_mask = w.alert_mask = 0;
+  SetBounds(w, index, window_seconds);
 }
 
 bool SameBits(double a, double b) {
@@ -109,9 +117,22 @@ void AppendU64(std::string& out, uint64_t value) {
   out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
+// What follows `end <e>` on the line of every implicit window: no data,
+// empty quantiles and gauges, no mask bits.
+constexpr std::string_view kImplicitTail[2] = {
+    " arrivals 0 responses 0 good 0 bad 0 shed 0 engages 0 aborts 0"
+    " timeouts 0 p50 0 p90 0 p99 0 mean 0 queue_depth - budget - viol 0"
+    " alert 0\n",
+    ",\"arrivals\":0,\"responses\":0,\"good\":0,\"bad\":0,\"shed\":0,"
+    "\"engages\":0,\"aborts\":0,\"timeouts\":0,\"p50\":0,\"p90\":0,"
+    "\"p99\":0,\"mean\":0,\"queue_depth\":null,\"budget\":null,"
+    "\"viol\":0,\"alert\":0}\n"};
+
 // One timeline window: `w <index> begin <b> ...` as text, or the same
-// fields in the same order as one jsonl object.
-void AppendWindow(std::string& out, const SloWindow& w, bool json) {
+// fields in the same order as one jsonl object. An implicit window's line
+// is its bounds and the constant tail.
+void AppendWindow(std::string& out, const SloWindow& w, bool json,
+                  bool implicit) {
   auto key = [&out, json](const char* name) {
     out += json ? ",\"" : " ";
     out += name;
@@ -131,6 +152,10 @@ void AppendWindow(std::string& out, const SloWindow& w, bool json) {
   AppendStableDouble(out, w.begin);
   key("end");
   AppendStableDouble(out, w.end);
+  if (implicit) {
+    out += kImplicitTail[json];
+    return;
+  }
   const std::pair<const char*, uint64_t> counts[] = {
       {"arrivals", w.arrivals}, {"responses", w.responses},
       {"good", w.good},         {"bad", w.bad},
@@ -161,6 +186,11 @@ void AppendWindow(std::string& out, const SloWindow& w, bool json) {
 }
 
 }  // namespace
+
+void AppendTimelineLine(std::string& out, const SloWindow& window,
+                        bool json) {
+  AppendWindow(out, window, json, /*implicit=*/false);
+}
 
 std::string ToString(SloSignal signal) {
   switch (signal) {
@@ -404,7 +434,13 @@ SloPipeline::SloPipeline(SloConfig config)
       objective_states_(config_.objectives.size()),
       anomaly_states_(config_.anomalies.size()) {
   ValidateConfig(config_);
-  open_ = MakeWindow(0, config_);
+  SetBounds(open_, 0, config_.window_seconds);
+  const SloBurnConfig& burn = config_.burn;
+  const double longest =
+      std::max(burn.fast_long_seconds, burn.slow_long_seconds);
+  const size_t horizon_windows =
+      static_cast<size_t>(std::ceil(longest / config_.window_seconds));
+  retained_floor_ = std::max(config_.timeline_capacity, horizon_windows + 1);
 }
 
 void SloPipeline::Advance(double now) {
@@ -526,9 +562,9 @@ double SloPipeline::BurnRate(size_t objective, double horizon_seconds,
     }
   };
   tally(closing);
-  for (auto it = closed_.rbegin(); it != closed_.rend() && it->index >= first;
-       ++it) {
-    tally(*it);
+  for (size_t i = stored_; i > 0 && ring_[Slot(i - 1)].index >= first;
+       --i) {
+    tally(ring_[Slot(i - 1)]);
   }
   if (evaluated == 0) {
     return 0.0;
@@ -635,20 +671,38 @@ void SloPipeline::CloseWindow() {
   if (IsImplicit(window)) {
     SetBounds(open_, next, config_.window_seconds);
   } else {
-    closed_.push_back(std::move(open_));
-    open_ = MakeWindow(next, config_);
+    Store(open_);
+    ReopenWindow(open_, next, config_.window_seconds);
   }
   DropExpiredWindows();
 }
 
+void SloPipeline::Store(SloWindow& window) {
+  if (stored_ == ring_.size()) {
+    // A full ring grows once its windows are in order. Stored windows
+    // never outnumber the retained range plus the window being closed,
+    // so it stops growing there.
+    std::rotate(ring_.begin(), ring_.begin() + head_, ring_.end());
+    head_ = 0;
+    ring_.resize(std::min(std::max<size_t>(2 * ring_.size(), 8),
+                          retained_floor_ + 1),
+                 SloWindow(config_.sketch_relative_accuracy));
+  }
+  SloWindow& slot = ring_[Slot(stored_)];
+  QuantileSketch spare = std::move(slot.response);
+  slot = std::move(window);
+  window.response = std::move(spare);
+  ++stored_;
+}
+
 void SloPipeline::DropExpiredWindows() {
-  const uint64_t retain = RetainedWindowFloor();
-  if (windows_closed_ - windows_dropped_ > retain) {
-    windows_dropped_ = windows_closed_ - retain;
+  if (windows_closed_ - windows_dropped_ > retained_floor_) {
+    windows_dropped_ = windows_closed_ - retained_floor_;
   }
   const uint64_t first = FirstRetainedIndex();
-  while (!closed_.empty() && closed_.front().index < first) {
-    closed_.pop_front();
+  while (stored_ > 0 && ring_[head_].index < first) {
+    head_ = Slot(1);
+    --stored_;
   }
 }
 
@@ -671,13 +725,13 @@ bool SloPipeline::IsImplicit(const SloWindow& w) const {
 template <typename Visit>
 void SloPipeline::ForEachRetained(Visit&& visit) const {
   SloWindow implicit(config_.sketch_relative_accuracy);
-  auto stored = closed_.begin();
+  size_t next = 0;
   for (uint64_t index = FirstRetainedIndex(); index < open_.index; ++index) {
-    if (stored != closed_.end() && stored->index == index) {
-      visit(*stored++);
+    if (next < stored_ && ring_[Slot(next)].index == index) {
+      visit(ring_[Slot(next++)], false);
     } else {
       SetBounds(implicit, index, config_.window_seconds);
-      visit(implicit);
+      visit(implicit, true);
     }
   }
 }
@@ -685,17 +739,9 @@ void SloPipeline::ForEachRetained(Visit&& visit) const {
 std::vector<SloWindow> SloPipeline::timeline() const {
   std::vector<SloWindow> windows;
   windows.reserve(windows_closed_ - windows_dropped_);
-  ForEachRetained([&windows](const SloWindow& w) { windows.push_back(w); });
+  ForEachRetained(
+      [&windows](const SloWindow& w, bool) { windows.push_back(w); });
   return windows;
-}
-
-size_t SloPipeline::RetainedWindowFloor() const {
-  const SloBurnConfig& burn = config_.burn;
-  const double longest =
-      std::max(burn.fast_long_seconds, burn.slow_long_seconds);
-  const size_t horizon_windows = static_cast<size_t>(
-      std::ceil(longest / config_.window_seconds));
-  return std::max(config_.timeline_capacity, horizon_windows + 1);
 }
 
 uint64_t SloPipeline::anomaly_count() const {
@@ -759,21 +805,25 @@ bool SloPipeline::BurnedThrough() const {
 
 std::string SloPipeline::FormatTimeline() const {
   std::string out;
+  // An implicit window's text line is about 190 bytes.
+  out.reserve(200 * (windows_closed_ - windows_dropped_ + 2));
   out += "# msprint slo timeline v1\n";
   out += "window " + StableDouble(config_.window_seconds) + " accuracy " +
          StableDouble(config_.sketch_relative_accuracy) + " capacity " +
          std::to_string(config_.timeline_capacity) + "\n";
   out += "windows " + std::to_string(windows_closed_) + " dropped " +
          std::to_string(windows_dropped_) + "\n";
-  ForEachRetained(
-      [&out](const SloWindow& w) { AppendWindow(out, w, /*json=*/false); });
+  ForEachRetained([&out](const SloWindow& w, bool implicit) {
+    AppendWindow(out, w, /*json=*/false, implicit);
+  });
   return out;
 }
 
 std::string SloPipeline::FormatTimelineJsonl() const {
   std::string out;
-  ForEachRetained(
-      [&out](const SloWindow& w) { AppendWindow(out, w, /*json=*/true); });
+  ForEachRetained([&out](const SloWindow& w, bool implicit) {
+    AppendWindow(out, w, /*json=*/true, implicit);
+  });
   return out;
 }
 
@@ -830,10 +880,10 @@ std::string SloPipeline::FormatWatch() const {
   std::string out;
   out += "# msprint watch (p99 per window; '!' = active alert)\n";
   double max_p99 = 0.0;
-  ForEachRetained([&max_p99](const SloWindow& w) {
+  ForEachRetained([&max_p99](const SloWindow& w, bool) {
     max_p99 = std::max(max_p99, w.response.Quantile(0.99));
   });
-  ForEachRetained([&out, max_p99](const SloWindow& w) {
+  ForEachRetained([&out, max_p99](const SloWindow& w, bool) {
     const double p99 = w.response.Quantile(0.99);
     const size_t bar =
         max_p99 > 0.0
@@ -938,7 +988,7 @@ std::string SloPipeline::SaveState() const {
   };
   put_window(open_);
   out.PutU64(windows_closed_ - windows_dropped_);
-  ForEachRetained(put_window);
+  ForEachRetained([&put_window](const SloWindow& w, bool) { put_window(w); });
   return out.Take();
 }
 
@@ -1070,6 +1120,11 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
     if (w.begin > w.end) {
       Malformed("window bounds inverted");
     }
+    // Dropped windows are recycled as open ones, sketch and all.
+    if (!SameBits(w.response.relative_accuracy(),
+                  pipeline.config_.sketch_relative_accuracy)) {
+      Malformed("window sketch accuracy differs from the config");
+    }
     return w;
   };
   pipeline.open_ = get_window();
@@ -1081,13 +1136,12 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
       num_closed != pipeline.windows_closed_ - pipeline.windows_dropped_) {
     Malformed("closed ring length disagrees with window counts");
   }
-  if (num_closed > pipeline.RetainedWindowFloor()) {
+  if (num_closed > pipeline.retained_floor_) {
     Malformed("closed ring over capacity");
   }
   if (num_closed > pipeline.open_.index) {
     Malformed("closed ring reaches before window 0");
   }
-  pipeline.closed_.clear();
   for (uint64_t index = pipeline.FirstRetainedIndex();
        index < pipeline.open_.index; ++index) {
     SloWindow w = get_window();
@@ -1095,7 +1149,7 @@ SloPipeline SloPipeline::RestoreState(std::string_view bytes) {
       Malformed("closed ring not contiguous up to the open window");
     }
     if (!pipeline.IsImplicit(w)) {
-      pipeline.closed_.push_back(std::move(w));
+      pipeline.Store(w);
     }
   }
   cursor.ExpectEnd();

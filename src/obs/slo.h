@@ -16,7 +16,6 @@
 #define MSPRINT_SRC_OBS_SLO_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -139,6 +138,12 @@ struct SloWindow {
                    double* out) const;
 };
 
+// Appends the timeline line of `window`: text as FormatTimeline prints it
+// (json = false) or the object FormatTimelineJsonl prints. The exports
+// print an implicit window from its bounds and a constant tail instead;
+// slo_test holds the two equal.
+void AppendTimelineLine(std::string& out, const SloWindow& window, bool json);
+
 // Per-objective lifetime accounting.
 struct SloObjectiveState {
   uint64_t windows_evaluated = 0;
@@ -221,6 +226,9 @@ class SloPipeline {
  private:
   void Advance(double now);
   void CloseWindow();
+  // Swaps `window` into the ring's next free slot; `window` receives the
+  // dropped window that slot held.
+  void Store(SloWindow& window);
   void DropExpiredWindows();
   void EvaluateObjectives(SloWindow& window);
   void EvaluateAnomalies(const SloWindow& window);
@@ -228,21 +236,34 @@ class SloPipeline {
   // with `closing`, the window being closed.
   double BurnRate(size_t objective, double horizon_seconds,
                   const SloWindow& closing) const;
-  size_t RetainedWindowFloor() const;
   uint64_t FirstRetainedIndex() const {
     return open_.index - (windows_closed_ - windows_dropped_);
   }
   bool IsImplicit(const SloWindow& window) const;
-  // Calls visit(window) for every retained closed window, oldest first.
+  // Ring slot of the i-th stored window, oldest first.
+  size_t Slot(size_t i) const {
+    const size_t slot = head_ + i;
+    return slot < ring_.size() ? slot : slot - ring_.size();
+  }
+  // Calls visit(window, implicit) for every retained closed window, oldest
+  // first; `implicit` says the window is one the pipeline does not store.
   template <typename Visit>
   void ForEachRetained(Visit&& visit) const;
 
   SloConfig config_;
+  // Closed windows the exports keep: the larger of the timeline capacity
+  // and what the burn horizons need. Fixed by the config.
+  size_t retained_floor_ = 0;
   SloWindow open_;
-  // Closed windows carrying data or a mask bit, oldest first. Every other
-  // window of the retained range [FirstRetainedIndex(), open_.index) is
-  // implicit: empty, with no mask bits and the bounds MakeWindow gives.
-  std::deque<SloWindow> closed_;
+  // Closed windows carrying data or a mask bit, oldest first: `stored_`
+  // of them from ring_[head_] on, wrapping. The other slots hold dropped
+  // windows, recycled as open windows. The ring grows geometrically up to
+  // the floor plus the window being closed. Every other window of the
+  // retained range [FirstRetainedIndex(), open_.index) is implicit: empty,
+  // with no mask bits and the bounds SetBounds gives.
+  std::vector<SloWindow> ring_;
+  size_t head_ = 0;
+  size_t stored_ = 0;
   std::vector<SloObjectiveState> objective_states_;
   std::vector<SloAnomalyState> anomaly_states_;
   uint64_t windows_closed_ = 0;

@@ -106,6 +106,14 @@ void CountRun(size_t queries, size_t sprinted, size_t timed_out) {
   obs::Count("sim/timed_out", timed_out);
 }
 
+// A run's budget overdraws, published once when the run ends; the counter
+// appears only once some run overdrew.
+void CountOverdraws(const SprintBudget& budget) {
+  if (budget.overdraw_count() > 0) {
+    obs::Count("sprint/budget_overdraw", budget.overdraw_count());
+  }
+}
+
 // One query's outcome, as either engine reports it.
 struct QueryRecord {
   uint32_t klass = 0;
@@ -594,6 +602,7 @@ SimResult SimulateQueue(const SimConfig& config, const SimDraws& draws,
   } else {
     RunEventLoop(config, classes, draws, budget, admission, report);
   }
+  CountOverdraws(budget);
   return report.Finish();
 }
 
@@ -610,6 +619,7 @@ double SimulateQueueMean(const SimConfig& config, const SimDraws& draws) {
   (void)robust::AdmissionController(config.admission, config.slots);
   MeanReport report(draws.arrival.size(), config.warmup_queries);
   RunSingleSlot(classes, draws, budget, report);
+  CountOverdraws(budget);
   return report.Finish();
 }
 

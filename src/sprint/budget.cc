@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/obs/obs.h"
 
 namespace msprint {
 
@@ -53,9 +52,6 @@ void SprintBudget::ConsumeAllowingDebt(double now, double amount) {
   total_consumed_ += std::max(0.0, amount);
   if (was_solvent && level_ < 0.0) {
     ++overdraw_count_;
-    // Overdraws were historically visible only to the model checker;
-    // export them so live dashboards see debt-incurring sprints too.
-    obs::Count("sprint/budget_overdraw");
   }
 }
 

@@ -56,7 +56,8 @@ class SprintBudget {
 
   // Times ConsumeAllowingDebt took the level from non-negative to negative.
   // The model checker (src/mc) asserts this stays 0 on paths that are
-  // supposed to gate sprints on a positive budget.
+  // supposed to gate sprints on a positive budget; testbed and simulator
+  // runs publish it as `sprint/budget_overdraw` when they end.
   size_t overdraw_count() const { return overdraw_count_; }
 
   void Reset(double now);

@@ -257,14 +257,19 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     }
   }
 
-  // Cached metric handles: the per-query paths below are the hottest code
-  // in the repo, so pay the registry lookup once per run, not per query.
-  // The event loop is serial and `now` is simulated time, so emitting
-  // flight-recorder events here preserves the determinism contract.
+  // Run metrics: the per-query paths below are the hottest code in the
+  // repo, so with a registry attached they record into run-local
+  // histograms (queue depth at dispatch, then response, queueing and
+  // processing times) and counts that reach the registry once, after the
+  // run. The event loop is serial and `now` is simulated time, so
+  // emitting flight-recorder events here preserves the determinism
+  // contract.
   obs::MetricsRegistry* metrics = obs::ActiveMetrics();
-  obs::Histogram* h_queue_depth =
-      metrics ? &metrics->GetHistogram("testbed/queue_depth_at_dispatch")
-              : nullptr;
+  std::optional<std::array<LogHistogram, 4>> histograms;
+  if (metrics != nullptr) {
+    histograms.emplace();
+  }
+  uint64_t lockout_denials = 0;
   // Streaming SLO pipeline, fed at the same serial points as the flight
   // recorder. One cached pointer: the idle cost is a null check per site.
   obs::SloPipeline* const slo = sinks.slo;
@@ -349,7 +354,7 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   // records toggle failures only for sprints that would otherwise start).
   auto sprint_allowed = [&](size_t qi, double now) {
     if (faults_enabled && injector.BreakerActive(now)) {
-      obs::Count("fault/breaker_lockout_denials");
+      ++lockout_denials;
       return false;
     }
     if (budget.Available(now) <= kBudgetEpsilon) {
@@ -372,8 +377,8 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
         workloads[static_cast<size_t>(q.workload)];
     q.start = now;
     executing[qi] = 1;
-    if (h_queue_depth != nullptr) {
-      h_queue_depth->Record(static_cast<double>(queue_len_at_dispatch));
+    if (histograms) {
+      (*histograms)[0].Record(static_cast<double>(queue_len_at_dispatch));
     }
     if (slo != nullptr) {
       slo->OnQueueDepth(now, static_cast<double>(queue_len_at_dispatch));
@@ -709,15 +714,6 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   trace.queries.assign(queries.begin() + static_cast<long>(first),
                        queries.end());
   StreamingStats rt, qd, pt, upt;
-  obs::Histogram* h_response =
-      metrics ? &metrics->GetHistogram("testbed/response_time_seconds")
-              : nullptr;
-  obs::Histogram* h_queueing =
-      metrics ? &metrics->GetHistogram("testbed/queueing_delay_seconds")
-              : nullptr;
-  obs::Histogram* h_processing =
-      metrics ? &metrics->GetHistogram("testbed/processing_time_seconds")
-              : nullptr;
   size_t sprinted = 0;
   size_t timed_out = 0;
   size_t completed = 0;
@@ -746,10 +742,10 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     rt.Add(q.ResponseTime());
     qd.Add(q.QueueingDelay());
     pt.Add(q.ProcessingTime());
-    if (h_response != nullptr) {
-      h_response->Record(q.ResponseTime());
-      h_queueing->Record(q.QueueingDelay());
-      h_processing->Record(q.ProcessingTime());
+    if (histograms) {
+      (*histograms)[1].Record(q.ResponseTime());
+      (*histograms)[2].Record(q.QueueingDelay());
+      (*histograms)[3].Record(q.ProcessingTime());
     }
     if (q.sprinted) {
       ++sprinted;
@@ -777,6 +773,22 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     slo->Finish(trace.makespan);
   }
   if (metrics != nullptr) {
+    const char* const names[] = {
+        "testbed/queue_depth_at_dispatch", "testbed/response_time_seconds",
+        "testbed/queueing_delay_seconds", "testbed/processing_time_seconds"};
+    for (size_t i = 0; i < histograms->size(); ++i) {
+      metrics->GetHistogram(names[i]).RecordAll((*histograms)[i]);
+    }
+    // Counted only when nonzero, so each counter appears in an export
+    // exactly when some run counted it.
+    if (budget.overdraw_count() > 0) {
+      metrics->GetCounter("sprint/budget_overdraw")
+          .Add(budget.overdraw_count());
+    }
+    if (lockout_denials > 0) {
+      metrics->GetCounter("fault/breaker_lockout_denials")
+          .Add(lockout_denials);
+    }
     metrics->GetCounter("testbed/runs").Increment();
     metrics->GetCounter("testbed/queries").Add(trace.queries.size());
     metrics->GetCounter("testbed/sprinted").Add(sprinted);

@@ -114,6 +114,25 @@ TEST(CliExitCodeTest, Exit2UsageErrors) {
             std::string::npos)
       << ReadFileOrEmpty(unread_err);
   EXPECT_EQ(RunMsprint("watch --queries 300 --format bogus"), kExitUsage);
+  // obs-diff parses its flags after its two operands. It refuses a
+  // misspelled threshold instead of gating at the default, and a bad
+  // --threads value as every verb does.
+  const std::string diff_export = ::testing::TempDir() + "/cli_obs_diff.txt";
+  std::ofstream(diff_export) << "counter t/c 1\n";
+  const std::string diff_err = ::testing::TempDir() + "/cli_obs_diff.err";
+  EXPECT_EQ(RunMsprint("obs-diff " + diff_export + " " + diff_export +
+                           " --max-rell 0.5",
+                       diff_err),
+            kExitUsage);
+  EXPECT_NE(ReadFileOrEmpty(diff_err).find("flag max-rell: "),
+            std::string::npos)
+      << ReadFileOrEmpty(diff_err);
+  EXPECT_EQ(RunMsprint("obs-diff " + diff_export + " " + diff_export +
+                       " --max-rel 0.5"),
+            kExitOk);
+  EXPECT_EQ(RunMsprint("obs-diff " + diff_export + " " + diff_export +
+                       " --threads abc"),
+            kExitUsage);
   // A run size the testbed cannot run is a bad flag value on every
   // testbed verb, reported before any run starts.
   const std::string dir = ::testing::TempDir();

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -245,6 +247,78 @@ TEST(LogHistogramTest, ZeroAndHugeLandInBoundaryBuckets) {
   EXPECT_EQ(hist.buckets().back(), 1u);
   EXPECT_DOUBLE_EQ(hist.min(), 0.0);
   EXPECT_DOUBLE_EQ(hist.max(), 1e15);
+}
+
+// The bucket mapping BucketIndex had when it called std::log10 per
+// sample, kept here as the oracle of its table lookup.
+size_t Log10BucketIndex(double v) {
+  if (v < LogHistogram::kMinTracked) {
+    return 0;
+  }
+  if (v >= LogHistogram::kMaxTracked) {
+    return LogHistogram::NumBuckets() - 1;
+  }
+  const double position =
+      std::log10(v / LogHistogram::kMinTracked) *
+      static_cast<double>(LogHistogram::kBucketsPerDecade);
+  const size_t index = 1 + static_cast<size_t>(position);
+  return std::min(index, LogHistogram::NumBuckets() - 2);
+}
+
+TEST(LogHistogramTest, BucketIndexMatchesLog10Expression) {
+  size_t checks = 0;
+  size_t mismatches = 0;
+  auto check = [&](double v) {
+    ++checks;
+    if (LogHistogram::BucketIndex(v) != Log10BucketIndex(v) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << std::bit_cast<uint64_t>(v) << " value "
+                    << v << ": " << LogHistogram::BucketIndex(v) << " vs "
+                    << Log10BucketIndex(v);
+    }
+  };
+  auto around = [&](double center, int64_t ulps) {
+    const int64_t bits = std::bit_cast<int64_t>(center);
+    for (int64_t d = -ulps; d <= ulps; ++d) {
+      if (bits + d >= 0) {
+        check(std::bit_cast<double>(bits + d));
+      }
+    }
+  };
+  // Every double within 4096 ulps of each bucket bound, as the pow
+  // expression states it and as the table found it.
+  for (size_t i = 1; i < LogHistogram::NumBuckets(); ++i) {
+    around(LogHistogram::BucketLowerBound(i), 4096);
+    around(LogHistogram::Table().lower[i], 4096);
+  }
+  around(LogHistogram::kMinTracked, 16);
+  around(LogHistogram::kMaxTracked, 16);
+  check(0.0);
+  for (const double v : {std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min() / 3.0,
+                         std::nextafter(std::numeric_limits<double>::min(),
+                                        0.0),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::max()}) {
+    check(v);
+  }
+  // 1e7 random finite positive doubles over every exponent, and 1e7 over
+  // the tracked range, where nearly all of the work lands.
+  std::mt19937_64 rng(20261019);
+  const uint64_t lo = std::bit_cast<uint64_t>(LogHistogram::kMinTracked);
+  const uint64_t hi = std::bit_cast<uint64_t>(LogHistogram::kMaxTracked);
+  std::uniform_int_distribution<uint64_t> tracked(lo, hi);
+  for (int i = 0; i < 10000000; ++i) {
+    const uint64_t bits = rng() & 0x7FFFFFFFFFFFFFFFu;
+    if ((bits >> 52) != 0x7FF) {
+      check(std::bit_cast<double>(bits));
+    }
+    check(std::bit_cast<double>(tracked(rng)));
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << checks << " doubles";
+  EXPECT_GT(checks, 20000000u);
+  // NaN is outside the contract, but must not index the table.
+  EXPECT_EQ(LogHistogram::BucketIndex(std::nan("")), 0u);
 }
 
 TEST(LogHistogramTest, InjectedBoundsAdoptedNotMinMergedWithZero) {

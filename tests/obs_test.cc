@@ -85,6 +85,43 @@ TEST(MetricsRegistryTest, HistogramRejectsNonFinite) {
   EXPECT_DOUBLE_EQ(merged.max(), 2.0);
 }
 
+// A run publishes a local LogHistogram once; the registry must end up as
+// if every sample had been recorded one by one, signed zeros and
+// rejections included.
+TEST(MetricsRegistryTest, RecordAllMatchesPerSampleRecord) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> batches = {
+      {},
+      {-0.0, 0.0, 1.5, nan, -2.0, inf, 1e-12, 3e13, 42.0, -0.0},
+      {},
+      {0.0, -0.0, 7.25, -inf, 1e12, 9.99e11},
+      {nan},
+      {2.5e-9, 1e-9, 0.37, 0.37, 123456.0}};
+  MetricsRegistry per_sample(4);
+  MetricsRegistry batched(4);
+  for (const std::vector<double>& batch : batches) {
+    LogHistogram local;
+    for (const double v : batch) {
+      per_sample.GetHistogram("t/h").Record(v);
+      local.Record(v);
+    }
+    batched.GetHistogram("t/h").RecordAll(local);
+    const LogHistogram want = per_sample.GetHistogram("t/h").Merged();
+    const LogHistogram got = batched.GetHistogram("t/h").Merged();
+    EXPECT_EQ(got.buckets(), want.buckets());
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.rejected(), want.rejected());
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.min()),
+              std::bit_cast<uint64_t>(want.min()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.max()),
+              std::bit_cast<uint64_t>(want.max()));
+    EXPECT_EQ(batched.Snapshot().ToText(), per_sample.Snapshot().ToText());
+    EXPECT_EQ(batched.Snapshot().ToJson(), per_sample.Snapshot().ToJson());
+  }
+  EXPECT_NE(batched.Snapshot().ToText().find("min=-0 "), std::string::npos);
+}
+
 TEST(MetricsRegistryTest, SnapshotRenderingIsByteStable) {
   auto build = [] {
     MetricsRegistry registry;
@@ -148,6 +185,35 @@ TEST(StableDoubleTest, MatchesPrintfG17) {
     appended.clear();
     AppendStableDouble(appended, v);
     ASSERT_EQ(appended, want);
+  }
+  // Random bit patterns almost never draw an integral value, so those are
+  // listed: every integer in [0, 1e5], 1e5 random ones in [1, 1e15), the
+  // neighbours of 1e15 and of 2^53, and the negatives of all of them.
+  std::vector<double> integral;
+  for (int i = 0; i <= 100000; ++i) {
+    integral.push_back(i);
+  }
+  std::uniform_int_distribution<uint64_t> below_1e15(1, 999999999999999);
+  for (int i = 0; i < 100000; ++i) {
+    integral.push_back(static_cast<double>(below_1e15(rng)));
+  }
+  for (const double edge : {1e15 - 1.0, 1e15, 1e15 + 1.0,
+                            9007199254740992.0 - 1.0,
+                            9007199254740992.0 + 1.0}) {
+    integral.push_back(edge);
+  }
+  mismatches = 0;
+  for (const double magnitude : integral) {
+    for (const double v : {magnitude, -magnitude}) {
+      const std::string want = PrintfG17(v);
+      appended.clear();
+      AppendStableDouble(appended, v);
+      if (StableDouble(v) != want || appended != want) {
+        ADD_FAILURE() << StableDouble(v) << " / " << appended << " vs "
+                      << want;
+        if (++mismatches == 10) return;
+      }
+    }
   }
 }
 

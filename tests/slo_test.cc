@@ -451,6 +451,45 @@ TEST(SloPipelineTest, RingDropsOldWindowsButCountsThem) {
             pipeline.windows_dropped() + pipeline.timeline().size());
 }
 
+// The exports print implicit windows from one constant line; rendering
+// the materialized timeline through the general line must give the same
+// bytes, at window indices 0 and 1 and above 2^32.
+TEST(SloPipelineTest, ImplicitLinesMatchGeneralRendering) {
+  for (const double width : {5.0, 0.1, 600.0}) {
+    for (const double base : {0.0, 4294967296.0}) {
+      SloConfig config;
+      config.window_seconds = width;
+      config.timeline_capacity = 8;
+      SloPipeline pipeline(config);
+      pipeline.OnArrival((base + 2.5) * width);
+      pipeline.OnResponse((base + 2.5) * width, 0.25, true);
+      pipeline.Finish((base + 6.5) * width);
+      const std::vector<SloWindow> windows = pipeline.timeline();
+      ASSERT_GE(windows.size(), 7u);
+      std::string text;
+      std::string jsonl;
+      size_t implicit = 0;
+      for (const SloWindow& w : windows) {
+        AppendTimelineLine(text, w, /*json=*/false);
+        AppendTimelineLine(jsonl, w, /*json=*/true);
+        implicit += w.arrivals == 0 ? 1 : 0;
+      }
+      EXPECT_EQ(implicit + 1, windows.size());
+      EXPECT_EQ(windows.back().index, static_cast<uint64_t>(base) + 6);
+      if (base == 0.0) {
+        EXPECT_EQ(windows.front().index, 0u);
+      }
+      const std::string timeline = pipeline.FormatTimeline();
+      size_t header = 0;
+      for (int line = 0; line < 3; ++line) {
+        header = timeline.find('\n', header) + 1;
+      }
+      EXPECT_EQ(timeline.substr(header), text) << "width " << width;
+      EXPECT_EQ(pipeline.FormatTimelineJsonl(), jsonl) << "width " << width;
+    }
+  }
+}
+
 TEST(SloPipelineTest, FinishPublishesMetrics) {
   MetricsRegistry metrics;
   ObsSession session(&metrics, nullptr);

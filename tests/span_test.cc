@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -367,6 +368,46 @@ TEST(AttributionTest, ViolationIsReportedNotRepaired) {
   EXPECT_EQ(report.identity_violations, 1u);
   EXPECT_NE(FormatSpanTree(span).find("identity=VIOLATED"),
             std::string::npos);
+}
+
+// Attribute ranks its top-K through pointers; the report must be the one
+// a partial sort of copied spans gives, also where response ticks tie and
+// where ids repeat, so that only the permutation tells tied spans apart.
+TEST(AttributionTest, TopKMatchesSortingCopiedSpans) {
+  std::vector<QuerySpan> spans;
+  for (uint32_t i = 0; i < 60; ++i) {
+    QuerySpan span{};
+    // Spans i and i + 39 share both the id and the response ticks.
+    span.id = i % 13;
+    span.klass = i;
+    span.arrival = i;
+    span.depart = span.arrival + TicksFromSeconds(1.0 + i % 3);
+    span.components[static_cast<size_t>(SpanComponent::kService)] =
+        span.ResponseTicks();
+    spans.push_back(span);
+  }
+  for (const size_t k : {0, 1, 5, 17, 60, 100}) {
+    AttributionOptions options;
+    options.top_k = k;
+    const AttributionReport report = Attribute(spans, options);
+    std::vector<QuerySpan> sorted = spans;
+    const size_t n = std::min(k, sorted.size());
+    std::partial_sort(sorted.begin(), sorted.begin() + n, sorted.end(),
+                      [](const QuerySpan& a, const QuerySpan& b) {
+                        if (a.ResponseTicks() != b.ResponseTicks()) {
+                          return a.ResponseTicks() > b.ResponseTicks();
+                        }
+                        return a.id < b.id;
+                      });
+    sorted.resize(n);
+    ASSERT_EQ(report.slowest.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(report.slowest[i].klass, sorted[i].klass) << "k " << k;
+    }
+    AttributionReport copied = report;
+    copied.slowest = sorted;
+    EXPECT_EQ(FormatAttribution(report), FormatAttribution(copied));
+  }
 }
 
 TEST(AttributionTest, ChromeTraceExportNestsSpans) {

@@ -844,11 +844,28 @@ int CmdExplain(const Flags& flags) {
 // synopsis, the first line of its usage, and exits 2.
 struct OperandError {};
 
-struct Verb;
+// One verb: its name, its usage for `help` (the flags, then a summary;
+// continuation lines are indented under the first), the flags its handler
+// reads, and its handler, which gets the verb and the whole command line.
+struct Verb {
+  const char* name;
+  const char* usage;
+  FlagLists flags;
+  int (*run)(const Verb& verb, int argc, char** argv);
+};
+
+// Refuses the flags `verb` does not read, and sizes the shared pool from
+// --threads before any stage touches ThreadPool::Global().
+void ApplyVerbFlags(const Verb& verb, const Flags& flags) {
+  flags.RefuseOthers(verb.flags, verb.name);
+  if (flags.Has("threads")) {
+    ThreadPool::SetGlobalSize(flags.GetSize("threads", 0));
+  }
+}
 
 // The two export files to compare are positional operands, ahead of the
 // threshold flags.
-int CmdObsDiff(const Verb&, int argc, char** argv) {
+int CmdObsDiff(const Verb& verb, int argc, char** argv) {
   if (argc < 4 || std::string_view(argv[2]).rfind("--", 0) == 0 ||
       std::string_view(argv[3]).rfind("--", 0) == 0) {
     throw OperandError();
@@ -856,6 +873,7 @@ int CmdObsDiff(const Verb&, int argc, char** argv) {
   const std::string path_a = argv[2];
   const std::string path_b = argv[3];
   const Flags flags(argc, argv, 4);
+  ApplyVerbFlags(verb, flags);
   obs::DiffOptions options;
   options.max_rel = flags.GetDouble("max-rel", options.max_rel);
   options.approx_rel = flags.GetDouble("approx-rel", options.approx_rel);
@@ -1155,26 +1173,12 @@ int CmdWhatif(const Flags& flags) {
   return EmitWhatifReport(whatif::RunWhatif(scenario, plan), flags, format);
 }
 
-// One verb: its name, its usage for `help` (the flags, then a summary;
-// continuation lines are indented under the first), the flags its handler
-// reads, and its handler, which gets the verb and the whole command line.
-struct Verb {
-  const char* name;
-  const char* usage;
-  FlagLists flags;
-  int (*run)(const Verb& verb, int argc, char** argv);
-};
-
-// Parses a verb's --flags, refuses any the verb does not read, sizes the
-// shared pool from --threads before any stage touches
-// ThreadPool::Global(), and runs the verb.
+// Parses a verb's --flags, applies them (ApplyVerbFlags), and runs the
+// verb.
 template <int (*handler)(const Flags&)>
 int WithFlags(const Verb& verb, int argc, char** argv) {
   const Flags flags(argc, argv, 2);
-  flags.RefuseOthers(verb.flags, verb.name);
-  if (flags.Has("threads")) {
-    ThreadPool::SetGlobalSize(flags.GetSize("threads", 0));
-  }
+  ApplyVerbFlags(verb, flags);
   return handler(flags);
 }
 
@@ -1236,7 +1240,7 @@ constexpr Verb kVerbs[] = {
      WithFlags<CmdExplain>},
     {"obs-diff", "<a> <b> [--max-rel X --approx-rel X --abs-eps X]\n"
                  "(compare two exports; exit 3 on threshold breach)",
-     {}, CmdObsDiff},
+     {"max-rel approx-rel abs-eps"}, CmdObsDiff},
     {"mc", "[--horizon N --seed S --max-transitions N\n"
            "--alphabet default|overload\n"
            "--inject-bug none|budget-debt|breaker-signal-drop|\n"
