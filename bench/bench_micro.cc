@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks for the library's hot primitives: the
 // event-driven simulator (per-query cost), the Algorithm 1 tick loop, the
-// ground-truth testbed, random-forest fit/predict, ANN prediction, the
-// effective-rate calibration search for a row and for a whole profile, one
-// hybrid prediction and one exploration (the model-query path), and the
-// observability layer's idle and attached overhead (the CI obs job gates
-// BM_ObsIdleHotPath against BM_TestbedRun's per-query cost).
+// ground-truth testbed and a whole profile on it, random-forest
+// fit/predict, ANN prediction, the effective-rate calibration search for a
+// row and for a whole profile, one hybrid prediction and one exploration
+// (the model-query path), and the observability layer's idle and attached
+// overhead (the CI obs job gates BM_ObsIdleHotPath against
+// BM_TestbedRun's per-query cost).
 //
 // The main runs the usual benchmark CLI, then writes BENCH_micro.json with
 // nanoseconds-per-iteration for every benchmark that ran, so the overhead
@@ -31,6 +32,7 @@
 #include "src/obs/sketch.h"
 #include "src/obs/slo.h"
 #include "src/obs/whatif/whatif.h"
+#include "src/profiler/profiler.h"
 #include "tests/tick_simulator.h"
 #include "src/testbed/testbed.h"
 
@@ -484,6 +486,26 @@ void BM_CalibrationSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CalibrationSearch);
+
+// One profile with `msprint profile`'s run shape on the shared pool: a
+// 40-row DVFS Jacobi grid at 8,000 queries per run (warmup a tenth), plus
+// the unsprinted and full-sprint rate runs. No baseline entry gates it.
+void BM_ProfileWorkload(benchmark::State& state) {
+  SprintPolicy platform;
+  platform.mechanism = MechanismId::kDvfs;
+  ProfilerConfig config;
+  config.sample_grid_points = 40;
+  config.queries_per_run = 8000;
+  config.warmup_queries = 800;
+  const QueryMix mix = QueryMix::Single(WorkloadId::kJacobi);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ProfileWorkload(mix, platform, config).rows.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(config.sample_grid_points));
+}
+BENCHMARK(BM_ProfileWorkload)->Unit(benchmark::kMillisecond);
 
 // A whole profile's calibration on the shared pool: 32 rows over four
 // (utilization, arrival kind) draw keys, so rows share draws in chunks.

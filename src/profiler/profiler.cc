@@ -92,7 +92,7 @@ WorkloadProfile ProfileWorkload(const QueryMix& mix,
     profile.total_profiling_hours += trace.makespan / kSecondsPerHour;
   }
 
-  // --- Grid runs.
+  // --- Grid runs: a row reads each run's summary only.
   std::vector<GridPoint> grid = ExpandGrid(config.centroids);
   if (config.sample_grid_points > 0 &&
       config.sample_grid_points < grid.size()) {
@@ -135,12 +135,12 @@ WorkloadProfile ProfileWorkload(const QueryMix& mix,
       run.num_queries = config.queries_per_run;
       run.warmup_queries = config.warmup_queries;
       run.seed = DeriveSeed(config.seed, i * 131 + rep + 1);
-      const RunTrace trace = Testbed::Run(run);
-      mean_rt.Add(trace.mean_response_time);
-      medians.push_back(trace.MedianResponseTime());
-      sprinted.Add(trace.fraction_sprinted);
-      timed_out.Add(trace.fraction_timed_out);
-      row.run_virtual_seconds += trace.makespan;
+      const RunSummary summary = Testbed::Summarize(run);
+      mean_rt.Add(summary.mean_response_time);
+      medians.push_back(summary.median_response_time);
+      sprinted.Add(summary.fraction_sprinted);
+      timed_out.Add(summary.fraction_timed_out);
+      row.run_virtual_seconds += summary.makespan;
     }
     row.observed_mean_response_time = mean_rt.mean();
     row.observed_median_response_time = Median(medians);

@@ -2,9 +2,12 @@
 //
 // The profiler replays a representative workload mix on the ground-truth
 // testbed many times, varying arrival patterns and sprinting policies over
-// the paper's cluster-sampling centroids, and captures per-run response
-// times. It also measures the two rates that parameterize the downstream
-// models:
+// the paper's cluster-sampling centroids, and keeps what a profile row
+// reads of each run: the mean and median response time, the fractions
+// sprinted and timed out, and the makespan. Grid runs therefore call
+// Testbed::Summarize, which builds nothing else; the two rate runs below
+// read per-query processing times, so they call Testbed::Run. It also
+// measures the two rates that parameterize the downstream models:
 //   - service rate mu      : inverse mean processing time of executions
 //                            that never sprint;
 //   - marginal sprint rate : inverse mean processing time when the whole

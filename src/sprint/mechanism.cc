@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace msprint {
@@ -23,18 +22,6 @@ std::string ToString(MechanismId id) {
 }
 
 namespace {
-
-// Index of the phase containing execution progress tau (by work fraction).
-size_t PhaseIndexAt(const WorkloadSpec& workload, double tau) {
-  double acc = 0.0;
-  for (size_t i = 0; i < workload.phases.size(); ++i) {
-    acc += workload.phases[i].work_fraction;
-    if (tau < acc) {
-      return i;
-    }
-  }
-  return workload.phases.size() - 1;
-}
 
 // Finds the gain k such that the harmonic mean of the per-phase speedups
 //   speedup_p = 1 + k * eff_p * (target - 1)
@@ -73,60 +60,17 @@ double CalibratePhaseGain(const WorkloadSpec& workload, double target) {
   return 0.5 * (lo + hi);
 }
 
-// Memoized CalibratePhaseGain. The gain is a pure function of the phase
-// profile and the target, yet the testbed asks for it on every sprinted
-// phase transition — profiling showed the 80-iteration bisection was 88%
-// of a testbed run. The cache key is the *content* that the bisection
-// reads (phase work fractions + efficiencies, and the target), so an
-// entry can never go stale: a content-equal hit returns the bit-identical
-// k the bisection would have recomputed. Thread-local storage keeps the
-// hot path lock-free; the handful of (workload, mechanism) pairs per
-// thread make the linear scan a few dozen nanoseconds.
-double CachedPhaseGain(const WorkloadSpec& workload, double target) {
-  struct Entry {
-    WorkloadId id;
-    double target;
-    std::vector<std::pair<double, double>> phases;  // (work, efficiency)
-    double gain;
-  };
-  thread_local std::vector<Entry> cache;
-
-  auto matches = [&](const Entry& entry) {
-    if (entry.id != workload.id || entry.target != target ||
-        entry.phases.size() != workload.phases.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < entry.phases.size(); ++i) {
-      if (entry.phases[i].first != workload.phases[i].work_fraction ||
-          entry.phases[i].second != workload.phases[i].sprint_efficiency) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (const Entry& entry : cache) {
-    if (matches(entry)) {
-      return entry.gain;
-    }
-  }
-  Entry entry;
-  entry.id = workload.id;
-  entry.target = target;
-  entry.phases.reserve(workload.phases.size());
+// Phase-shaped speedups calibrated to `target` marginally: one bisection
+// for the gain, then one speedup per phase.
+std::vector<double> PhasedSpeedups(const WorkloadSpec& workload,
+                                   double target) {
+  const double k = CalibratePhaseGain(workload, target);
+  std::vector<double> speedups;
+  speedups.reserve(workload.phases.size());
   for (const auto& phase : workload.phases) {
-    entry.phases.emplace_back(phase.work_fraction, phase.sprint_efficiency);
+    speedups.push_back(1.0 + k * phase.sprint_efficiency * (target - 1.0));
   }
-  entry.gain = CalibratePhaseGain(workload, target);
-  cache.push_back(std::move(entry));
-  return cache.back().gain;
-}
-
-// Phase-shaped instantaneous speedup calibrated to `target` marginally.
-double PhasedInstantSpeedup(const WorkloadSpec& workload, double target,
-                            double tau) {
-  const double k = CachedPhaseGain(workload, target);
-  const auto& phase = workload.phases[PhaseIndexAt(workload, tau)];
-  return 1.0 + k * phase.sprint_efficiency * (target - 1.0);
+  return speedups;
 }
 
 // Amdahl speedup from doubling core count with parallel fraction p.
@@ -151,9 +95,9 @@ double DvfsMechanism::MarginalSpeedup(const WorkloadSpec& workload) const {
   return workload.MarginalSpeedupDvfs();
 }
 
-double DvfsMechanism::InstantSpeedup(const WorkloadSpec& workload,
-                                     double tau) const {
-  return PhasedInstantSpeedup(workload, MarginalSpeedup(workload), tau);
+std::vector<double> DvfsMechanism::PhaseSpeedups(
+    const WorkloadSpec& workload) const {
+  return PhasedSpeedups(workload, MarginalSpeedup(workload));
 }
 
 // ----------------------------------------------------------------- CoreScale
@@ -180,10 +124,14 @@ double CoreScaleMechanism::MarginalSpeedup(const WorkloadSpec& workload) const {
   return 1.0 / sprinted_time;
 }
 
-double CoreScaleMechanism::InstantSpeedup(const WorkloadSpec& workload,
-                                          double tau) const {
-  const auto& phase = workload.phases[PhaseIndexAt(workload, tau)];
-  return AmdahlDouble(phase.parallel_fraction);
+std::vector<double> CoreScaleMechanism::PhaseSpeedups(
+    const WorkloadSpec& workload) const {
+  std::vector<double> speedups;
+  speedups.reserve(workload.phases.size());
+  for (const auto& phase : workload.phases) {
+    speedups.push_back(AmdahlDouble(phase.parallel_fraction));
+  }
+  return speedups;
 }
 
 // ------------------------------------------------------------------- EC2DVFS
@@ -212,9 +160,9 @@ double Ec2DvfsMechanism::MarginalSpeedup(const WorkloadSpec& workload) const {
   return 1.0 / ((1.0 - m) / ratio + m);
 }
 
-double Ec2DvfsMechanism::InstantSpeedup(const WorkloadSpec& workload,
-                                        double tau) const {
-  return PhasedInstantSpeedup(workload, MarginalSpeedup(workload), tau);
+std::vector<double> Ec2DvfsMechanism::PhaseSpeedups(
+    const WorkloadSpec& workload) const {
+  return PhasedSpeedups(workload, MarginalSpeedup(workload));
 }
 
 // --------------------------------------------------------------- CpuThrottle
@@ -253,9 +201,10 @@ double CpuThrottleMechanism::MarginalSpeedup(const WorkloadSpec&) const {
   return sprint_fraction_ / throttle_fraction_;
 }
 
-double CpuThrottleMechanism::InstantSpeedup(const WorkloadSpec&,
-                                            double) const {
-  return sprint_fraction_ / throttle_fraction_;
+std::vector<double> CpuThrottleMechanism::PhaseSpeedups(
+    const WorkloadSpec& workload) const {
+  return std::vector<double>(workload.phases.size(),
+                             sprint_fraction_ / throttle_fraction_);
 }
 
 // -------------------------------------------------------------------- Factory

@@ -5,21 +5,24 @@
 //      relative to the workload's DVFS sustained service time (the unit in
 //      which Table 1(C) throughputs are quoted)?
 //   2. What is the *marginal* speedup if an entire execution is sprinted?
-//   3. What *instantaneous* speedup does a sprint get at a given point of
-//      execution progress? This is where phase behaviour, Amdahl's law and
-//      memory-bandwidth ceilings live — dynamics the paper's predictive
-//      simulator does not model, making them part of what the random
-//      decision forest must learn.
+//   3. What speedup does a sprint get in each execution phase? This is
+//      where phase behaviour, Amdahl's law and memory-bandwidth ceilings
+//      live — dynamics the paper's predictive simulator does not model,
+//      making them part of what the random decision forest must learn.
 //
-// Instantaneous curves are calibrated (per workload) so that the harmonic
-// mean across a whole execution equals the marginal speedup exactly; the
+// Phase speedups are calibrated (per workload) so that their harmonic mean
+// across a whole execution equals the marginal speedup exactly; the
 // catalog's published sustained/burst numbers are thus honored to the digit.
+// A mechanism keeps no state between calls: a caller that reads the phase
+// speedups per query holds the table, as the testbed does per run and
+// workload.
 
 #ifndef MSPRINT_SRC_SPRINT_MECHANISM_H_
 #define MSPRINT_SRC_SPRINT_MECHANISM_H_
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/workload/workload.h"
 
@@ -33,6 +36,20 @@ enum class MechanismId {
 };
 
 std::string ToString(MechanismId id);
+
+// Index of the phase containing execution progress tau: the first phase
+// whose work fractions, accumulated in phase order, exceed tau; the last
+// phase when none does. Inline: the testbed asks it per sprinted stretch.
+inline size_t PhaseIndexAt(const WorkloadSpec& workload, double tau) {
+  double acc = 0.0;
+  for (size_t i = 0; i < workload.phases.size(); ++i) {
+    acc += workload.phases[i].work_fraction;
+    if (tau < acc) {
+      return i;
+    }
+  }
+  return workload.phases.size() - 1;
+}
 
 class SprintMechanism {
  public:
@@ -49,10 +66,18 @@ class SprintMechanism {
   // Speedup (sustained time / sprinted time) if the whole execution sprints.
   virtual double MarginalSpeedup(const WorkloadSpec& workload) const = 0;
 
-  // Speedup at execution progress tau in [0,1) while sprinting. Integrates
-  // (harmonically) to MarginalSpeedup over a full run.
-  virtual double InstantSpeedup(const WorkloadSpec& workload,
-                                double tau) const = 0;
+  // Speedup while sprinting through each phase of `workload`, in phase
+  // order (instantaneous speedup is constant within a phase). Weighted by
+  // the phases' work fractions, they integrate (harmonically) to
+  // MarginalSpeedup. Computed afresh on every call.
+  virtual std::vector<double> PhaseSpeedups(
+      const WorkloadSpec& workload) const = 0;
+
+  // Speedup at execution progress tau in [0,1) while sprinting: the speedup
+  // of the phase that holds tau. Builds the whole table per call.
+  double InstantSpeedup(const WorkloadSpec& workload, double tau) const {
+    return PhaseSpeedups(workload)[PhaseIndexAt(workload, tau)];
+  }
 
   // One-time latency (seconds) to engage the sprint (e.g. Pupil searching
   // DVFS settings, thread migration for core scaling). Paid by the query
@@ -84,8 +109,8 @@ class DvfsMechanism final : public SprintMechanism {
   std::string Describe() const override;
   double SustainedServiceMultiplier(const WorkloadSpec&) const override;
   double MarginalSpeedup(const WorkloadSpec& workload) const override;
-  double InstantSpeedup(const WorkloadSpec& workload,
-                        double tau) const override;
+  std::vector<double> PhaseSpeedups(
+      const WorkloadSpec& workload) const override;
   double ToggleLatencySeconds() const override { return 3.0; }
 };
 
@@ -99,8 +124,8 @@ class CoreScaleMechanism final : public SprintMechanism {
   std::string Describe() const override;
   double SustainedServiceMultiplier(const WorkloadSpec&) const override;
   double MarginalSpeedup(const WorkloadSpec& workload) const override;
-  double InstantSpeedup(const WorkloadSpec& workload,
-                        double tau) const override;
+  std::vector<double> PhaseSpeedups(
+      const WorkloadSpec& workload) const override;
   double ToggleLatencySeconds() const override { return 0.8; }
 };
 
@@ -113,8 +138,8 @@ class Ec2DvfsMechanism final : public SprintMechanism {
   std::string Describe() const override;
   double SustainedServiceMultiplier(const WorkloadSpec&) const override;
   double MarginalSpeedup(const WorkloadSpec& workload) const override;
-  double InstantSpeedup(const WorkloadSpec& workload,
-                        double tau) const override;
+  std::vector<double> PhaseSpeedups(
+      const WorkloadSpec& workload) const override;
   double ToggleLatencySeconds() const override { return 0.10; }
 };
 
@@ -131,8 +156,8 @@ class CpuThrottleMechanism final : public SprintMechanism {
   std::string Describe() const override;
   double SustainedServiceMultiplier(const WorkloadSpec&) const override;
   double MarginalSpeedup(const WorkloadSpec& workload) const override;
-  double InstantSpeedup(const WorkloadSpec& workload,
-                        double tau) const override;
+  std::vector<double> PhaseSpeedups(
+      const WorkloadSpec& workload) const override;
   double ToggleLatencySeconds() const override { return 0.01; }
 
   double throttle_fraction() const { return throttle_fraction_; }

@@ -6,6 +6,8 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "src/core/event_queue.h"
 #include "src/core/run_arena.h"
@@ -42,35 +44,25 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 // it samples the workload and read again at every dispatch and sprint.
 // Everything here is a pure function of (config, workload id) — the spec,
 // the mix-inflated mean service time, the lognormal jitter shape (whose
-// construction runs log/exp) and the whole-phase speedups below — so
-// caching is bit-exact: same inputs, same values, and no RNG draws move.
+// construction runs log/exp) and the mechanism's phase speedups — so
+// holding them is bit-exact: same inputs, same values, and no RNG draws
+// move.
 struct WorkloadConstants {
   const WorkloadSpec* spec = nullptr;
   double mean_service = 0.0;
   std::optional<LognormalDistribution> jitter;
-  // Entry p: the speedup of phase p sprinted from its start (see
-  // SprintedRemaining).
-  std::vector<double> whole_phase_speedup;
+  // Entry p: the speedup while sprinting in phase p
+  // (SprintMechanism::PhaseSpeedups).
+  std::vector<double> phase_speedup;
 };
 
-// The mechanism's speedup over the stretch [begin, end) of one phase.
-// Instantaneous speedup is constant within a phase; query the curve at the
-// stretch's midpoint.
-double MidpointSpeedup(const WorkloadSpec& spec,
-                       const SprintMechanism& mechanism, double begin,
-                       double end) {
-  return mechanism.InstantSpeedup(spec, std::min(0.5 * (begin + end), 0.999));
-}
-
-// Testbed::SprintedRemainingSeconds. A phase that starts at or after
-// `progress` is sprinted whole, so its midpoint does not depend on the
-// query: when `whole_phase_speedup` is given, it supplies those speedups
-// and only the phase containing `progress` asks the mechanism. Every term
-// keeps its operands and the sum its order.
+// Testbed::SprintedRemainingSeconds over a phase table. Instantaneous
+// speedup is constant within a phase, so each remaining stretch
+// [begin, phase_end) runs at the speedup of the phase that holds its
+// midpoint, clamped to 0.999 and found by PhaseIndexAt's accumulation.
 double SprintedRemaining(const WorkloadSpec& spec,
-                         const SprintMechanism& mechanism,
-                         const double* whole_phase_speedup, double progress,
-                         double sustained_total) {
+                         const std::vector<double>& phase_speedup,
+                         double progress, double sustained_total) {
   progress = std::clamp(progress, 0.0, 1.0);
   double remaining = 0.0;
   double phase_start = 0.0;
@@ -79,39 +71,170 @@ double SprintedRemaining(const WorkloadSpec& spec,
     if (phase_end > progress) {
       const double begin = std::max(phase_start, progress);
       const double work = phase_end - begin;  // fraction of total work
-      const double speedup =
-          whole_phase_speedup != nullptr && phase_start >= progress
-              ? whole_phase_speedup[p]
-              : MidpointSpeedup(spec, mechanism, begin, phase_end);
-      remaining += work * sustained_total / speedup;
+      const double midpoint = std::min(0.5 * (begin + phase_end), 0.999);
+      remaining += work * sustained_total /
+                   phase_speedup[PhaseIndexAt(spec, midpoint)];
     }
     phase_start = phase_end;
   }
   return remaining;
 }
 
+// What Testbed::Run reports, fed every post-warmup attempt in index order:
+// the trace's records and aggregates and, when `latency` points at a
+// registry's run-local histograms, the response, queueing and processing
+// times. The slice covers every attempt spawned at or after the first
+// post-warmup original, shed and abandoned attempts and every retry
+// (retries always append past index n) included.
+class TraceReport {
+ public:
+  TraceReport(size_t n, size_t first, LogHistogram* latency)
+      : n_(n), first_(first), latency_(latency), request_good_(n - first) {}
+
+  // Room for the `attempts` records to come, reserved once: the recursion
+  // feeds the n - first originals, the event loop every attempt its run
+  // spawned.
+  void Reserve(size_t attempts) { trace_.queries.reserve(attempts); }
+
+  void Add(const Query& q) {
+    trace_.queries.push_back(q);
+    if (q.attempt > 1) {
+      ++trace_.retry_count;
+    }
+    if (q.shed) {
+      ++trace_.shed_count;
+      return;  // never served: no response-time sample exists
+    }
+    if (q.abandoned) {
+      ++trace_.abandoned_count;
+    } else {
+      ++trace_.served_count;
+      if (q.request_id >= first_ && q.request_id < n_) {
+        request_good_[q.request_id - first_] = 1;
+      }
+    }
+    rt_.Add(q.ResponseTime());
+    qd_.Add(q.QueueingDelay());
+    pt_.Add(q.ProcessingTime());
+    if (latency_ != nullptr) {
+      latency_[0].Record(q.ResponseTime());
+      latency_[1].Record(q.QueueingDelay());
+      latency_[2].Record(q.ProcessingTime());
+    }
+    if (q.sprinted) {
+      ++sprinted_;
+      trace_.total_sprint_seconds += q.sprint_seconds;
+    } else {
+      upt_.Add(q.ProcessingTime());
+    }
+    if (q.timed_out) {
+      ++timed_out_;
+    }
+    trace_.makespan = std::max(trace_.makespan, q.depart);
+  }
+
+  RunTrace Finish() {
+    // Which post-warmup logical requests had a client-successful attempt.
+    for (const uint8_t good : request_good_) {
+      ++(good ? trace_.goodput_count : trace_.badput_count);
+    }
+    trace_.goodput_per_second =
+        trace_.makespan > 0.0
+            ? static_cast<double>(trace_.goodput_count) / trace_.makespan
+            : 0.0;
+    const double count = static_cast<double>(rt_.count());
+    trace_.mean_response_time = rt_.mean();
+    trace_.mean_queueing_delay = qd_.mean();
+    trace_.mean_processing_time = pt_.mean();
+    trace_.mean_unsprinted_processing_time =
+        upt_.count() > 0 ? upt_.mean() : pt_.mean();
+    trace_.fraction_sprinted = count > 0 ? sprinted_ / count : 0.0;
+    trace_.fraction_timed_out = count > 0 ? timed_out_ / count : 0.0;
+    return std::move(trace_);
+  }
+
+  size_t sprinted() const { return sprinted_; }
+  size_t timed_out() const { return timed_out_; }
+
+ private:
+  const size_t n_;
+  const size_t first_;
+  LogHistogram* const latency_;
+  RunTrace trace_;
+  StreamingStats rt_, qd_, pt_, upt_;
+  size_t sprinted_ = 0;
+  size_t timed_out_ = 0;
+  std::vector<uint8_t> request_good_;
+};
+
+// What Testbed::Summarize reports, fed like TraceReport: the response
+// times of the attempts that were not shed, their mean by
+// StreamingStats::Add's Welford step in the same order (so it keeps the
+// trace's bits), the sprinted and timed-out counts and the makespan. It
+// reads none of TraceReport's inputs: Summarize runs without a registry,
+// so there is no latency to record.
+class SummaryReport {
+ public:
+  SummaryReport(size_t /*n*/, size_t /*first*/, LogHistogram* /*latency*/) {}
+
+  void Reserve(size_t attempts) { responses_.reserve(attempts); }
+
+  void Add(const Query& q) {
+    if (q.shed) {
+      return;
+    }
+    responses_.push_back(q.ResponseTime());
+    mean_ += (responses_.back() - mean_) /
+             static_cast<double>(responses_.size());
+    sprinted_ += q.sprinted;
+    timed_out_ += q.timed_out;
+    makespan_ = std::max(makespan_, q.depart);
+  }
+
+  RunSummary Finish() {
+    const double count = static_cast<double>(responses_.size());
+    RunSummary summary;
+    summary.mean_response_time = mean_;
+    summary.fraction_sprinted = count > 0 ? sprinted_ / count : 0.0;
+    summary.fraction_timed_out = count > 0 ? timed_out_ / count : 0.0;
+    summary.makespan = makespan_;
+    if (!responses_.empty()) {
+      summary.median_response_time = Median(std::move(responses_));
+    }
+    return summary;
+  }
+
+ private:
+  std::vector<double> responses_;
+  double mean_ = 0.0;
+  size_t sprinted_ = 0;
+  size_t timed_out_ = 0;
+  double makespan_ = 0.0;
+};
+
 }  // namespace
 
 std::vector<double> RunTrace::ResponseTimes() const {
   std::vector<double> out;
-  out.reserve(queries.size());
+  out.reserve(queries.size() - shed_count);
   for (const auto& q : queries) {
-    out.push_back(q.ResponseTime());
+    if (!q.shed) {
+      out.push_back(q.ResponseTime());
+    }
   }
   return out;
 }
-
-double RunTrace::MedianResponseTime() const { return Median(ResponseTimes()); }
 
 double RunTrace::PercentileResponseTime(double q) const {
   if (std::isnan(q)) {
     throw std::invalid_argument(
         "PercentileResponseTime: quantile fraction must not be NaN");
   }
-  if (queries.empty()) {
+  std::vector<double> times = ResponseTimes();
+  if (times.empty()) {
     return 0.0;
   }
-  return Quantile(ResponseTimes(), std::clamp(q, 0.0, 1.0));
+  return Quantile(std::move(times), std::clamp(q, 0.0, 1.0));
 }
 
 double Testbed::SustainedRatePerSecond(const QueryMix& mix,
@@ -134,16 +257,19 @@ double Testbed::SprintedRemainingSeconds(const WorkloadSpec& spec,
                                          const SprintMechanism& mechanism,
                                          double progress,
                                          double sustained_total) {
-  return SprintedRemaining(spec, mechanism, nullptr, progress,
+  return SprintedRemaining(spec, mechanism.PhaseSpeedups(spec), progress,
                            sustained_total);
 }
 
 namespace {
 
-// One run recording into `sinks`. `allow_one_slot` is false only when the
-// one-slot recursion hands a run over to the event loop.
-RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
-                 bool allow_one_slot) {
+// One run recording into `sinks`, reported through a TraceReport (Run) or
+// a SummaryReport (Summarize, which attaches no registry).
+// `allow_one_slot` is false only when the one-slot recursion hands a run
+// over to the event loop.
+template <typename Report>
+auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
+             bool allow_one_slot) -> decltype(std::declval<Report>().Finish()) {
   if (config.num_queries == 0 || config.slots < 1 ||
       config.utilization <= 0.0) {
     throw std::invalid_argument("invalid TestbedConfig");
@@ -163,8 +289,7 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   auto sprinted_remaining = [&](const WorkloadConstants& workload,
                                 double progress, double sustained_total) {
     double remaining = SprintedRemaining(
-        *workload.spec, *mechanism, workload.whole_phase_speedup.data(),
-        progress, sustained_total);
+        *workload.spec, workload.phase_speedup, progress, sustained_total);
     if (config.sprint_boost != 1.0) {
       const double sustained_remaining =
           (1.0 - std::clamp(progress, 0.0, 1.0)) * sustained_total;
@@ -215,9 +340,10 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
 
   // The attempt records and the arena block below outlive the run: the
   // next run on this thread reuses them, so back-to-back runs stay on
-  // pages already faulted in (DESIGN.md §12). Both are reset before use.
+  // pages already faulted in (DESIGN.md §12). The generation loop resets
+  // each record as it writes it; the arena resets its arrays.
   thread_local std::vector<Query> queries;
-  queries.assign(n, Query());
+  queries.clear();
   queries.reserve(capacity);
   // Built lazily per sampled workload; indexed by WorkloadId value.
   std::array<WorkloadConstants, 16> workloads;
@@ -226,7 +352,7 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     const bool crowds = !fault_plan.flash_crowd_windows().empty();
     double t = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      Query& q = queries[i];
+      Query& q = queries.emplace_back();
       q.id = i;
       q.request_id = i;
       q.workload = config.mix.SampleWorkload(rng);
@@ -242,13 +368,7 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
             mechanism->SustainedServiceMultiplier(*cached.spec);
         cached.jitter.emplace(cached.mean_service,
                               std::max(0.05, cached.spec->service_cov));
-        double phase_start = 0.0;
-        for (const PhaseSpec& phase : cached.spec->phases) {
-          const double phase_end = phase_start + phase.work_fraction;
-          cached.whole_phase_speedup.push_back(MidpointSpeedup(
-              *cached.spec, *mechanism, phase_start, phase_end));
-          phase_start = phase_end;
-        }
+        cached.phase_speedup = mechanism->PhaseSpeedups(*cached.spec);
       }
       q.service_time =
           std::max(1e-6, cached.jitter->Sample(rng)) *
@@ -264,11 +384,16 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   // run. The event loop is serial and `now` is simulated time, so
   // emitting flight-recorder events here preserves the determinism
   // contract.
-  obs::MetricsRegistry* metrics = obs::ActiveMetrics();
+  obs::MetricsRegistry* const metrics =
+      std::is_same_v<Report, TraceReport> ? obs::ActiveMetrics() : nullptr;
   std::optional<std::array<LogHistogram, 4>> histograms;
   if (metrics != nullptr) {
     histograms.emplace();
   }
+  // Fed every post-warmup attempt in index order: by the recursion as each
+  // completes, by the event loop after it ends.
+  const size_t first = std::min(config.warmup_queries, n);
+  Report report(n, first, histograms ? &(*histograms)[1] : nullptr);
   uint64_t lockout_denials = 0;
   // Streaming SLO pipeline, fed at the same serial points as the flight
   // recorder. One cached pointer: the idle cost is a null check per site.
@@ -558,6 +683,7 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     // order the loop calls them (DESIGN.md §12). The queue length at
     // dispatch is the number of later arrivals strictly before the
     // dispatch instant, counted by a pointer that only moves forward.
+    report.Reserve(n - first);
     double depart = -std::numeric_limits<double>::infinity();
     size_t later = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -570,8 +696,9 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
       if (later < n && queries[later].arrival == now) {
         // Whether an arrival at the dispatch instant is already queued
         // depends on the event queue's push order. Nothing has been
-        // recorded yet, so the event loop replays the run.
-        return RunOnce(config, sinks, /*allow_one_slot=*/false);
+        // recorded yet, so the event loop replays the run, into a fresh
+        // report: this one's partial tallies are dropped.
+        return RunOnce<Report>(config, sinks, /*allow_one_slot=*/false);
       }
       const double timeout_at = dispatch(i, now, later - i - 1);
       if (timeout_at != kNever) {
@@ -579,6 +706,9 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
       }
       depart = queries[i].depart;
       complete(i, depart);
+      if (i >= first) {
+        report.Add(queries[i]);
+      }
     }
   } else {
     events.Push(queries[0].arrival,
@@ -706,114 +836,52 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     }
   }
 
-  // Aggregate post-warmup. The slice covers every attempt spawned at or
-  // after the first post-warmup original — including shed and abandoned
-  // attempts and every retry (retries always append past index n).
-  RunTrace trace;
-  const size_t first = std::min(config.warmup_queries, n);
-  trace.queries.assign(queries.begin() + static_cast<long>(first),
-                       queries.end());
-  StreamingStats rt, qd, pt, upt;
-  size_t sprinted = 0;
-  size_t timed_out = 0;
-  size_t completed = 0;
-  // Which post-warmup logical requests had a client-successful attempt.
-  std::vector<uint8_t> request_good(n >= first ? n - first : 0, 0);
-  for (const auto& q : trace.queries) {
-    if (q.shed) {
-      ++trace.shed_count;
-      if (q.attempt > 1) {
-        ++trace.retry_count;
-      }
-      continue;  // never served: no response-time sample exists
-    }
-    if (q.attempt > 1) {
-      ++trace.retry_count;
-    }
-    if (q.abandoned) {
-      ++trace.abandoned_count;
-    } else {
-      ++trace.served_count;
-      if (q.request_id >= first && q.request_id < n) {
-        request_good[q.request_id - first] = 1;
-      }
-    }
-    ++completed;
-    rt.Add(q.ResponseTime());
-    qd.Add(q.QueueingDelay());
-    pt.Add(q.ProcessingTime());
-    if (histograms) {
-      (*histograms)[1].Record(q.ResponseTime());
-      (*histograms)[2].Record(q.QueueingDelay());
-      (*histograms)[3].Record(q.ProcessingTime());
-    }
-    if (q.sprinted) {
-      ++sprinted;
-      trace.total_sprint_seconds += q.sprint_seconds;
-    } else {
-      upt.Add(q.ProcessingTime());
-    }
-    if (q.timed_out) {
-      ++timed_out;
-    }
-    trace.makespan = std::max(trace.makespan, q.depart);
-  }
-  for (const uint8_t good : request_good) {
-    if (good) {
-      ++trace.goodput_count;
-    } else {
-      ++trace.badput_count;
+  if (!one_slot) {
+    report.Reserve(queries.size() - first);
+    for (size_t qi = first; qi < queries.size(); ++qi) {
+      report.Add(queries[qi]);
     }
   }
-  trace.goodput_per_second =
-      trace.makespan > 0.0
-          ? static_cast<double>(trace.goodput_count) / trace.makespan
-          : 0.0;
+  auto result = report.Finish();
   if (slo != nullptr) {
-    slo->Finish(trace.makespan);
+    slo->Finish(result.makespan);
   }
-  if (metrics != nullptr) {
-    const char* const names[] = {
-        "testbed/queue_depth_at_dispatch", "testbed/response_time_seconds",
-        "testbed/queueing_delay_seconds", "testbed/processing_time_seconds"};
-    for (size_t i = 0; i < histograms->size(); ++i) {
-      metrics->GetHistogram(names[i]).RecordAll((*histograms)[i]);
+  if constexpr (std::is_same_v<Report, TraceReport>) {
+    if (metrics != nullptr) {
+      const char* const names[] = {
+          "testbed/queue_depth_at_dispatch", "testbed/response_time_seconds",
+          "testbed/queueing_delay_seconds", "testbed/processing_time_seconds"};
+      for (size_t i = 0; i < histograms->size(); ++i) {
+        metrics->GetHistogram(names[i]).RecordAll((*histograms)[i]);
+      }
+      // Counted only when nonzero, so each counter appears in an export
+      // exactly when some run counted it.
+      if (budget.overdraw_count() > 0) {
+        metrics->GetCounter("sprint/budget_overdraw")
+            .Add(budget.overdraw_count());
+      }
+      if (lockout_denials > 0) {
+        metrics->GetCounter("fault/breaker_lockout_denials")
+            .Add(lockout_denials);
+      }
+      metrics->GetCounter("testbed/runs").Increment();
+      metrics->GetCounter("testbed/queries").Add(result.queries.size());
+      metrics->GetCounter("testbed/sprinted").Add(report.sprinted());
+      metrics->GetCounter("testbed/timed_out").Add(report.timed_out());
+      if (config.admission.Enabled() || config.retry.enabled) {
+        metrics->GetCounter("robust/shed").Add(result.shed_count);
+        metrics->GetCounter("robust/abandoned").Add(result.abandoned_count);
+        metrics->GetCounter("robust/retries").Add(result.retry_count);
+        metrics->GetCounter("robust/goodput").Add(result.goodput_count);
+        metrics->GetCounter("robust/badput").Add(result.badput_count);
+        metrics->GetCounter("robust/retries_exhausted")
+            .Add(retry.retries_exhausted());
+        metrics->GetCounter("robust/retries_throttled")
+            .Add(retry.retries_throttled());
+      }
     }
-    // Counted only when nonzero, so each counter appears in an export
-    // exactly when some run counted it.
-    if (budget.overdraw_count() > 0) {
-      metrics->GetCounter("sprint/budget_overdraw")
-          .Add(budget.overdraw_count());
-    }
-    if (lockout_denials > 0) {
-      metrics->GetCounter("fault/breaker_lockout_denials")
-          .Add(lockout_denials);
-    }
-    metrics->GetCounter("testbed/runs").Increment();
-    metrics->GetCounter("testbed/queries").Add(trace.queries.size());
-    metrics->GetCounter("testbed/sprinted").Add(sprinted);
-    metrics->GetCounter("testbed/timed_out").Add(timed_out);
-    if (config.admission.Enabled() || config.retry.enabled) {
-      metrics->GetCounter("robust/shed").Add(trace.shed_count);
-      metrics->GetCounter("robust/abandoned").Add(trace.abandoned_count);
-      metrics->GetCounter("robust/retries").Add(trace.retry_count);
-      metrics->GetCounter("robust/goodput").Add(trace.goodput_count);
-      metrics->GetCounter("robust/badput").Add(trace.badput_count);
-      metrics->GetCounter("robust/retries_exhausted")
-          .Add(retry.retries_exhausted());
-      metrics->GetCounter("robust/retries_throttled")
-          .Add(retry.retries_throttled());
-    }
+    result.fault_trace = injector.TakeTrace();
   }
-  const double count = static_cast<double>(completed);
-  trace.mean_response_time = rt.mean();
-  trace.mean_queueing_delay = qd.mean();
-  trace.mean_processing_time = pt.mean();
-  trace.mean_unsprinted_processing_time =
-      upt.count() > 0 ? upt.mean() : pt.mean();
-  trace.fraction_sprinted = count > 0 ? sprinted / count : 0.0;
-  trace.fraction_timed_out = count > 0 ? timed_out / count : 0.0;
-  trace.fault_trace = injector.TakeTrace();
 
   // Span sweep: when a collector is attached, decompose every post-warmup
   // query (the same slice as trace.queries, in id order) into exact causal
@@ -863,19 +931,36 @@ RunTrace RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     }
     sinks.spans->RecordBatch(obs::BuildQuerySpanBatch(inputs));
   }
-  return trace;
+  return result;
+}
+
+// The config's sinks when set, else the session's; every SLO hook, the
+// one-slot gate and the span sweep read this one value.
+obs::Sinks RunSinks(const TestbedConfig& config) {
+  return config.sinks != nullptr
+             ? *config.sinks
+             : obs::Sinks{obs::ActiveSpans(), obs::ActiveSlo()};
 }
 
 }  // namespace
 
 RunTrace Testbed::Run(const TestbedConfig& config) {
-  // The config's sinks when set, else the session's; every SLO hook, the
-  // one-slot gate and the span sweep read this one value.
-  const obs::Sinks sinks =
-      config.sinks != nullptr
-          ? *config.sinks
-          : obs::Sinks{obs::ActiveSpans(), obs::ActiveSlo()};
-  return RunOnce(config, sinks, /*allow_one_slot=*/true);
+  return RunOnce<TraceReport>(config, RunSinks(config),
+                              /*allow_one_slot=*/true);
+}
+
+RunSummary Testbed::Summarize(const TestbedConfig& config) {
+  // A registry reads the trace's tallies (the latency histograms and the
+  // overload counts), so a run it observes builds the trace and reads the
+  // summary off it; the two give the same bits.
+  if (obs::ActiveMetrics() != nullptr) {
+    const RunTrace trace = Run(config);
+    return {trace.mean_response_time, trace.PercentileResponseTime(0.5),
+            trace.fraction_sprinted, trace.fraction_timed_out,
+            trace.makespan};
+  }
+  return RunOnce<SummaryReport>(config, RunSinks(config),
+                                /*allow_one_slot=*/true);
 }
 
 }  // namespace msprint

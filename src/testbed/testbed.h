@@ -10,7 +10,8 @@
 // predictive simulator does NOT (Section 2.3's "unaccounted runtime
 // factors"):
 //   1. where in the query's execution the sprint begins — speedup follows
-//      the workload's phase profile via SprintMechanism::InstantSpeedup;
+//      the workload's phase profile (SprintMechanism::PhaseSpeedups, one
+//      table per run and workload);
 //   2. queueing delay caused by toggling the sprinting mechanism — a
 //      toggle latency is charged when a sprint engages mid-flight;
 //   3. load-dependent overhead — dispatch costs grow mildly with queue
@@ -26,7 +27,8 @@
 // --workload` runs and `whatif --workload` runs without objectives;
 // storms, admission, retries, faults, run-time telemetry and more than one
 // slot take the event loop. Both paths produce the same bits (DESIGN.md
-// §12).
+// §12). Either feeds one per-query report in index order: Run's builds the
+// whole RunTrace, Summarize's only what a profile row reads.
 
 #ifndef MSPRINT_SRC_TESTBED_TESTBED_H_
 #define MSPRINT_SRC_TESTBED_TESTBED_H_
@@ -108,8 +110,9 @@ struct TestbedConfig {
   const obs::Sinks* sinks = nullptr;
 };
 
-// Everything the profiler captures about one run (Section 2.1: "response
-// time, service time and queuing delay for each query execution").
+// Everything a run captures (Section 2.1: "response time, service time and
+// queuing delay for each query execution"). A profile's grid rows read
+// only its RunSummary.
 struct RunTrace {
   std::vector<Query> queries;  // post-warmup
 
@@ -142,12 +145,26 @@ struct RunTrace {
   // order. Empty when TestbedConfig::faults injects nothing.
   FaultTrace fault_trace;
 
+  // Response times of the attempts that were not shed, in `queries`
+  // order: the sample mean_response_time averages. A shed attempt never
+  // ran, so it has none.
   std::vector<double> ResponseTimes() const;
-  double MedianResponseTime() const;
-  // Response-time quantile. q is clamped to [0, 1] (so q=0 is the minimum
-  // and q=1 the maximum); a NaN q throws std::invalid_argument; an empty
-  // trace returns 0.0.
+  // Quantile of ResponseTimes(). q is clamped to [0, 1] (so q=0 is the
+  // minimum and q=1 the maximum); a NaN q throws std::invalid_argument; a
+  // trace with no such attempt returns 0.0.
   double PercentileResponseTime(double q) const;
+};
+
+// What a profile row reads of one run (Section 2.1, Figure 3), over the
+// same post-warmup attempts as RunTrace and with the same bits as its
+// fields: mean_response_time, PercentileResponseTime(0.5),
+// fraction_sprinted, fraction_timed_out and makespan.
+struct RunSummary {
+  double mean_response_time = 0.0;
+  double median_response_time = 0.0;
+  double fraction_sprinted = 0.0;
+  double fraction_timed_out = 0.0;
+  double makespan = 0.0;
 };
 
 // The ground-truth server. Stateless between runs; each Run() is an
@@ -157,6 +174,10 @@ class Testbed {
   // Executes one run and returns the captured trace.
   static RunTrace Run(const TestbedConfig& config);
 
+  // Executes the same run as Run, recording into the same sinks, and
+  // returns only its summary: no per-query records are copied out.
+  static RunSummary Summarize(const TestbedConfig& config);
+
   // Sustained service rate (queries/second) of `mix` on the platform that
   // `policy` selects — the normalization base for utilization and budget.
   static double SustainedRatePerSecond(const QueryMix& mix,
@@ -164,9 +185,11 @@ class Testbed {
 
   // Remaining wall-clock time to finish a query that has completed
   // `progress` (fraction of work, in [0,1)) when sprinting starts now and
-  // runs to completion. Integrates the mechanism's instantaneous speedup
-  // across the remaining phases. `sustained_total` is the query's full
-  // duration at the sustained rate. Exposed for unit tests.
+  // runs to completion. Sums the remaining stretch of each phase at the
+  // speedup of the phase holding the stretch's midpoint (clamped to
+  // 0.999). `sustained_total` is the query's full duration at the
+  // sustained rate. Builds the mechanism's phase table and runs the code a
+  // run does; exposed for unit tests.
   static double SprintedRemainingSeconds(const WorkloadSpec& spec,
                                          const SprintMechanism& mechanism,
                                          double progress,

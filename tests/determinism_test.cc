@@ -1460,6 +1460,63 @@ TEST(DeterminismTest, TestbedStorageReuseLeavesNoTrace) {
   EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
 }
 
+// Testbed::Summarize runs Run's engine and records into the same sinks.
+// With a registry, a flight recorder and a span collector attached, and
+// with the recorder and collector alone (which keeps the summary's own
+// report on the event loop), it must leave Run's exports and report Run's
+// summary: on a profile-shaped one-slot run and on a storm side that
+// sheds, retries and faults.
+TEST(DeterminismTest, TestbedSummarizeLeavesRunsExports) {
+  TestbedConfig profile_run;
+  profile_run.policy.timeout_seconds = 60.0;
+  profile_run.policy.budget_fraction = 0.4;
+  profile_run.utilization = 0.75;
+  profile_run.num_queries = 1500;
+  profile_run.warmup_queries = 150;
+  profile_run.seed = 23;
+  const TestbedConfig storm =
+      robust::MakeStormTestbedConfig(robust::StormConfig{},
+                                     /*hardened=*/true);
+  for (const TestbedConfig& config : {profile_run, storm}) {
+    for (const bool with_registry : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "retry " << config.retry.enabled << ", registry "
+                   << with_registry);
+      // One call under a fresh session, then every export it left.
+      auto exports_of = [&](const auto& call) {
+        obs::MetricsRegistry metrics;
+        obs::FlightRecorder recorder;
+        obs::SpanCollector spans;
+        {
+          obs::ObsSession session(with_registry ? &metrics : nullptr,
+                                  &recorder, &spans);
+          call();
+        }
+        return metrics.Snapshot().ToText() + recorder.FormatTail() +
+               obs::FormatAttribution(obs::Attribute(
+                   spans.TakeSpans(), obs::AttributionOptions{}));
+      };
+      RunTrace trace;
+      RunSummary summary;
+      const std::string run =
+          exports_of([&] { trace = Testbed::Run(config); });
+      EXPECT_EQ(exports_of([&] { summary = Testbed::Summarize(config); }),
+                run);
+      EXPECT_NE(run.find("testbed"), std::string::npos);
+      auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+      EXPECT_EQ(bits(summary.mean_response_time),
+                bits(trace.mean_response_time));
+      EXPECT_EQ(bits(summary.median_response_time),
+                bits(trace.PercentileResponseTime(0.5)));
+      EXPECT_EQ(bits(summary.fraction_sprinted),
+                bits(trace.fraction_sprinted));
+      EXPECT_EQ(bits(summary.fraction_timed_out),
+                bits(trace.fraction_timed_out));
+      EXPECT_EQ(bits(summary.makespan), bits(trace.makespan));
+    }
+  }
+}
+
 // ------------------------------------------------- testbed-runs golden
 //
 // Pins one-slot testbed runs, the profiler's regime, across versions of
@@ -1564,7 +1621,7 @@ std::string TestbedRunsGoldenExport() {
     config.sinks = &sinks;
     const RunTrace trace = Testbed::Run(config);
     out += "== " + name + "\n" + FormatRunAggregates(trace);
-    out += "median " + GoldenDouble(trace.MedianResponseTime()) + "\n";
+    out += "median " + GoldenDouble(trace.PercentileResponseTime(0.5)) + "\n";
     out += "p99 " + GoldenDouble(trace.PercentileResponseTime(0.99)) + "\n";
     out += "max_queued_at_dispatch " +
            std::to_string(MaxQueuedAtDispatch(trace)) + "\n";

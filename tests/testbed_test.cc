@@ -7,11 +7,13 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "src/obs/obs.h"
 #include "src/obs/span.h"
+#include "src/robust/storm.h"
 #include "src/testbed/testbed.h"
 #include "tests/sim_compare.h"
 
@@ -230,6 +232,30 @@ TEST(TestbedTest, PercentileResponseTimeHasDefinedEdgeBehavior) {
                std::invalid_argument);
 }
 
+// A shed attempt never ran, so it has no response time. The hardened side
+// of `msprint whatif --storm bench/storms/default.storm --queries 800`
+// (the file spells out StormConfig's defaults) sheds about two in five of
+// its post-warmup attempts; its quantiles cover the others, the sample
+// mean_response_time averages.
+TEST(TestbedTest, QuantilesSkipShedAttempts) {
+  robust::StormConfig storm;
+  storm.queries = 800;
+  const RunTrace trace =
+      Testbed::Run(robust::MakeStormTestbedConfig(storm, /*hardened=*/true));
+  ASSERT_GT(trace.shed_count, 0u);
+  const std::vector<double> times = trace.ResponseTimes();
+  EXPECT_EQ(times.size(), trace.queries.size() - trace.shed_count);
+  StreamingStats mean;
+  for (const double t : times) {
+    EXPECT_GE(t, 0.0);
+    mean.Add(t);
+  }
+  EXPECT_EQ(Bits(mean.mean()), Bits(trace.mean_response_time));
+  EXPECT_EQ(Bits(trace.PercentileResponseTime(0.5)), Bits(Median(times)));
+  EXPECT_EQ(Bits(trace.PercentileResponseTime(0.0)),
+            Bits(*std::min_element(times.begin(), times.end())));
+}
+
 TEST(TestbedTest, CoreScalePlatformSlowerSustainedButSprints) {
   TestbedConfig config = BaseConfig(WorkloadId::kJacobi);
   config.policy.mechanism = MechanismId::kCoreScale;
@@ -293,6 +319,41 @@ void ExpectSameRunTrace(const RunTrace& a, const RunTrace& b) {
   EXPECT_EQ(FormatFaultTrace(a.fault_trace), FormatFaultTrace(b.fault_trace));
 }
 
+// Summarize reports what Run's trace holds, bit for bit.
+void ExpectSummaryOfTrace(const RunSummary& summary, const RunTrace& trace) {
+  EXPECT_EQ(Bits(summary.mean_response_time), Bits(trace.mean_response_time));
+  EXPECT_EQ(Bits(summary.median_response_time),
+            Bits(trace.PercentileResponseTime(0.5)));
+  EXPECT_EQ(Bits(summary.fraction_sprinted), Bits(trace.fraction_sprinted));
+  EXPECT_EQ(Bits(summary.fraction_timed_out), Bits(trace.fraction_timed_out));
+  EXPECT_EQ(Bits(summary.makespan), Bits(trace.makespan));
+}
+
+// Runs `recursion` and `loop` (the same run forced through the event loop)
+// through Run and then Summarize, each into its own span sink: the traces,
+// both summaries and all four span sets must agree bit for bit. Returns
+// the event loop's trace.
+RunTrace ExpectEnginesAgree(TestbedConfig recursion, TestbedConfig loop) {
+  obs::SpanCollector recursion_spans;
+  obs::SpanCollector loop_spans;
+  const obs::Sinks recursion_sinks{&recursion_spans, nullptr};
+  const obs::Sinks loop_sinks{&loop_spans, nullptr};
+  recursion.sinks = &recursion_sinks;
+  loop.sinks = &loop_sinks;
+
+  const RunTrace a = Testbed::Run(recursion);
+  RunTrace b = Testbed::Run(loop);
+  ExpectSameRunTrace(a, b);
+  const std::vector<obs::QuerySpan> spans = recursion_spans.TakeSpans();
+  ExpectSameSpans(spans, loop_spans.TakeSpans());
+
+  ExpectSummaryOfTrace(Testbed::Summarize(recursion), a);
+  ExpectSummaryOfTrace(Testbed::Summarize(loop), b);
+  ExpectSameSpans(spans, recursion_spans.TakeSpans());
+  ExpectSameSpans(spans, loop_spans.TakeSpans());
+  return b;
+}
+
 // A random one-slot config: every mechanism, one workload or a two-workload
 // mix, utilization 0.3-1.3, exponential, Pareto or deterministic arrivals,
 // timeouts from immediate to never and budgets from none to unbounded
@@ -352,23 +413,13 @@ TEST(TestbedSingleSlotOracleTest, RecursionMatchesEventLoopBitForBit) {
   size_t long_queues = 0;   // 10 or more: the load factor is capped
   size_t ties = 0;          // a later arrival exactly at a dispatch instant
   for (int k = 0; k < 1000; ++k) {
-    obs::SpanCollector recursion_spans;
-    obs::SpanCollector loop_spans;
-    const obs::Sinks recursion_sinks{&recursion_spans, nullptr};
-    const obs::Sinks loop_sinks{&loop_spans, nullptr};
-    TestbedConfig recursion = RandomOneSlotConfig(rng);
-    recursion.sinks = &recursion_sinks;
+    const TestbedConfig recursion = RandomOneSlotConfig(rng);
     TestbedConfig loop = recursion;
     loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
     loop.admission.queue_cap = loop.num_queries + 1;
-    loop.sinks = &loop_sinks;
-
-    const RunTrace a = Testbed::Run(recursion);
-    const RunTrace b = Testbed::Run(loop);
 
     SCOPED_TRACE(::testing::Message() << "case " << k);
-    ExpectSameRunTrace(a, b);
-    ExpectSameSpans(recursion_spans.TakeSpans(), loop_spans.TakeSpans());
+    const RunTrace b = ExpectEnginesAgree(recursion, loop);
     if (HasFailure()) {
       return;
     }
@@ -411,49 +462,134 @@ TEST(TestbedSingleSlotOracleTest, RecursionMatchesEventLoopBitForBit) {
 // arrival was pushed before the rescheduled departure, so the event loop
 // counts it as queued where "arrivals strictly before" would not.
 TEST(TestbedSingleSlotOracleTest, TieHandsRunToEventLoop) {
-  TestbedConfig recursion;
-  recursion.mix = QueryMix::Single(WorkloadId::kJacobi);
-  recursion.policy.mechanism = MechanismId::kCoreScale;
-  recursion.policy.timeout_seconds = 128.0;
-  recursion.policy.budget_fraction = 1e9;
-  recursion.arrival_kind = DistributionKind::kDeterministic;
-  recursion.toggle_latency_scale = 0.0;
-  recursion.sprint_boost = 10.0;
-  recursion.num_queries = 400;
-  recursion.warmup_queries = 0;
-  // The utilization whose interarrival gap is exactly 64 s.
-  const double rate =
-      Testbed::SustainedRatePerSecond(recursion.mix, recursion.policy);
-  double utilization = 1.0 / (64.0 * rate);
-  for (int k = 0; k < 32; ++k) {
-    utilization = std::nextafter(utilization, 0.0);
-  }
-  for (int k = 0; k < 64 && 1.0 / (utilization * rate) != 64.0; ++k) {
-    utilization = std::nextafter(utilization, 1e9);
-  }
-  ASSERT_EQ(1.0 / (utilization * rate), 64.0);
-  recursion.utilization = utilization;
+  // Jacobi alone answers every query in exactly 128 s, so a summary cannot
+  // tell how many queries it counted; with SparkStream mixed in, a few
+  // finish before their timeout, and a partial report carried across the
+  // hand-over would count the first query twice.
+  for (const QueryMix& mix :
+       {QueryMix::Single(WorkloadId::kJacobi),
+        QueryMix::Uniform({WorkloadId::kJacobi, WorkloadId::kSparkStream},
+                          1.0)}) {
+    TestbedConfig recursion;
+    recursion.mix = mix;
+    recursion.policy.mechanism = MechanismId::kCoreScale;
+    recursion.policy.timeout_seconds = 128.0;
+    recursion.policy.budget_fraction = 1e9;
+    recursion.arrival_kind = DistributionKind::kDeterministic;
+    recursion.toggle_latency_scale = 0.0;
+    recursion.sprint_boost = 10.0;
+    recursion.num_queries = 400;
+    recursion.warmup_queries = 0;
+    // The utilization whose interarrival gap is exactly 64 s.
+    const double rate =
+        Testbed::SustainedRatePerSecond(recursion.mix, recursion.policy);
+    double utilization = 1.0 / (64.0 * rate);
+    for (int k = 0; k < 32; ++k) {
+      utilization = std::nextafter(utilization, 0.0);
+    }
+    for (int k = 0; k < 64 && 1.0 / (utilization * rate) != 64.0; ++k) {
+      utilization = std::nextafter(utilization, 1e9);
+    }
+    ASSERT_EQ(1.0 / (utilization * rate), 64.0);
+    recursion.utilization = utilization;
 
-  obs::SpanCollector recursion_spans;
-  obs::SpanCollector loop_spans;
-  const obs::Sinks recursion_sinks{&recursion_spans, nullptr};
-  const obs::Sinks loop_sinks{&loop_spans, nullptr};
-  recursion.sinks = &recursion_sinks;
-  TestbedConfig loop = recursion;
-  loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
-  loop.admission.queue_cap = loop.num_queries + 1;
-  loop.sinks = &loop_sinks;
-  const RunTrace a = Testbed::Run(recursion);
-  const RunTrace b = Testbed::Run(loop);
-  ExpectSameRunTrace(a, b);
-  ExpectSameSpans(recursion_spans.TakeSpans(), loop_spans.TakeSpans());
+    TestbedConfig loop = recursion;
+    loop.admission.policy = robust::AdmissionPolicy::kQueueCap;
+    loop.admission.queue_cap = loop.num_queries + 1;
+    const RunTrace b = ExpectEnginesAgree(recursion, loop);
 
-  size_t ties = 0;
-  for (size_t i = 0; i + 1 < b.queries.size(); ++i) {
-    ties += b.queries[i + 1].arrival == b.queries[i].start &&
-            b.queries[i].arrival < b.queries[i].start;
+    size_t ties = 0;
+    for (size_t i = 0; i + 1 < b.queries.size(); ++i) {
+      ties += b.queries[i + 1].arrival == b.queries[i].start &&
+              b.queries[i].arrival < b.queries[i].start;
+    }
+    EXPECT_GT(ties, 300u);
   }
-  EXPECT_GT(ties, 300u);
+}
+
+// ------------------------------------------ the phase table's midpoint rule
+//
+// A run holds each workload's phase speedups in one table and reads each
+// remaining stretch of a sprint at the phase that holds the stretch's
+// midpoint, clamped to 0.999. The rule it replaced asked the mechanism at
+// that clamped midpoint, stretch by stretch; it is kept here as the
+// reference, and Testbed::SprintedRemainingSeconds runs a run's code.
+double MidpointRuleRemaining(const WorkloadSpec& spec,
+                             const SprintMechanism& mechanism,
+                             double progress, double sustained_total) {
+  progress = std::clamp(progress, 0.0, 1.0);
+  double remaining = 0.0;
+  double phase_start = 0.0;
+  for (const PhaseSpec& phase : spec.phases) {
+    const double phase_end = phase_start + phase.work_fraction;
+    if (phase_end > progress) {
+      const double begin = std::max(phase_start, progress);
+      remaining += (phase_end - begin) * sustained_total /
+                   mechanism.InstantSpeedup(
+                       spec, std::min(0.5 * (begin + phase_end), 0.999));
+    }
+    phase_start = phase_end;
+  }
+  return remaining;
+}
+
+// `x` and the 64 doubles on either side of it.
+void AppendNeighbours(double x, std::vector<double>* out) {
+  for (int k = 0; k < 64; ++k) {
+    x = std::nextafter(x, -std::numeric_limits<double>::infinity());
+  }
+  for (int k = 0; k <= 128; ++k) {
+    out->push_back(x);
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(TestbedPhaseTableOracleTest, SprintedRemainingMatchesMidpointRule) {
+  // Every catalog workload, plus one whose last phase starts past the
+  // clamp: no catalog workload has a boundary in (0.999, 1), so only this
+  // one tells a clamped midpoint from an unclamped one.
+  std::vector<WorkloadSpec> specs;
+  for (const WorkloadId id : AllWorkloads()) {
+    specs.push_back(WorkloadCatalog::Get().spec(id));
+  }
+  WorkloadSpec late = WorkloadCatalog::Get().spec(WorkloadId::kLeuk);
+  late.phases = {{0.9995, 1.90, 0.90}, {0.0005, 0.25, 0.40}};
+  specs.push_back(late);
+  std::vector<std::unique_ptr<SprintMechanism>> mechanisms;
+  for (const MechanismId id :
+       {MechanismId::kDvfs, MechanismId::kCoreScale, MechanismId::kEc2Dvfs,
+        MechanismId::kCpuThrottle}) {
+    mechanisms.push_back(MakeMechanism(id));
+  }
+
+  constexpr size_t kRandomValues = 1000000;
+  const size_t pairs = mechanisms.size() * specs.size();
+  Rng rng(1907);
+  size_t compared = 0;
+  for (const auto& mechanism : mechanisms) {
+    for (const WorkloadSpec& spec : specs) {
+      std::vector<double> progress = {0.0, 1.0};
+      AppendNeighbours(0.999, &progress);
+      double boundary = 0.0;
+      AppendNeighbours(boundary, &progress);
+      for (const PhaseSpec& phase : spec.phases) {
+        boundary += phase.work_fraction;
+        AppendNeighbours(boundary, &progress);
+      }
+      for (size_t k = 0; k < kRandomValues / pairs; ++k) {
+        progress.push_back(rng.NextDouble());
+      }
+      for (const double p : progress) {
+        ASSERT_EQ(Bits(Testbed::SprintedRemainingSeconds(spec, *mechanism, p,
+                                                         100.0)),
+                  Bits(MidpointRuleRemaining(spec, *mechanism, p, 100.0)))
+            << mechanism->Describe() << " / " << spec.name << " ("
+            << spec.phases.size() << " phases) at progress " << p;
+      }
+      compared += progress.size();
+    }
+  }
+  EXPECT_GE(compared, kRandomValues - pairs);
 }
 
 }  // namespace
