@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the library's hot primitives: the
 // event-driven simulator (per-query cost), the Algorithm 1 tick loop, the
-// ground-truth testbed and a whole profile on it, random-forest
-// fit/predict, ANN prediction, the effective-rate calibration search for a
-// row and for a whole profile, one hybrid prediction and one exploration
+// ground-truth testbed (a run, the summary a profile row takes, the event
+// loop) and a whole profile on it, random-forest fit/predict, ANN
+// prediction, the effective-rate calibration search for a row and for a
+// whole profile, one hybrid prediction and one exploration
 // (the model-query path), and the observability layer's idle and attached
 // overhead (the CI obs job gates BM_ObsIdleHotPath against
 // BM_TestbedRun's per-query cost).
@@ -136,26 +137,8 @@ void BM_TickSimulator(benchmark::State& state) {
 }
 BENCHMARK(BM_TickSimulator)->Arg(200)->Arg(1000);
 
-void BM_TestbedRun(benchmark::State& state) {
-  TestbedConfig config;
-  config.mix = QueryMix::Single(WorkloadId::kJacobi);
-  config.policy.mechanism = MechanismId::kDvfs;
-  config.utilization = 0.8;
-  config.num_queries = static_cast<size_t>(state.range(0));
-  config.warmup_queries = config.num_queries / 10;
-  config.seed = 3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Testbed::Run(config).mean_response_time);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TestbedRun)->Arg(1000)->Arg(10000);
-
-// BM_TestbedRun's config with a queue cap of num_queries + 1, which sheds
-// nothing but routes the run through the event loop: one slot without
-// admission runs as the single-slot recursion, so this keeps the event
-// loop's own number.
-TestbedConfig EventLoopConfig(size_t num_queries) {
+// One slot without admission: the testbed's single-slot recursion.
+TestbedConfig RecursionConfig(size_t num_queries) {
   TestbedConfig config;
   config.mix = QueryMix::Single(WorkloadId::kJacobi);
   config.policy.mechanism = MechanismId::kDvfs;
@@ -163,6 +146,38 @@ TestbedConfig EventLoopConfig(size_t num_queries) {
   config.num_queries = num_queries;
   config.warmup_queries = config.num_queries / 10;
   config.seed = 3;
+  return config;
+}
+
+void BM_TestbedRun(benchmark::State& state) {
+  const TestbedConfig config =
+      RecursionConfig(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Testbed::Run(config).mean_response_time);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TestbedRun)->Arg(1000)->Arg(10000);
+
+// BM_TestbedRun's config through Testbed::Summarize, the path every
+// profile grid run takes: the recursion on the draw columns, with no
+// per-query record built.
+void BM_TestbedSummarize(benchmark::State& state) {
+  const TestbedConfig config =
+      RecursionConfig(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Testbed::Summarize(config).mean_response_time);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TestbedSummarize)->Arg(1000);
+
+// BM_TestbedRun's config with a queue cap of num_queries + 1, which sheds
+// nothing but routes the run through the event loop: one slot without
+// admission runs as the single-slot recursion, so this keeps the event
+// loop's own number.
+TestbedConfig EventLoopConfig(size_t num_queries) {
+  TestbedConfig config = RecursionConfig(num_queries);
   config.admission.policy = robust::AdmissionPolicy::kQueueCap;
   config.admission.queue_cap = config.num_queries + 1;
   return config;

@@ -32,6 +32,7 @@
 
 #include "src/common/distribution.h"
 #include "src/common/stats.h"
+#include "src/core/sim_draws.h"
 #include "src/robust/admission.h"
 #include "src/sprint/budget.h"
 
@@ -154,22 +155,13 @@ struct SimResult {
   double PercentileResponseTime(double q) const;
 };
 
-// A run's random inputs, pre-generated as Algorithm 1 does ("these
-// properties are set before simulation begins"): query i arrives at
-// arrival[i], belongs to class klass[i] and needs service_time[i] seconds
-// at the sustained rate (service_time_scale applied). They depend on the
-// seed, the arrival process or trace, each class's weight and service,
-// service_time_scale and num_queries — never on speedups, timeouts, the
-// budget or slots — so one draw can be replayed under any of those
-// (common random numbers, as calibration's bisection does).
-struct SimDraws {
-  std::vector<double> arrival;
-  std::vector<double> service_time;
-  std::vector<uint32_t> klass;  // empty unless two or more classes
-};
-
-// Draws `config`'s arrival, class and service columns, exactly as
-// SimulateQueue(config) does.
+// Draws `config`'s arrival, class and service columns (SimDraws, in
+// src/core/sim_draws.h), exactly as SimulateQueue(config) does, with
+// service_time_scale applied. They depend on the seed, the arrival process
+// or trace, each class's weight and service, service_time_scale and
+// num_queries — never on speedups, timeouts, the budget or slots — so one
+// draw can be replayed under any of those (common random numbers, as
+// calibration's bisection does).
 SimDraws DrawSimQueries(const SimConfig& config);
 
 // Runs one replication on pre-drawn inputs; bit-identical to

@@ -40,20 +40,71 @@ enum class EventType : uint32_t { kArrival, kDeparture, kTimeout,
 // The timeout instant of a query whose timeout interrupt never fires.
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
-// Per-workload run constants, built by the generation loop the first time
-// it samples the workload and read again at every dispatch and sprint.
-// Everything here is a pure function of (config, workload id) — the spec,
-// the mix-inflated mean service time, the lognormal jitter shape (whose
-// construction runs log/exp) and the mechanism's phase speedups — so
-// holding them is bit-exact: same inputs, same values, and no RNG draws
-// move.
+// WorkloadId values index per-workload tables.
+constexpr size_t kWorkloadIds = 16;
+
+// A workload's mean service time inside the config's mix on the policy's
+// platform: the scale of its service-time draws and the unit of a query's
+// `size`.
+double MeanServiceSeconds(const TestbedConfig& config,
+                          const SprintMechanism& mechanism, WorkloadId id) {
+  return config.mix.MemberMeanServiceSeconds(id) *
+         mechanism.SustainedServiceMultiplier(WorkloadCatalog::Get().spec(id));
+}
+
+// Per-workload run constants, built once per workload of the mix and read
+// at every dispatch, sprint and span. Everything here is a pure function of
+// (config, workload id) — the spec, the mix-inflated mean service time,
+// the mechanism's phase speedups and the phase fractions a span splits —
+// so holding them is bit-exact: same inputs, same values.
 struct WorkloadConstants {
   const WorkloadSpec* spec = nullptr;
   double mean_service = 0.0;
-  std::optional<LognormalDistribution> jitter;
   // Entry p: the speedup while sprinting in phase p
   // (SprintMechanism::PhaseSpeedups).
   std::vector<double> phase_speedup;
+  // Stable for the run, so span inputs point into it.
+  std::array<double, obs::kMaxSpanPhases> phase_fractions{};
+  size_t num_phases = 0;
+};
+
+// One attempt: what its draws fix and what running it decides. The
+// one-slot recursion holds one in locals per query; the event loop keeps
+// one per attempt its run spawned (retries append past index n), with
+// `id` its index. The handlers in RunOnce write it; the reports and the
+// span sweep read it.
+struct Attempt {
+  uint64_t id = 0;
+  uint64_t request_id = 0;  // the original attempt's id
+  WorkloadId workload = WorkloadId::kJacobi;
+  uint32_t attempt = 1;
+  double arrival = 0.0;
+  double first_arrival = -1.0;  // -1: this IS the first attempt
+  double size = 1.0;
+  double service_time = 0.0;
+  double start = -1.0;
+  double depart = -1.0;
+  double sprint_begin = -1.0;
+  double sprint_seconds = 0.0;
+  // Effective sustained duration including load overhead, set at dispatch.
+  double effective_service = 0.0;
+  // Span attribution: the multiplicative pieces of the effective service
+  // time and the toggle latency paid, so the span sweep can decompose the
+  // response time exactly (see src/obs/span.h).
+  double load_factor = 1.0;
+  double fault_multiplier = 1.0;
+  double toggle_seconds = 0.0;
+  // Sustained-rate work left when the sprint engaged, for breaker aborts.
+  double sustained_remaining_at_sprint = 0.0;
+  uint64_t stamp = 0;  // of the live departure event
+  bool timed_out = false;
+  bool sprinted = false;
+  bool shed = false;
+  bool abandoned = false;
+  bool sprint_aborted = false;
+
+  bool Served() const { return !shed && !abandoned && depart >= 0.0; }
+  double ResponseTime() const { return depart - arrival; }
 };
 
 // Testbed::SprintedRemainingSeconds over a phase table. Instantaneous
@@ -81,10 +132,10 @@ double SprintedRemaining(const WorkloadSpec& spec,
 }
 
 // What Testbed::Run reports, fed every post-warmup attempt in index order:
-// the trace's records and aggregates and, when `latency` points at a
-// registry's run-local histograms, the response, queueing and processing
-// times. The slice covers every attempt spawned at or after the first
-// post-warmup original, shed and abandoned attempts and every retry
+// the trace's records, which it builds, and aggregates and, when `latency`
+// points at a registry's run-local histograms, the response, queueing and
+// processing times. The slice covers every attempt spawned at or after the
+// first post-warmup original, shed and abandoned attempts and every retry
 // (retries always append past index n) included.
 class TraceReport {
  public:
@@ -96,8 +147,15 @@ class TraceReport {
   // spawned.
   void Reserve(size_t attempts) { trace_.queries.reserve(attempts); }
 
-  void Add(const Query& q) {
-    trace_.queries.push_back(q);
+  void Add(const Attempt& a) {
+    const Query& q = trace_.queries.emplace_back(
+        Query{.id = a.id, .workload = a.workload, .arrival = a.arrival,
+              .size = a.size, .service_time = a.service_time,
+              .start = a.start, .depart = a.depart, .timed_out = a.timed_out,
+              .sprinted = a.sprinted, .sprint_begin = a.sprint_begin,
+              .sprint_seconds = a.sprint_seconds, .shed = a.shed,
+              .abandoned = a.abandoned, .attempt = a.attempt,
+              .request_id = a.request_id, .first_arrival = a.first_arrival});
     if (q.attempt > 1) {
       ++trace_.retry_count;
     }
@@ -170,16 +228,16 @@ class TraceReport {
 // What Testbed::Summarize reports, fed like TraceReport: the response
 // times of the attempts that were not shed, their mean by
 // StreamingStats::Add's Welford step in the same order (so it keeps the
-// trace's bits), the sprinted and timed-out counts and the makespan. It
-// reads none of TraceReport's inputs: Summarize runs without a registry,
-// so there is no latency to record.
+// trace's bits), the sprinted and timed-out counts and the makespan. Of an
+// attempt it reads only those: Summarize runs without a registry, so there
+// is no latency to record and no record to build.
 class SummaryReport {
  public:
   SummaryReport(size_t /*n*/, size_t /*first*/, LogHistogram* /*latency*/) {}
 
   void Reserve(size_t attempts) { responses_.reserve(attempts); }
 
-  void Add(const Query& q) {
+  void Add(const Attempt& q) {
     if (q.shed) {
       return;
     }
@@ -263,20 +321,103 @@ double Testbed::SprintedRemainingSeconds(const WorkloadSpec& spec,
 
 namespace {
 
-// One run recording into `sinks`, reported through a TraceReport (Run) or
-// a SummaryReport (Summarize, which attaches no registry).
-// `allow_one_slot` is false only when the one-slot recursion hands a run
-// over to the event loop.
-template <typename Report>
-auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
-             bool allow_one_slot) -> decltype(std::declval<Report>().Finish()) {
+void CheckConfig(const TestbedConfig& config) {
   if (config.num_queries == 0 || config.slots < 1 ||
       config.utilization <= 0.0) {
     throw std::invalid_argument("invalid TestbedConfig");
   }
+}
 
+double ArrivalRate(const TestbedConfig& config) {
+  return config.utilization *
+         Testbed::SustainedRatePerSecond(config.mix, config.policy);
+}
+
+// The run's fault schedule. The window horizon is a function of the config
+// alone (not of the sampled arrivals), so the schedule is reproducible;
+// trips past the horizon simply never exist.
+FaultPlan PlanFaults(const TestbedConfig& config, double arrival_rate) {
+  return FaultPlan::Generate(
+      config.faults, config.seed,
+      2.0 * static_cast<double>(config.num_queries) / arrival_rate + 1000.0);
+}
+
+// Testbed::Draw into `draws`, whose columns keep their capacity.
+void DrawInto(const TestbedConfig& config, SimDraws& draws) {
+  CheckConfig(config);
   const auto mechanism = MakePolicyMechanism(config.policy);
-  const auto& catalog = WorkloadCatalog::Get();
+  const double arrival_rate = ArrivalRate(config);
+  const FaultPlan fault_plan = PlanFaults(config, arrival_rate);
+  // Each workload's service-time jitter, whose construction runs log/exp.
+  std::array<std::optional<LognormalDistribution>, kWorkloadIds> jitter;
+  for (const QueryMix::Component& c : config.mix.components()) {
+    jitter[static_cast<size_t>(c.workload)].emplace(
+        MeanServiceSeconds(config, *mechanism, c.workload),
+        std::max(0.05, WorkloadCatalog::Get().spec(c.workload).service_cov));
+  }
+  const size_t n = config.num_queries;
+  const bool classes = config.mix.components().size() > 1;
+  draws.arrival.resize(n);
+  draws.service_time.resize(n);
+  draws.klass.resize(classes ? n : 0);
+
+  Rng rng(config.seed);
+  // Drawing consumes the whole stream up front; batched refills amortize
+  // the generator state updates without changing draws.
+  rng.EnableBatchedDraws();
+  const auto interarrival =
+      MakeDistribution(config.arrival_kind, 1.0 / arrival_rate);
+  // Outside crowd windows the intensity is 1, and x / 1.0 is x.
+  const bool crowds = !fault_plan.flash_crowd_windows().empty();
+  double t = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const WorkloadId workload = config.mix.SampleWorkload(rng);
+    // Flash crowds compress interarrival gaps by the crowd intensity.
+    const double gap = interarrival->Sample(rng);
+    t += crowds ? gap / fault_plan.ArrivalIntensityAt(t) : gap;
+    draws.arrival[i] = t;
+    if (classes) {
+      draws.klass[i] = static_cast<uint32_t>(workload);
+    }
+    draws.service_time[i] =
+        std::max(1e-6, jitter[static_cast<size_t>(workload)]->Sample(rng)) *
+        config.service_time_scale;
+  }
+}
+
+// Throws unless `draws` fit `config`: every column num_queries long, and a
+// class column exactly when the mix has two or more workloads, holding
+// workloads of the mix.
+void CheckDraws(const TestbedConfig& config, const SimDraws& draws) {
+  CheckConfig(config);
+  const size_t n = config.num_queries;
+  std::array<bool, kWorkloadIds> in_mix{};
+  for (const QueryMix::Component& c : config.mix.components()) {
+    in_mix[static_cast<size_t>(c.workload)] = true;
+  }
+  const bool klass_fits =
+      config.mix.components().size() > 1
+          ? draws.klass.size() == n &&
+                std::all_of(draws.klass.begin(), draws.klass.end(),
+                            [&](uint32_t c) {
+                              return c < kWorkloadIds && in_mix[c];
+                            })
+          : draws.klass.empty();
+  if (draws.arrival.size() != n || draws.service_time.size() != n ||
+      !klass_fits) {
+    throw std::invalid_argument("SimDraws do not fit this TestbedConfig");
+  }
+}
+
+// One run of `draws` recording into `sinks`, reported through a
+// TraceReport (Run) or a SummaryReport (Summarize, which attaches no
+// registry). `allow_one_slot` is false only when the one-slot recursion
+// hands a run over to the event loop.
+template <typename Report>
+auto RunOnce(const TestbedConfig& config, const SimDraws& draws,
+             const obs::Sinks& sinks, bool allow_one_slot)
+    -> decltype(std::declval<Report>().Finish()) {
+  const auto mechanism = MakePolicyMechanism(config.policy);
 
   // Whatif perturbation hooks. toggle_latency is charged at every engage
   // and abort site below; the scale's 1.0 default is a bitwise identity.
@@ -300,27 +441,9 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     return remaining;
   };
 
-  Rng rng(config.seed);
-  // The generation loop consumes the whole stream up front; batched
-  // refills amortize the generator state updates without changing draws.
-  rng.EnableBatchedDraws();
-
-  // Generate the query stream: workload draws, arrivals, service times.
-  const double arrival_rate =
-      config.utilization *
-      Testbed::SustainedRatePerSecond(config.mix, config.policy);
-  const auto interarrival =
-      MakeDistribution(config.arrival_kind, 1.0 / arrival_rate);
-
+  const double arrival_rate = ArrivalRate(config);
   const size_t n = config.num_queries;
-
-  // Fault schedule. The window horizon is a function of the config alone
-  // (not of the sampled arrivals), so the schedule is reproducible; trips
-  // past the horizon simply never exist.
-  const double fault_horizon =
-      2.0 * static_cast<double>(n) / arrival_rate + 1000.0;
-  const FaultPlan fault_plan =
-      FaultPlan::Generate(config.faults, config.seed, fault_horizon);
+  const FaultPlan fault_plan = PlanFaults(config, arrival_rate);
   FaultInjector injector(&fault_plan);
   // FaultPlanConfig::Enabled() runs nine tests; a run asks once. With no
   // plan the injector never breaks, fails a toggle or inflates a service.
@@ -332,50 +455,32 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
               window.end - window.begin);
   }
 
-  // Retries append extra attempt records past the n originals. Capacity
-  // is reserved up front so the per-query arrays never move: every
-  // logical request spawns at most max_attempts attempt records.
-  const size_t capacity =
-      config.retry.enabled ? n * config.retry.max_attempts : n;
-
-  // The attempt records and the arena block below outlive the run: the
-  // next run on this thread reuses them, so back-to-back runs stay on
-  // pages already faulted in (DESIGN.md §12). The generation loop resets
-  // each record as it writes it; the arena resets its arrays.
-  thread_local std::vector<Query> queries;
-  queries.clear();
-  queries.reserve(capacity);
-  // Built lazily per sampled workload; indexed by WorkloadId value.
-  std::array<WorkloadConstants, 16> workloads;
-  {
-    // Outside crowd windows the intensity is 1, and x / 1.0 is x.
-    const bool crowds = !fault_plan.flash_crowd_windows().empty();
-    double t = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      Query& q = queries.emplace_back();
-      q.id = i;
-      q.request_id = i;
-      q.workload = config.mix.SampleWorkload(rng);
-      // Flash crowds compress interarrival gaps by the crowd intensity.
-      const double gap = interarrival->Sample(rng);
-      t += crowds ? gap / fault_plan.ArrivalIntensityAt(t) : gap;
-      q.arrival = t;
-      WorkloadConstants& cached = workloads[static_cast<size_t>(q.workload)];
-      if (cached.spec == nullptr) {
-        cached.spec = &catalog.spec(q.workload);
-        cached.mean_service =
-            config.mix.MemberMeanServiceSeconds(q.workload) *
-            mechanism->SustainedServiceMultiplier(*cached.spec);
-        cached.jitter.emplace(cached.mean_service,
-                              std::max(0.05, cached.spec->service_cov));
-        cached.phase_speedup = mechanism->PhaseSpeedups(*cached.spec);
-      }
-      q.service_time =
-          std::max(1e-6, cached.jitter->Sample(rng)) *
-          config.service_time_scale;
-      q.size = q.service_time / cached.mean_service;
+  // Indexed by WorkloadId value.
+  std::array<WorkloadConstants, kWorkloadIds> workloads;
+  for (const QueryMix::Component& c : config.mix.components()) {
+    WorkloadConstants& w = workloads[static_cast<size_t>(c.workload)];
+    w.spec = &WorkloadCatalog::Get().spec(c.workload);
+    w.mean_service = MeanServiceSeconds(config, *mechanism, c.workload);
+    w.phase_speedup = mechanism->PhaseSpeedups(*w.spec);
+    w.num_phases = std::min(w.spec->phases.size(), obs::kMaxSpanPhases);
+    for (size_t p = 0; p < w.num_phases; ++p) {
+      w.phase_fractions[p] = w.spec->phases[p].work_fraction;
     }
   }
+  const WorkloadId only_workload = config.mix.components().front().workload;
+  // Query i as its draws fix it, before it runs.
+  auto drawn = [&](size_t i) {
+    Attempt q;
+    q.id = i;
+    q.request_id = i;
+    q.workload = draws.klass.empty() ? only_workload
+                                     : static_cast<WorkloadId>(draws.klass[i]);
+    q.arrival = draws.arrival[i];
+    q.service_time = draws.service_time[i];
+    q.size = q.service_time /
+             workloads[static_cast<size_t>(q.workload)].mean_service;
+    return q;
+  };
 
   // Run metrics: the per-query paths below are the hottest code in the
   // repo, so with a registry attached they record into run-local
@@ -391,9 +496,35 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     histograms.emplace();
   }
   // Fed every post-warmup attempt in index order: by the recursion as each
-  // completes, by the event loop after it ends.
+  // completes, by the event loop after it ends. So are the span inputs,
+  // of the attempts that were not shed, when a collector is attached.
   const size_t first = std::min(config.warmup_queries, n);
   Report report(n, first, histograms ? &(*histograms)[1] : nullptr);
+  std::vector<obs::SpanInputs> span_inputs;
+  auto reserve = [&](size_t attempts) {
+    report.Reserve(attempts);
+    if (sinks.spans != nullptr) {
+      span_inputs.reserve(attempts);
+    }
+  };
+  auto feed = [&](const Attempt& q) {
+    report.Add(q);
+    if (sinks.spans == nullptr || q.shed) {
+      return;  // a shed attempt never ran: no latency to attribute
+    }
+    const WorkloadConstants& w = workloads[static_cast<size_t>(q.workload)];
+    span_inputs.push_back(
+        {.id = q.id, .klass = static_cast<uint32_t>(q.workload),
+         .arrival = q.arrival, .start = q.start, .depart = q.depart,
+         .service_time = q.service_time, .load_factor = q.load_factor,
+         .fault_multiplier = q.fault_multiplier,
+         .toggle_seconds = q.toggle_seconds,
+         .sprint_begin = q.sprinted ? q.sprint_begin : -1.0,
+         .first_arrival = q.first_arrival, .sprinted = q.sprinted,
+         .timed_out = q.timed_out, .sprint_aborted = q.sprint_aborted,
+         .phase_fractions = w.phase_fractions.data(),
+         .num_phases = w.num_phases});
+  };
   uint64_t lockout_denials = 0;
   // Streaming SLO pipeline, fed at the same serial points as the flight
   // recorder. One cached pointer: the idle cost is a null check per site.
@@ -412,35 +543,47 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   robust::RetryModel retry(config.retry,
                            DeriveSeed(config.seed, 0x4E712Au));
 
+  // The one-slot recursion below serves runs with one slot that shed,
+  // retry and fault nothing, and that no sink observes while they run:
+  // a recursion that hands a run back to the event loop must not have
+  // recorded anything yet. Spans are built after the run, so a span sink
+  // may be attached. With no recorder attached, the handlers skip their
+  // flight-recorder events on it.
+  const bool one_slot =
+      allow_one_slot && config.slots == 1 && !config.admission.Enabled() &&
+      !config.retry.enabled && !faults_enabled && metrics == nullptr &&
+      slo == nullptr && obs::ActiveRecorder() == nullptr;
+
   // Same-timestamp events pop in push order — the EventQueue (time, seq)
   // contract; arrival-before-breaker and departure-before-timeout races
   // at equal timestamps resolve by insertion order.
   EventQueue events(/*width_hint=*/1.0 / arrival_rate);
-  // Every ancillary per-query array comes out of one arena reservation;
-  // the FIFO is a monotone index ring (each attempt enqueues at most
-  // once), so the event loop below does zero heap traffic.
+  // The event loop's attempt records, built from the draws, and one arena
+  // block with an in-service flag per attempt (the breaker's abort sweep
+  // scans it) and the FIFO, a monotone index ring (each attempt enqueues
+  // at most once), so the loop below does zero heap traffic. Retries
+  // append records past the n originals; capacity is reserved up front so
+  // the records never move: every logical request spawns at most
+  // max_attempts attempts. Both outlive the run: the next event-loop run
+  // on this thread reuses them, so back-to-back runs stay on pages
+  // already faulted in (DESIGN.md §12). The recursion touches neither.
+  thread_local std::vector<Attempt> attempts;
   thread_local RunArena arena;
-  arena.Reserve(RunArena::BytesFor<uint64_t>(capacity) +
-                RunArena::BytesFor<double>(capacity) * 5 +
-                RunArena::BytesFor<uint8_t>(capacity) * 2 +
-                RunArena::BytesFor<size_t>(capacity));
-  uint64_t* stamps = arena.Allocate<uint64_t>(capacity);
-  // Effective sustained duration including load overhead, set at dispatch.
-  double* effective_service = arena.Allocate<double>(capacity);
-  // Span attribution bookkeeping: the multiplicative pieces of the
-  // effective service time and the toggle latency each query paid, kept
-  // per query so the post-run span sweep can decompose response times
-  // exactly (see src/obs/span.h).
-  double* span_load_factor = arena.Allocate<double>(capacity, 1.0);
-  double* span_fault_multiplier = arena.Allocate<double>(capacity, 1.0);
-  double* span_toggle_seconds = arena.Allocate<double>(capacity);
-  // Sprint-abort bookkeeping: which queries are currently executing, which
-  // had their sprint aborted by a breaker trip, and how much sustained-rate
-  // work remained when the sprint engaged.
-  uint8_t* executing = arena.Allocate<uint8_t>(capacity);
-  uint8_t* sprint_aborted = arena.Allocate<uint8_t>(capacity);
-  double* sustained_remaining_at_sprint = arena.Allocate<double>(capacity);
-  size_t* fifo = arena.AllocateUninit<size_t>(capacity);
+  uint8_t* executing = nullptr;
+  size_t* fifo = nullptr;
+  if (!one_slot) {
+    const size_t capacity =
+        config.retry.enabled ? n * config.retry.max_attempts : n;
+    attempts.clear();
+    attempts.reserve(capacity);
+    for (size_t i = 0; i < n; ++i) {
+      attempts.push_back(drawn(i));
+    }
+    arena.Reserve(RunArena::BytesFor<uint8_t>(capacity) +
+                  RunArena::BytesFor<size_t>(capacity));
+    executing = arena.Allocate<uint8_t>(capacity);
+    fifo = arena.AllocateUninit<size_t>(capacity);
+  }
   size_t fifo_head = 0;
   size_t fifo_tail = 0;
   // Queries waiting for a slot. Equal to fifo_tail - fifo_head (shed
@@ -455,29 +598,19 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   size_t resolved = 0;
   uint64_t stamp_counter = 0;
 
-  // The one-slot recursion below serves runs with one slot that shed,
-  // retry and fault nothing, and that no sink observes while they run:
-  // a recursion that hands a run back to the event loop must not have
-  // recorded anything yet. Spans are built after the run, so a span sink
-  // may be attached.
-  const bool one_slot =
-      allow_one_slot && config.slots == 1 && !config.admission.Enabled() &&
-      !config.retry.enabled && !faults_enabled && metrics == nullptr &&
-      slo == nullptr && obs::ActiveRecorder() == nullptr;
-
-  auto schedule_departure = [&](size_t qi, double when) {
-    stamps[qi] = ++stamp_counter;
-    queries[qi].depart = when;
+  auto schedule_departure = [&](Attempt& q, double when) {
+    q.stamp = ++stamp_counter;
+    q.depart = when;
     if (!one_slot) {
-      events.Push(when, static_cast<uint32_t>(EventType::kDeparture), qi,
-                  stamps[qi]);
+      events.Push(when, static_cast<uint32_t>(EventType::kDeparture), q.id,
+                  q.stamp);
     }
   };
 
   // A sprint may engage only when no breaker lockout covers `now`, budget
   // remains, and the toggle actually succeeds (checked last so the trace
   // records toggle failures only for sprints that would otherwise start).
-  auto sprint_allowed = [&](size_t qi, double now) {
+  auto sprint_allowed = [&](const Attempt& q, double now) {
     if (faults_enabled && injector.BreakerActive(now)) {
       ++lockout_denials;
       return false;
@@ -485,23 +618,25 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     if (budget.Available(now) <= kBudgetEpsilon) {
       return false;
     }
-    if (faults_enabled && injector.SprintToggleFails(qi, now)) {
+    if (faults_enabled && injector.SprintToggleFails(q.id, now)) {
       obs::Emit(now, obs::EventKind::kToggleFailure, obs::Subsystem::kFault,
-                obs::Severity::kWarn, qi);
+                obs::Severity::kWarn, q.id);
       return false;
     }
     return true;
   };
 
-  // Starts query `qi` at `now` with `queue_len_at_dispatch` queries still
+  // Starts attempt `q` at `now` with `queue_len_at_dispatch` queries still
   // waiting. Returns the instant its timeout interrupt fires, or kNever
-  // when none fires before its departure.
-  auto dispatch = [&](size_t qi, double now, size_t queue_len_at_dispatch) {
-    Query& q = queries[qi];
+  // when none fires before its departure. Both engines call it, so the
+  // compiler would keep it (and on_timeout) out of line; both are forced
+  // inline for the recursion, which every profile grid run takes.
+  auto dispatch = [&](Attempt& q, double now,
+                      size_t queue_len_at_dispatch)
+                      __attribute__((always_inline)) {
     const WorkloadConstants& workload =
         workloads[static_cast<size_t>(q.workload)];
     q.start = now;
-    executing[qi] = 1;
     if (histograms) {
       (*histograms)[0].Record(static_cast<double>(queue_len_at_dispatch));
     }
@@ -513,11 +648,10 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     }
     // Same association order as `service * load * fault` so the span
     // sweep's counterfactual milestones reproduce this double exactly.
-    span_load_factor[qi] = LoadOverheadFactor(queue_len_at_dispatch);
-    span_fault_multiplier[qi] =
-        faults_enabled ? injector.ServiceMultiplier(qi, now) : 1.0;
-    effective_service[qi] =
-        q.service_time * span_load_factor[qi] * span_fault_multiplier[qi];
+    q.load_factor = LoadOverheadFactor(queue_len_at_dispatch);
+    q.fault_multiplier =
+        faults_enabled ? injector.ServiceMultiplier(q.id, now) : 1.0;
+    q.effective_service = q.service_time * q.load_factor * q.fault_multiplier;
 
     if (config.force_full_sprint) {
       // Marginal-rate profiling: the mechanism is engaged before dispatch,
@@ -526,78 +660,83 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
       q.sprinted = true;
       q.sprint_begin = now;
       schedule_departure(
-          qi, now + sprinted_remaining(workload, 0.0, effective_service[qi]));
+          q, now + sprinted_remaining(workload, 0.0, q.effective_service));
       return kNever;
     }
 
     const double timeout_at = q.arrival + timeout;
     if (timeout_at <= now) {
       q.timed_out = true;
-      if (sprint_allowed(qi, now)) {
+      if (sprint_allowed(q, now)) {
         q.sprinted = true;
         q.sprint_begin = now;
-        obs::Emit(now, obs::EventKind::kSprintEngage, obs::Subsystem::kTestbed,
-                  obs::Severity::kInfo, qi, effective_service[qi]);
+        if (!one_slot) {
+          obs::Emit(now, obs::EventKind::kSprintEngage,
+                    obs::Subsystem::kTestbed, obs::Severity::kInfo, q.id,
+                    q.effective_service);
+        }
         if (slo != nullptr) {
           slo->OnSprintEngage(now);
         }
-        sustained_remaining_at_sprint[qi] = effective_service[qi];
+        q.sustained_remaining_at_sprint = q.effective_service;
         // Sprint engages as the query starts; the toggle happens during
         // dispatch and is cheaper than a mid-flight toggle, but not free.
-        span_toggle_seconds[qi] = 0.5 * toggle_latency;
+        q.toggle_seconds = 0.5 * toggle_latency;
         const double duration =
             0.5 * toggle_latency +
-            sprinted_remaining(workload, 0.0, effective_service[qi]);
-        schedule_departure(qi, now + duration);
+            sprinted_remaining(workload, 0.0, q.effective_service);
+        schedule_departure(q, now + duration);
         return kNever;
       }
     }
-    schedule_departure(qi, now + effective_service[qi]);
+    schedule_departure(q, now + q.effective_service);
     return timeout_at > now && timeout_at < q.depart ? timeout_at : kNever;
   };
 
-  // The timeout interrupt of in-service query `qi` fires at `now`: the
-  // query is timed out and sprints through the rest of its work when
-  // allowed, after a full mid-flight toggle.
-  auto on_timeout = [&](size_t qi, double now) {
-    Query& q = queries[qi];
+  // The timeout interrupt of in-service attempt `q` fires at `now`: it is
+  // timed out and sprints through the rest of its work when allowed, after
+  // a full mid-flight toggle.
+  auto on_timeout = [&](Attempt& q, double now)
+                        __attribute__((always_inline)) {
     q.timed_out = true;
-    obs::Emit(now, obs::EventKind::kQueryTimeout, obs::Subsystem::kTestbed,
-              obs::Severity::kDebug, qi, timeout);
+    if (!one_slot) {
+      obs::Emit(now, obs::EventKind::kQueryTimeout, obs::Subsystem::kTestbed,
+                obs::Severity::kDebug, q.id, timeout);
+    }
     if (slo != nullptr) {
       slo->OnTimeout(now);
     }
-    if (!sprint_allowed(qi, now)) {
+    if (!sprint_allowed(q, now)) {
       return;
     }
     q.sprinted = true;
     q.sprint_begin = now;
-    obs::Emit(now, obs::EventKind::kSprintEngage, obs::Subsystem::kTestbed,
-              obs::Severity::kInfo, qi, effective_service[qi]);
+    if (!one_slot) {
+      obs::Emit(now, obs::EventKind::kSprintEngage, obs::Subsystem::kTestbed,
+                obs::Severity::kInfo, q.id, q.effective_service);
+    }
     if (slo != nullptr) {
       slo->OnSprintEngage(now);
     }
-    const double progress = (now - q.start) / effective_service[qi];
-    sustained_remaining_at_sprint[qi] =
-        (1.0 - std::clamp(progress, 0.0, 1.0)) * effective_service[qi];
-    span_toggle_seconds[qi] = toggle_latency;
+    const double progress = (now - q.start) / q.effective_service;
+    q.sustained_remaining_at_sprint =
+        (1.0 - std::clamp(progress, 0.0, 1.0)) * q.effective_service;
+    q.toggle_seconds = toggle_latency;
     const double duration =
         toggle_latency +
         sprinted_remaining(workloads[static_cast<size_t>(q.workload)],
-                           progress, effective_service[qi]);
-    schedule_departure(qi, now + duration);
+                           progress, q.effective_service);
+    schedule_departure(q, now + duration);
   };
 
-  auto complete = [&](size_t qi, double now) {
-    Query& q = queries[qi];
+  auto complete = [&](Attempt& q, double now) {
     // Aborted sprints were already debited when the breaker tripped.
-    if (q.sprinted && !sprint_aborted[qi]) {
+    if (q.sprinted && !q.sprint_aborted) {
       q.sprint_seconds = now - q.sprint_begin;
       if (!config.force_full_sprint) {
         budget.ConsumeAllowingDebt(now, q.sprint_seconds);
       }
     }
-    executing[qi] = 0;
     ++free_slots;
     if (config.admission.Enabled()) {
       admission.OnServiceSample(now - q.start);
@@ -619,14 +758,14 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   // abandoned); spawns the next attempt record and schedules its
   // re-arrival. Returns true when a retry was scheduled.
   auto spawn_retry = [&](size_t qi, double now) {
-    const Query& failed = queries[qi];
+    const Attempt& failed = attempts[qi];
     const double delay = retry.NextRetryDelay(
         failed.request_id, failed.attempt, shed_fraction());
     if (delay < 0.0) {
       return false;
     }
-    const size_t ri = queries.size();
-    Query next;
+    const size_t ri = attempts.size();
+    Attempt next;
     next.id = ri;
     next.request_id = failed.request_id;
     next.workload = failed.workload;
@@ -636,7 +775,7 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     next.first_arrival =
         failed.first_arrival >= 0.0 ? failed.first_arrival : failed.arrival;
     next.arrival = now + delay;
-    queries.push_back(next);  // never reallocates: capacity reserved
+    attempts.push_back(next);  // never reallocates: capacity reserved
     events.Push(next.arrival, static_cast<uint32_t>(EventType::kArrival),
                 ri, 0);
     obs::Emit(now, obs::EventKind::kQueryRetry, obs::Subsystem::kTestbed,
@@ -649,9 +788,9 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   // work finishes at the sustained rate. Remaining work is prorated by the
   // fraction of the sprinted stretch already elapsed.
   auto abort_inflight_sprints = [&](double now) {
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      Query& q = queries[qi];
-      if (!executing[qi] || !q.sprinted || sprint_aborted[qi] ||
+    for (size_t qi = 0; qi < attempts.size(); ++qi) {
+      Attempt& q = attempts[qi];
+      if (!executing[qi] || !q.sprinted || q.sprint_aborted ||
           q.depart <= now) {
         continue;
       }
@@ -661,15 +800,15 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
           sprint_total > 0.0 ? std::clamp(elapsed / sprint_total, 0.0, 1.0)
                              : 1.0;
       const double remaining_sustained =
-          (1.0 - done_fraction) * sustained_remaining_at_sprint[qi];
-      sprint_aborted[qi] = 1;
+          (1.0 - done_fraction) * q.sustained_remaining_at_sprint;
+      q.sprint_aborted = true;
       q.sprint_seconds = elapsed;
-      span_toggle_seconds[qi] += toggle_latency;
+      q.toggle_seconds += toggle_latency;
       budget.ConsumeAllowingDebt(now, elapsed);
-      schedule_departure(qi, now + toggle_latency + remaining_sustained);
-      injector.RecordSprintAbort(qi, now);
+      schedule_departure(q, now + toggle_latency + remaining_sustained);
+      injector.RecordSprintAbort(q.id, now);
       obs::Emit(now, obs::EventKind::kSprintAbort, obs::Subsystem::kTestbed,
-                obs::Severity::kWarn, qi, elapsed);
+                obs::Severity::kWarn, q.id, elapsed);
       if (slo != nullptr) {
         slo->OnSprintAbort(now);
       }
@@ -679,39 +818,43 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
   if (one_slot) {
     // FIFO order is index order, so query i dispatches at
     // max(arrival_i, depart_{i-1}) and the run is a recursion over the
-    // generated queries that calls the event loop's own handlers in the
-    // order the loop calls them (DESIGN.md §12). The queue length at
-    // dispatch is the number of later arrivals strictly before the
-    // dispatch instant, counted by a pointer that only moves forward.
-    report.Reserve(n - first);
+    // draws that calls the event loop's own handlers, in the order the
+    // loop calls them, on one attempt held in locals (DESIGN.md §12). The
+    // queue length at dispatch is the number of later arrivals strictly
+    // before the dispatch instant, counted by a pointer that only moves
+    // forward.
+    reserve(n - first);
+    const double* arrival = draws.arrival.data();
     double depart = -std::numeric_limits<double>::infinity();
     size_t later = 0;
     for (size_t i = 0; i < n; ++i) {
+      Attempt q = drawn(i);
       // `+ 0.0` maps a -0.0 arrival to the +0.0 the event queue stores.
-      const double now = std::max(queries[i].arrival + 0.0, depart);
+      const double now = std::max(q.arrival + 0.0, depart);
       later = std::max(later, i + 1);
-      while (later < n && queries[later].arrival < now) {
+      while (later < n && arrival[later] < now) {
         ++later;
       }
-      if (later < n && queries[later].arrival == now) {
+      if (later < n && arrival[later] == now) {
         // Whether an arrival at the dispatch instant is already queued
         // depends on the event queue's push order. Nothing has been
-        // recorded yet, so the event loop replays the run, into a fresh
-        // report: this one's partial tallies are dropped.
-        return RunOnce<Report>(config, sinks, /*allow_one_slot=*/false);
+        // recorded yet, so the event loop replays the same draws into a
+        // fresh report: this one's partial tallies are dropped.
+        return RunOnce<Report>(config, draws, sinks,
+                               /*allow_one_slot=*/false);
       }
-      const double timeout_at = dispatch(i, now, later - i - 1);
+      const double timeout_at = dispatch(q, now, later - i - 1);
       if (timeout_at != kNever) {
-        on_timeout(i, timeout_at);
+        on_timeout(q, timeout_at);
       }
-      depart = queries[i].depart;
-      complete(i, depart);
+      depart = q.depart;
+      complete(q, depart);
       if (i >= first) {
-        report.Add(queries[i]);
+        feed(q);
       }
     }
   } else {
-    events.Push(queries[0].arrival,
+    events.Push(attempts[0].arrival,
                 static_cast<uint32_t>(EventType::kArrival), 0, 0);
     if (!config.force_full_sprint && !config.disable_sprinting) {
       for (const TimeWindow& window : fault_plan.breaker_windows()) {
@@ -732,7 +875,7 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
         // Only original arrivals advance the pre-generated chain; retry
         // re-arrivals (evq >= n) were scheduled explicitly.
         if (evq < n && ++next_arrival < n) {
-          events.Push(queries[next_arrival].arrival,
+          events.Push(attempts[next_arrival].arrival,
                       static_cast<uint32_t>(EventType::kArrival),
                       next_arrival, 0);
         }
@@ -740,7 +883,7 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
             !admission.Admit(now, queued_count, timeout)) {
           // Shed at the door: the attempt resolves immediately; the
           // client may schedule a retry attempt.
-          queries[evq].shed = true;
+          attempts[evq].shed = true;
           ++resolved;
           obs::Emit(now, obs::EventKind::kQueryShed,
                     obs::Subsystem::kTestbed, obs::Severity::kWarn, evq,
@@ -768,23 +911,24 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
         break;
       }
       case EventType::kDeparture: {
-        if (stamps[evq] != ev.stamp) {
+        Attempt& q = attempts[evq];
+        if (q.stamp != ev.stamp) {
           break;
         }
-        complete(evq, now);
+        executing[evq] = 0;
+        complete(q, now);
         ++resolved;
         obs::Emit(now, obs::EventKind::kQueueDeparture,
                   obs::Subsystem::kTestbed, obs::Severity::kDebug, evq,
-                  queries[evq].ResponseTime());
+                  q.ResponseTime());
         if (slo != nullptr) {
-          slo->OnResponse(now, queries[evq].ResponseTime(),
-                          queries[evq].Served());
+          slo->OnResponse(now, q.ResponseTime(), q.Served());
           slo->OnBudgetLevel(now, budget.Available(now));
         }
         break;
       }
       case EventType::kAbandon: {
-        Query& q = queries[evq];
+        Attempt& q = attempts[evq];
         if (q.start >= 0.0 || q.shed || q.abandoned) {
           break;  // already dispatched (or already off the queue)
         }
@@ -799,11 +943,11 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
         break;
       }
       case EventType::kTimeout: {
-        const Query& q = queries[evq];
-        if (stamps[evq] != ev.stamp || q.sprinted || q.depart <= now) {
+        Attempt& q = attempts[evq];
+        if (q.stamp != ev.stamp || q.sprinted || q.depart <= now) {
           break;
         }
-        on_timeout(evq, now);
+        on_timeout(q, now);
         break;
       }
       case EventType::kBreakerTrip: {
@@ -819,27 +963,29 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
 
     while (free_slots > 0 && fifo_head != fifo_tail) {
       const size_t qi = fifo[fifo_head++];
+      Attempt& q = attempts[qi];
       --queued_count;
       --free_slots;
+      executing[qi] = 1;
       const double timeout_at =
-          dispatch(qi, std::max(now, queries[qi].arrival), queued_count);
+          dispatch(q, std::max(now, q.arrival), queued_count);
       if (timeout_at != kNever) {
         events.Push(timeout_at, static_cast<uint32_t>(EventType::kTimeout),
-                    qi, stamps[qi]);
+                    q.id, q.stamp);
       }
     }
 
     // Once every attempt resolved, only breaker trips (and stale abandon
     // timers) remain in the queue; events after the run's end never fire.
-    if (resolved == queries.size()) {
+    if (resolved == attempts.size()) {
       break;
     }
   }
 
   if (!one_slot) {
-    report.Reserve(queries.size() - first);
-    for (size_t qi = first; qi < queries.size(); ++qi) {
-      report.Add(queries[qi]);
+    reserve(attempts.size() - first);
+    for (size_t qi = first; qi < attempts.size(); ++qi) {
+      feed(attempts[qi]);
     }
   }
   auto result = report.Finish();
@@ -883,53 +1029,12 @@ auto RunOnce(const TestbedConfig& config, const obs::Sinks& sinks,
     result.fault_trace = injector.TakeTrace();
   }
 
-  // Span sweep: when a collector is attached, decompose every post-warmup
-  // query (the same slice as trace.queries, in id order) into exact causal
-  // components. Serial code, sim-time stamps, one batch append — the run
-  // pays nothing when no collector is attached.
+  // Spans: every post-warmup attempt that ran (the same slice as
+  // trace.queries, in id order) decomposed into exact causal components.
+  // Serial code, sim-time stamps, one batch append — the run pays nothing
+  // when no collector is attached.
   if (sinks.spans != nullptr) {
-    // Per-workload phase fractions, fetched once; SpanInputs keep stable
-    // pointers into this cache so the whole sweep can quantize in one
-    // batch call.
-    std::array<std::array<double, obs::kMaxSpanPhases>, 16> fractions{};
-    std::array<size_t, 16> num_phases{};
-    std::array<bool, 16> cached{};
-    std::vector<obs::SpanInputs> inputs;
-    inputs.reserve(queries.size() - first);
-    for (size_t qi = first; qi < queries.size(); ++qi) {
-      const Query& q = queries[qi];
-      if (q.shed) {
-        continue;  // never dispatched: there is no latency to attribute
-      }
-      const size_t w = static_cast<size_t>(q.workload);
-      if (!cached[w]) {
-        const auto& phases = catalog.spec(q.workload).phases;
-        num_phases[w] = std::min(phases.size(), obs::kMaxSpanPhases);
-        for (size_t p = 0; p < num_phases[w]; ++p) {
-          fractions[w][p] = phases[p].work_fraction;
-        }
-        cached[w] = true;
-      }
-      obs::SpanInputs in;
-      in.id = q.id;
-      in.klass = static_cast<uint32_t>(q.workload);
-      in.arrival = q.arrival;
-      in.start = q.start;
-      in.depart = q.depart;
-      in.service_time = q.service_time;
-      in.load_factor = span_load_factor[qi];
-      in.fault_multiplier = span_fault_multiplier[qi];
-      in.toggle_seconds = span_toggle_seconds[qi];
-      in.sprint_begin = q.sprinted ? q.sprint_begin : -1.0;
-      in.first_arrival = q.first_arrival;
-      in.sprinted = q.sprinted;
-      in.timed_out = q.timed_out;
-      in.sprint_aborted = sprint_aborted[qi] != 0;
-      in.phase_fractions = fractions[w].data();
-      in.num_phases = num_phases[w];
-      inputs.push_back(in);
-    }
-    sinks.spans->RecordBatch(obs::BuildQuerySpanBatch(inputs));
+    sinks.spans->RecordBatch(obs::BuildQuerySpanBatch(span_inputs));
   }
   return result;
 }
@@ -942,24 +1047,50 @@ obs::Sinks RunSinks(const TestbedConfig& config) {
              : obs::Sinks{obs::ActiveSpans(), obs::ActiveSlo()};
 }
 
+// Run(config) and Summarize(config) draw into per-thread columns, which the
+// next run on the thread reuses as the event loop reuses its records. A run
+// starts no other run, so nothing redraws them while one reads them.
+const SimDraws& DrawOnThisThread(const TestbedConfig& config) {
+  thread_local SimDraws draws;
+  DrawInto(config, draws);
+  return draws;
+}
+
 }  // namespace
 
+SimDraws Testbed::Draw(const TestbedConfig& config) {
+  SimDraws draws;
+  DrawInto(config, draws);
+  return draws;
+}
+
 RunTrace Testbed::Run(const TestbedConfig& config) {
-  return RunOnce<TraceReport>(config, RunSinks(config),
+  return Run(config, DrawOnThisThread(config));
+}
+
+RunTrace Testbed::Run(const TestbedConfig& config, const SimDraws& draws) {
+  CheckDraws(config, draws);
+  return RunOnce<TraceReport>(config, draws, RunSinks(config),
                               /*allow_one_slot=*/true);
 }
 
 RunSummary Testbed::Summarize(const TestbedConfig& config) {
+  return Summarize(config, DrawOnThisThread(config));
+}
+
+RunSummary Testbed::Summarize(const TestbedConfig& config,
+                              const SimDraws& draws) {
   // A registry reads the trace's tallies (the latency histograms and the
   // overload counts), so a run it observes builds the trace and reads the
   // summary off it; the two give the same bits.
   if (obs::ActiveMetrics() != nullptr) {
-    const RunTrace trace = Run(config);
+    const RunTrace trace = Run(config, draws);
     return {trace.mean_response_time, trace.PercentileResponseTime(0.5),
             trace.fraction_sprinted, trace.fraction_timed_out,
             trace.makespan};
   }
-  return RunOnce<SummaryReport>(config, RunSinks(config),
+  CheckDraws(config, draws);
+  return RunOnce<SummaryReport>(config, draws, RunSinks(config),
                                 /*allow_one_slot=*/true);
 }
 

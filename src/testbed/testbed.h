@@ -19,16 +19,19 @@
 // The gap between this machine and the first-principles simulator is what
 // the random decision forest learns as the effective sprint rate.
 //
-// A run with one slot, no admission, no retries and a fault plan that
-// injects nothing, with no metrics registry or flight recorder in the
-// session and no SLO pipeline among its sinks (a span collector may be),
-// executes as an exact recursion over its queries instead of through the
-// event queue. Every profiler run takes it, and so do fault-free `explain
-// --workload` runs and `whatif --workload` runs without objectives;
-// storms, admission, retries, faults, run-time telemetry and more than one
-// slot take the event loop. Both paths produce the same bits (DESIGN.md
-// §12). Either feeds one per-query report in index order: Run's builds the
-// whole RunTrace, Summarize's only what a profile row reads.
+// A run first draws its query stream (Testbed::Draw) into the simulator's
+// draw type, SimDraws, and then runs on those columns. A run with one
+// slot, no admission, no retries and a fault plan that injects nothing,
+// with no metrics registry or flight recorder in the session and no SLO
+// pipeline among its sinks (a span collector may be), executes as an exact
+// recursion over the draws, one query at a time in locals, instead of
+// through the event queue. Every profiler run takes it, and so do
+// fault-free `explain --workload` runs and `whatif --workload` runs without
+// objectives; storms, admission, retries, faults, run-time telemetry and
+// more than one slot take the event loop, the only path that keeps
+// per-attempt records. Both paths produce the same bits (DESIGN.md §12).
+// Either feeds one per-query report in index order: Run's builds the whole
+// RunTrace, Summarize's only what a profile row reads.
 
 #ifndef MSPRINT_SRC_TESTBED_TESTBED_H_
 #define MSPRINT_SRC_TESTBED_TESTBED_H_
@@ -38,6 +41,7 @@
 
 #include "src/common/distribution.h"
 #include "src/common/stats.h"
+#include "src/core/sim_draws.h"
 #include "src/fault/fault.h"
 #include "src/robust/admission.h"
 #include "src/robust/retry.h"
@@ -171,12 +175,33 @@ struct RunSummary {
 // independent replay of the workload mix under the given conditions.
 class Testbed {
  public:
-  // Executes one run and returns the captured trace.
+  // Draws `config`'s query stream as Run(config) does: per query the
+  // workload (the class column, a WorkloadId value, left empty for a
+  // one-workload mix), the arrival (flash crowds applied) and the
+  // sustained service time (service_time_scale applied). The draws depend
+  // on the seed, the mix, the mechanism the policy selects, the
+  // utilization and arrival kind, the flash crowds, service_time_scale and
+  // num_queries, never on the timeout, the budget, slots, admission,
+  // retries or the other whatif hooks, so one draw replays under any of
+  // those.
+  static SimDraws Draw(const TestbedConfig& config);
+
+  // Executes one run and returns the captured trace: Draw, then replay.
   static RunTrace Run(const TestbedConfig& config);
+  // Replays `draws`, bit-identical to Run(config) when they are
+  // Draw(config). Throws std::invalid_argument before any work when they
+  // do not fit `config`: a column whose length is not num_queries, a class
+  // column on a one-workload mix or none on a mix, or a class that is not
+  // a workload of the mix.
+  static RunTrace Run(const TestbedConfig& config, const SimDraws& draws);
 
   // Executes the same run as Run, recording into the same sinks, and
-  // returns only its summary: no per-query records are copied out.
+  // returns only its summary: without a metrics registry in the session it
+  // builds no per-query record.
   static RunSummary Summarize(const TestbedConfig& config);
+  // Summarize on `draws`, with Run's replay contract.
+  static RunSummary Summarize(const TestbedConfig& config,
+                              const SimDraws& draws);
 
   // Sustained service rate (queries/second) of `mix` on the platform that
   // `policy` selects — the normalization base for utilization and budget.

@@ -1432,9 +1432,27 @@ std::string RunDetachedAndAttached(const TestbedConfig& config) {
          slo.FormatTimeline() + slo.FormatSummary();
 }
 
-std::string RunOnFreshThread(const TestbedConfig& config) {
+// A detached Summarize's summary, rendered as text.
+std::string SummarizeDetached(const TestbedConfig& config) {
+  const RunSummary s = Testbed::Summarize(config);
   std::string out;
-  std::thread([&] { out = RunDetachedAndAttached(config); }).join();
+  for (const double v : {s.mean_response_time, s.median_response_time,
+                         s.fraction_sprinted, s.fraction_timed_out,
+                         s.makespan}) {
+    out += GoldenDouble(v) + "\n";
+  }
+  return out;
+}
+
+std::string RunOnlyDetached(const TestbedConfig& config) {
+  return FormatRunTrace(Testbed::Run(config));
+}
+
+// `call(config)` made first on a fresh thread.
+std::string RunOnFreshThread(std::string (*call)(const TestbedConfig&),
+                             const TestbedConfig& config) {
+  std::string out;
+  std::thread([&] { out = call(config); }).join();
   return out;
 }
 
@@ -1446,16 +1464,34 @@ TEST(DeterminismTest, TestbedStorageReuseLeavesNoTrace) {
                                      /*hardened=*/false);
   ASSERT_TRUE(storm.retry.enabled);
   ASSERT_EQ(storm.retry.max_attempts, 4u);
+  // A profile-shaped row with more queries than the storm, on a mix: the
+  // recursion's draw columns, class column included, outgrow the storm's
+  // and then shrink to the plain run's.
+  TestbedConfig profile_row;
+  profile_row.mix = MakeMixOne();
+  profile_row.policy.timeout_seconds = 60.0;
+  profile_row.policy.budget_fraction = 0.4;
+  profile_row.utilization = 0.75;
+  profile_row.num_queries = 6000;
+  profile_row.warmup_queries = 600;
+  profile_row.seed = 31;
   TestbedConfig plain;
   plain.num_queries = 150;
   plain.warmup_queries = 10;
   plain.seed = 5;
 
-  const std::string fresh_storm = RunOnFreshThread(storm);
-  const std::string fresh_plain = RunOnFreshThread(plain);
+  const std::string fresh_storm =
+      RunOnFreshThread(RunDetachedAndAttached, storm);
+  const std::string fresh_summary =
+      RunOnFreshThread(SummarizeDetached, profile_row);
+  const std::string fresh_row = RunOnFreshThread(RunOnlyDetached, profile_row);
+  const std::string fresh_plain =
+      RunOnFreshThread(RunDetachedAndAttached, plain);
   ASSERT_NE(fresh_storm.find(" attempt=4 "), std::string::npos)
       << "storm side never reached its last attempt";
   EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
+  EXPECT_EQ(SummarizeDetached(profile_row), fresh_summary);
+  EXPECT_EQ(RunOnlyDetached(profile_row), fresh_row);
   EXPECT_EQ(RunDetachedAndAttached(plain), fresh_plain);
   EXPECT_EQ(RunDetachedAndAttached(storm), fresh_storm);
 }

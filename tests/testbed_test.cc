@@ -331,7 +331,9 @@ void ExpectSummaryOfTrace(const RunSummary& summary, const RunTrace& trace) {
 
 // Runs `recursion` and `loop` (the same run forced through the event loop)
 // through Run and then Summarize, each into its own span sink: the traces,
-// both summaries and all four span sets must agree bit for bit. Returns
+// both summaries and all four span sets must agree bit for bit. Then runs
+// both again detached, with no sinks and no session, as every profile grid
+// run does: the traces and summaries must equal the attached ones. Returns
 // the event loop's trace.
 RunTrace ExpectEnginesAgree(TestbedConfig recursion, TestbedConfig loop) {
   obs::SpanCollector recursion_spans;
@@ -351,6 +353,16 @@ RunTrace ExpectEnginesAgree(TestbedConfig recursion, TestbedConfig loop) {
   ExpectSummaryOfTrace(Testbed::Summarize(loop), b);
   ExpectSameSpans(spans, recursion_spans.TakeSpans());
   ExpectSameSpans(spans, loop_spans.TakeSpans());
+
+  EXPECT_TRUE(obs::ActiveMetrics() == nullptr &&
+              obs::ActiveRecorder() == nullptr &&
+              obs::ActiveSpans() == nullptr && obs::ActiveSlo() == nullptr);
+  for (TestbedConfig* detached : {&recursion, &loop}) {
+    detached->sinks = nullptr;
+    const RunTrace& attached = detached == &recursion ? a : b;
+    ExpectSameRunTrace(Testbed::Run(*detached), attached);
+    ExpectSummaryOfTrace(Testbed::Summarize(*detached), attached);
+  }
   return b;
 }
 
@@ -505,6 +517,79 @@ TEST(TestbedSingleSlotOracleTest, TieHandsRunToEventLoop) {
     }
     EXPECT_GT(ties, 300u);
   }
+}
+
+// ------------------------------------------------- replaying a draw value
+//
+// Run and Summarize draw, then replay; replaying Testbed::Draw(config)
+// gives the same bits on either engine, with a mix's class column and
+// with flash crowds compressing the arrivals.
+
+void ExpectSameSummary(const RunSummary& a, const RunSummary& b) {
+  EXPECT_EQ(Bits(a.mean_response_time), Bits(b.mean_response_time));
+  EXPECT_EQ(Bits(a.median_response_time), Bits(b.median_response_time));
+  EXPECT_EQ(Bits(a.fraction_sprinted), Bits(b.fraction_sprinted));
+  EXPECT_EQ(Bits(a.fraction_timed_out), Bits(b.fraction_timed_out));
+  EXPECT_EQ(Bits(a.makespan), Bits(b.makespan));
+}
+
+TEST(TestbedTest, ReplaysDrawValueBitForBit) {
+  TestbedConfig profile_row = BaseConfig(WorkloadId::kJacobi);
+  profile_row.utilization = 0.75;
+  TestbedConfig mix = profile_row;
+  mix.mix = MakeMixOne();
+  TestbedConfig crowds = BaseConfig(WorkloadId::kKnn);
+  // A crowd over a tenth of the run's expected span.
+  const double span =
+      static_cast<double>(crowds.num_queries) /
+      (crowds.utilization *
+       Testbed::SustainedRatePerSecond(crowds.mix, crowds.policy));
+  crowds.faults.scheduled_flash_crowds = {{0.2 * span, 0.3 * span}};
+  crowds.faults.flash_crowd_intensity = 4.0;
+  const robust::StormConfig storm;
+  TestbedConfig no_crowds = crowds;
+  no_crowds.faults = FaultPlanConfig{};
+  ASSERT_NE(Testbed::Draw(crowds).arrival, Testbed::Draw(no_crowds).arrival)
+      << "no arrival fell in the crowd window";
+
+  for (const TestbedConfig& config :
+       {profile_row, mix, robust::MakeStormTestbedConfig(storm, false),
+        robust::MakeStormTestbedConfig(storm, true), crowds}) {
+    SCOPED_TRACE(::testing::Message()
+                 << config.mix.components().size() << " workloads, retry "
+                 << config.retry.enabled << ", crowds "
+                 << config.faults.scheduled_flash_crowds.size());
+    const SimDraws draws = Testbed::Draw(config);
+    EXPECT_EQ(draws.arrival.size(), config.num_queries);
+    EXPECT_EQ(draws.klass.empty(), config.mix.components().size() == 1);
+    ExpectSameRunTrace(Testbed::Run(config, draws), Testbed::Run(config));
+    ExpectSameSummary(Testbed::Summarize(config, draws),
+                      Testbed::Summarize(config));
+  }
+
+  // Draws that do not fit throw before the run records anything.
+  obs::SpanCollector spans;
+  const obs::Sinks sinks{&spans, nullptr};
+  profile_row.sinks = &sinks;
+  mix.sinks = &sinks;
+  SimDraws short_column = Testbed::Draw(profile_row);
+  short_column.service_time.pop_back();
+  SimDraws klass_on_one = Testbed::Draw(profile_row);
+  klass_on_one.klass.assign(profile_row.num_queries,
+                            static_cast<uint32_t>(WorkloadId::kJacobi));
+  SimDraws not_in_mix = Testbed::Draw(mix);
+  not_in_mix.klass[7] = static_cast<uint32_t>(WorkloadId::kLeuk);
+  SimDraws no_workload = Testbed::Draw(mix);
+  no_workload.klass[7] = 1000;
+  SimDraws no_klass = Testbed::Draw(mix);
+  no_klass.klass.clear();
+  for (const auto& [config, draws] :
+       {std::pair{&profile_row, &short_column}, {&profile_row, &klass_on_one},
+        {&mix, &not_in_mix}, {&mix, &no_workload}, {&mix, &no_klass}}) {
+    EXPECT_THROW(Testbed::Run(*config, *draws), std::invalid_argument);
+    EXPECT_THROW(Testbed::Summarize(*config, *draws), std::invalid_argument);
+  }
+  EXPECT_TRUE(spans.TakeSpans().empty());
 }
 
 // ------------------------------------------ the phase table's midpoint rule

@@ -11,7 +11,9 @@
 # Every BENCH_*.json in <artifact-dir> that has a same-named committed
 # baseline is compared metric by metric; artifacts without a baseline (the
 # figure benches export error metrics, not throughput) are listed and
-# skipped. The gate is append-only in both directions: a baseline metric
+# skipped. A fresh metric with no baseline entry (a benchmark added since
+# the last refresh) is printed as ungated and never fails the run. The
+# gate is append-only in both directions: a baseline metric
 # missing from the fresh run is a failure, and so is a committed baseline
 # file with no fresh artifact at all — a renamed or deleted benchmark (or
 # a bench binary dropped from the CI run) must come with a baseline
@@ -54,6 +56,7 @@ baseline_dir = os.environ["BASELINE_DIR"]
 max_slowdown = float(os.environ["MAX_SLOWDOWN"])
 
 rows = []      # (bench, baseline_ns, current_ns, ratio, status)
+ungated = []   # (bench, current_ns): fresh, with no baseline entry
 skipped = []
 failures = 0
 compared_files = 0
@@ -92,6 +95,9 @@ for current_path in sorted(glob.glob(os.path.join(current_dir, "BENCH_*.json")))
         if status != "ok":
             failures += 1
         rows.append((bench, base_ns, cur_ns, ratio, status))
+    for key, cur_ns in current.items():
+        if key.endswith("_ns_per_iter") and key not in baseline:
+            ungated.append((key[: -len("_ns_per_iter")], float(cur_ns)))
 
 def fmt_ns(ns):
     return "-" if ns is None else f"{ns:,.1f}"
@@ -111,6 +117,8 @@ for r in table:
     print("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
 print(f"\ntolerance: {max_slowdown:.2f}x ns/iter "
       f"(qps drop > {(1.0 - 1.0 / max_slowdown) * 100.0:.0f}% fails)")
+for bench, cur in ungated:
+    print(f"ungated (no baseline entry): {bench}  {fmt_ns(cur)} ns/iter")
 for name in skipped:
     print(f"skipped (no committed baseline): {name}")
 for name in missing_files:
@@ -126,6 +134,8 @@ if summary_path:
             mark = ":red_circle: " if status != "ok" else ""
             f.write(f"| {bench} | {fmt_ns(base)} | {fmt_ns(cur)} "
                     f"| {fmt_delta(ratio)} | {mark}{status} |\n")
+        for bench, cur in ungated:
+            f.write(f"| {bench} | - | {fmt_ns(cur)} | - | ungated |\n")
         f.write(f"\nTolerance {max_slowdown:.2f}x ns/iter; "
                 f"{len(rows)} benchmarks compared, {failures} failing.\n")
 

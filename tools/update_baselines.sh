@@ -42,7 +42,7 @@ if [ "${1:-}" = "--bench" ]; then
   # Same invocation as CI's perf job: fast mode, the throughput-critical
   # benchmark families only, json artifact as the sole output.
   MSPRINT_BENCH_FAST=1 MSPRINT_BENCH_DIR="$BASELINES" "$BENCH" --json-only \
-    --benchmark_filter='BM_SimRun|BM_TestbedRun|BM_EventQueueChurn|BM_HeapChurnReference|BM_TickSimulator|BM_SketchInsert|BM_WindowRoll|BM_WindowRollSparse|BM_WhatifExperiment'
+    --benchmark_filter='BM_SimRun|BM_TestbedRun|BM_TestbedSummarize|BM_EventQueueChurn|BM_HeapChurnReference|BM_TickSimulator|BM_SketchInsert|BM_WindowRoll|BM_WindowRollSparse|BM_WhatifExperiment'
   echo "bench baseline written to $BASELINES/BENCH_micro.json"
   exit 0
 fi
